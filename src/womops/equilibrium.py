@@ -6,13 +6,16 @@ demand it was built for: the stationarity constraint lambda_p =
 R(signal) is substituted into the objective, reducing the problem to a
 box-constrained search over (t1, t2, t3, F) with t2 = T - t1 - t3 >= 0.
 
-The landscape is neither convex nor concave, so the solver runs a dense
-deterministic coarse grid (augmented with the t2 = 0 plane, where most
-optima live), keeps the best well-separated seeds and polishes each with
-Nelder-Mead.  For the linear-fee, unit-sensitivity, delivery-time-signal
-regime with t3 < tau the optimum also has closed forms
-(:func:`closed_form_t3`), used as independent cross-checks of the
-numeric path.
+The landscape is neither convex nor concave, so the solver searches a
+dense deterministic coarse grid (augmented with the t2 = 0 plane, where
+most optima live), keeps the best well-separated seeds and polishes each
+with Nelder-Mead.  The grid is evaluated in bounded chunks and only a
+pool of its most profitable points is kept; the seeds drawn from the
+pool are exactly those a full sort of the grid would give.  The grid
+size is capped by :data:`MAX_GRID_POINTS`.  For the linear-fee,
+unit-sensitivity, delivery-time-signal regime with t3 < tau the optimum
+also has closed forms (:func:`closed_form_t3`), used as independent
+cross-checks of the numeric path.
 """
 
 from __future__ import annotations
@@ -34,6 +37,16 @@ from .myopic import solve_policy
 
 _SNAP = 5e-6          # polish results this close to a bound are snapped onto it
 _PROFIT_TIE = 1e-6    # profits closer than this are ties (smaller F, then T wins)
+_CHUNK = 1 << 17      # grid points evaluated at once by the candidate search
+_POOL_PER_SEED = 8    # candidates pooled per requested seed (doubled if short)
+
+#: Budget on the candidate grid: n_fee * n_time^2 * (n_time - 1), the
+#: points of the full (t1, t3, T) box plus the t2 = 0 plane for every fee
+#: value, before the T >= t1 + t3 cut.  It bounds the search time (under
+#: a second per solve at the budget); memory is bounded by ``_CHUNK``
+#: whatever the grid.  The default n_time=40, n_fee=30 counts 1.87 M
+#: points and n_time=80 15.2 M.
+MAX_GRID_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -51,6 +64,11 @@ class SearchSpec:
             raise InvalidParams("grid resolutions must be positive")
         if self.polish_tol <= 0:
             raise InvalidParams("polish_tol must be > 0")
+        points = self.n_fee * self.n_time ** 2 * (self.n_time - 1)
+        if points > MAX_GRID_POINTS:
+            raise InvalidParams(
+                f"n_time={self.n_time}, n_fee={self.n_fee} make a grid of "
+                f"{points} points, over the budget of {MAX_GRID_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +90,6 @@ class EquilibriumProblem:
 class Branch(enum.Enum):
     NUMERIC_INTERIOR = "numeric-interior"
     NUMERIC_BOUNDARY = "numeric-boundary"
-    CLOSED_FORM_INTERIOR_FEE = "closed-form-interior-fee"
-    CLOSED_FORM_BOUNDARY_FEE = "closed-form-boundary-fee"
 
 
 @dataclass(frozen=True)
@@ -170,8 +186,21 @@ def _neg_profit(problem: EquilibriumProblem, t1: float, t2: float, t3: float,
     return -profit
 
 
-def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
-    """Coarse candidate points (t1, t2, t3, F) with their profits, flattened."""
+def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec, k: int):
+    """The k most profitable grid points (t1, t2, t3, F) and their profits.
+
+    The grid is the box over (t1, t3, T) with the cycle capped at the
+    search cap, plus the t2 = 0 plane T = t1 + t3 where the structural
+    results put most optima, crossed with the fee axis.  It is evaluated
+    in chunks of about ``_CHUNK`` points, a block of t1 rows against all
+    fees at once (by broadcasting, so the fee-free terms are computed once
+    per point), and only a running pool of the k best finite profits is
+    kept, every tie at the k-th profit included: memory stays bounded
+    whatever the grid size.  Points that tie in (profit, F, T, t1) share a
+    fee and a t1 row, so they come from one chunk and stay in grid order,
+    the order in which the stable sort of :func:`_select_seeds` breaks
+    such ties.
+    """
     p = problem.params
     cap = search_cap(problem)
     t1g = np.linspace(0.0, cap, search.n_time)
@@ -182,24 +211,36 @@ def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
     else:
         Fg = np.array([p.f_min])
 
-    # Dense box over (t1, t3, T) with the cycle capped at t_cap, plus the
-    # t2 = 0 plane T = t1 + t3 where the structural results put most optima.
-    A, B, C = np.meshgrid(t1g, t3g, Tg, indexing="ij")
-    mask = C - A - B >= -1e-12
-    plane_t1 = np.repeat(t1g, t3g.size)
-    plane_t3 = np.tile(t3g, t1g.size)
-    plane_keep = plane_t1 + plane_t3 <= cap + 1e-12
-    t1b = np.concatenate([A[mask], plane_t1[plane_keep]])
-    t3b = np.concatenate([B[mask], plane_t3[plane_keep]])
-    Tb = np.concatenate([C[mask], (plane_t1 + plane_t3)[plane_keep]])
-    t2b = np.maximum(Tb - t1b - t3b, 0.0)
+    pool = (np.empty(0),) * 5
+    rows = max(1, _CHUNK // (Fg.size * t3g.size * (Tg.size + 1)))
+    for lo in range(0, t1g.size, rows):
+        t1r = t1g[lo:lo + rows]
+        i, j, l = np.nonzero(Tg[None, None, :] - t1r[:, None, None]
+                             - t3g[None, :, None] >= -1e-12)
+        pi, pj = np.nonzero(t1r[:, None] + t3g[None, :] <= cap + 1e-12)
+        t1b = np.concatenate([t1r[i], t1r[pi]])
+        t3b = np.concatenate([t3g[j], t3g[pj]])
+        Tb = np.concatenate([Tg[l], t1r[pi] + t3g[pj]])
+        t2b = np.maximum(Tb - t1b - t3b, 0.0)
+        fees = max(1, _CHUNK // max(t1b.size, 1))
+        for f0 in range(0, Fg.size, fees):
+            Fc = Fg[f0:f0 + fees]
+            prof = _profit_kernel(problem, t1b, t2b, t3b, Fc[:, None]).ravel()
+            best = _best_k(prof, k)
+            f, b = np.divmod(best, t1b.size)
+            chunk = (t1b[b], t2b[b], t3b[b], Fc[f], prof[best])
+            pool = tuple(np.concatenate(pair) for pair in zip(pool, chunk))
+            keep = _best_k(pool[-1], k)
+            pool = tuple(a[keep] for a in pool)
+    return pool
 
-    t1f = np.repeat(t1b[None, :], Fg.size, axis=0).ravel()
-    t2f = np.repeat(t2b[None, :], Fg.size, axis=0).ravel()
-    t3f = np.repeat(t3b[None, :], Fg.size, axis=0).ravel()
-    Ff = np.repeat(Fg[:, None], t1b.size, axis=1).ravel()
-    prof = _profit_kernel(problem, t1f, t2f, t3f, Ff)
-    return t1f, t2f, t3f, Ff, prof
+
+def _best_k(prof, k: int):
+    """Indices of the k best finite profits, every tie at the k-th one kept."""
+    keep = np.isfinite(prof)
+    if np.count_nonzero(keep) > k:
+        keep &= prof >= -np.partition(-prof[keep], k - 1)[k - 1]
+    return np.flatnonzero(keep)
 
 
 def _select_seeds(t1f, t2f, t3f, Ff, prof, search: SearchSpec,
@@ -218,8 +259,6 @@ def _select_seeds(t1f, t2f, t3f, Ff, prof, search: SearchSpec,
     df = fee_span / max(search.n_fee - 1, 1)
     seeds: list[tuple[float, float, float, float]] = []
     for idx in order:
-        if not math.isfinite(prof[idx]):
-            break
         cand = (float(t1f[idx]), float(t2f[idx]), float(t3f[idx]), float(Ff[idx]))
         dup = any(abs(cand[0] - s[0]) < dt and abs(cand[1] - s[1]) < dt
                   and abs(cand[2] - s[2]) < d3
@@ -230,6 +269,29 @@ def _select_seeds(t1f, t2f, t3f, Ff, prof, search: SearchSpec,
         if len(seeds) >= search.top_n:
             break
     return seeds
+
+
+def _seeds(problem: EquilibriumProblem, search: SearchSpec):
+    """Polish seeds: those a full sort of the whole grid would select.
+
+    The pool is a prefix of the grid's (profit, F, T, t1) order, so seeds
+    picked from it are the full sort's as long as it holds enough of them;
+    when it runs short while grid points outside it remain, the search is
+    redone with a pool twice the size.
+    """
+    p = problem.params
+    cap = search_cap(problem)
+    k = _POOL_PER_SEED * search.top_n
+    while True:
+        t1f, t2f, t3f, Ff, prof = _candidate_grid(problem, search, k)
+        if prof.size == 0:
+            raise InfeasibleProblem("no feasible cycle in the search box")
+        seeds = _select_seeds(t1f, t2f, t3f, Ff, prof, search, cap, p.tau,
+                              max(p.f_max - p.f_min, 1.0))
+        # A pool of fewer than k points already holds every finite one.
+        if len(seeds) >= search.top_n or prof.size < k:
+            return seeds
+        k *= 2
 
 
 def _better(a: tuple[float, ...], b: tuple[float, ...] | None) -> bool:
@@ -262,11 +324,7 @@ def solve_equilibrium(problem: EquilibriumProblem,
     """
     p = problem.params
     cap = search_cap(problem)
-    t1f, t2f, t3f, Ff, prof = _candidate_grid(problem, search)
-    if not bool(np.any(np.isfinite(prof))):
-        raise InfeasibleProblem("no feasible cycle in the search box")
-    seeds = _select_seeds(t1f, t2f, t3f, Ff, prof, search, cap, p.tau,
-                          max(p.f_max - p.f_min, 1.0))
+    seeds = _seeds(problem, search)
 
     pinned_fee = p.f_max <= p.f_min
     best_key: tuple[float, float, float, float] | None = None

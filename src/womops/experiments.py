@@ -269,9 +269,9 @@ def cyclic_vs_stationary(problem: EquilibriumProblem,
     return ComparisonReport(sol.profit, avg, avg - sol.profit, detected, phases)
 
 
-def _config_manifest(config: ExperimentConfig) -> dict:
+def _config_manifest(config: ExperimentConfig, signal_kind: str) -> dict:
     data = asdict(config)
-    data["signal_kind"] = config.signal_kind.value
+    data["signal_kind"] = signal_kind
     data["search"] = asdict(config.search)
     # Where results land does not affect them; keeping the location out of
     # the manifest keeps reruns byte-identical wherever they are written.
@@ -298,11 +298,14 @@ def persist(rows: list[ResultRow], out_dir: str, name: str,
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
 
+    # Each table fixes its own signal, so record the one its rows ran.
+    signal_kind = (",".join(sorted({row.signal for row in rows}))
+                   or config.signal_kind.value)
     manifest = {
         "schema": 1,
         "tool": {"name": "womops", "version": _version},
         "table": name,
-        "config": _config_manifest(config),
+        "config": _config_manifest(config, signal_kind),
         "rows": [{"tau": r.tau, "c2": r.c2, "K": r.K, "r": r.r,
                   "branch": r.branch} for r in rows],
     }
@@ -332,7 +335,7 @@ def persist_trace(trace: DynamicsTrace, out_dir: str, name: str,
         "schema": 1,
         "tool": {"name": "womops", "version": _version},
         "table": name,
-        "config": _config_manifest(config),
+        "config": _config_manifest(config, SignalKind.MDT.value),
         "classification": {
             "kind": trace.classification.kind.value,
             "values": list(trace.classification.values),

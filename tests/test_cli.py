@@ -185,6 +185,13 @@ class TestConfig:
             parse_config({"fee": 200.0})
         assert exc.value.path == "fee"
 
+    def test_oversized_search_grid_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, search={"n_time": 400})
+        code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "search" in err and "budget" in err
+
     def test_bad_schema_version(self):
         with pytest.raises(ConfigError):
             parse_config({"schema": 99})

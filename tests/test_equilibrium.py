@@ -7,19 +7,25 @@ import pytest
 
 from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     FeeRegime, MarketParams, RecoveryClass, RegimeViolation,
+                    SignalKind, SignalSpec,
                     EquilibriumProblem, UnsupportedSignal, check_structure,
                     closed_form_t3, equilibrium_residual, interior_fee_for_t3,
                     profit_rate_with_fees, recoverability, respond, signal,
                     solve_equilibrium)
-from womops.equilibrium import _profit_kernel
+from womops import equilibrium
+from womops.equilibrium import (MAX_GRID_POINTS, SearchSpec, _profit_kernel,
+                                _seeds, search_cap)
+from womops.errors import InvalidParams
+from womops.experiments import (ExperimentConfig, TableId, _table_setup,
+                                build_problem)
 
 LIN = FeeModel(FeeFamily.LINEAR, 100, 1, 5)
 LOG = FeeModel(FeeFamily.LOGARITHMIC, 20, 101, 5)
 
 
 def problem(tau, c2, K=2000.0, r=8.0, fee_model=LIN, spec=MDT, M=30.0,
-            f_min=10.0, f_max=100.0):
-    params = MarketParams(r=r, K=K, h=4, tau=tau, lambda_r=50, M=M,
+            f_min=10.0, f_max=100.0, lambda_r=50.0):
+    params = MarketParams(r=r, K=K, h=4, tau=tau, lambda_r=lambda_r, M=M,
                           f_min=f_min, f_max=f_max)
     return EquilibriumProblem(params, fee_model, CustomerResponse(c2), spec)
 
@@ -253,3 +259,145 @@ class TestMonotonicity:
         theta = signal(MDT, sol.policy, prob.params.tau)
         lam_back = respond(prob.resp, prob.fee_model, sol.fee, theta)
         assert lam_back == pytest.approx(sol.lambda_p, rel=1e-9)
+
+
+def reference_grid(prob, search):
+    """The whole candidate grid, flattened fee by fee, with its profits."""
+    p = prob.params
+    cap = search_cap(prob)
+    t1g = np.linspace(0.0, cap, search.n_time)
+    t3g = np.linspace(0.0, p.tau, search.n_time)[1:]
+    Tg = np.linspace(0.0, cap, search.n_time)[1:]
+    Fg = (np.linspace(p.f_min, p.f_max, search.n_fee) if p.f_max > p.f_min
+          else np.array([p.f_min]))
+    A, B, C = np.meshgrid(t1g, t3g, Tg, indexing="ij")
+    box = C - A - B >= -1e-12
+    P1, P3 = np.meshgrid(t1g, t3g, indexing="ij")
+    plane = P1 + P3 <= cap + 1e-12
+    t1 = np.tile(np.concatenate([A[box], P1[plane]]), Fg.size)
+    t3 = np.tile(np.concatenate([B[box], P3[plane]]), Fg.size)
+    T = np.tile(np.concatenate([C[box], (P1 + P3)[plane]]), Fg.size)
+    t2 = np.maximum(T - t1 - t3, 0.0)
+    F = np.repeat(Fg, t1.size // Fg.size)
+    return t1, t2, t3, F, _profit_kernel(prob, t1, t2, t3, F)
+
+
+def reference_seeds(prob, search):
+    """Seeds of a full (profit, F, T, t1) lexsort over the flattened grid."""
+    p = prob.params
+    cap = search_cap(prob)
+    t1, t2, t3, F, prof = reference_grid(prob, search)
+    dt = cap / (search.n_time - 1)
+    d3 = p.tau / (search.n_time - 1)
+    df = max(p.f_max - p.f_min, 1.0) / max(search.n_fee - 1, 1)
+    seeds = []
+    for idx in np.lexsort((t1, t1 + t2 + t3, F, -prof)):
+        if not math.isfinite(prof[idx]):
+            break
+        cand = (float(t1[idx]), float(t2[idx]), float(t3[idx]), float(F[idx]))
+        if not any(abs(cand[0] - s[0]) < dt and abs(cand[1] - s[1]) < dt
+                   and abs(cand[2] - s[2]) < d3
+                   and abs(cand[3] - s[3]) < df + 1e-12 for s in seeds):
+            seeds.append(cand)
+            if len(seeds) >= search.top_n:
+                break
+    return seeds
+
+
+class TestStreamedSeedSelection:
+    """The pooled search picks exactly the seeds of a full sort."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """(k, pool size) of every candidate search the test makes."""
+        seen = []
+        grid = equilibrium._candidate_grid
+
+        def spy(prob, search, k):
+            out = grid(prob, search, k)
+            seen.append((k, out[-1].size))
+            return out
+
+        monkeypatch.setattr(equilibrium, "_candidate_grid", spy)
+        return seen
+
+    @pytest.mark.parametrize("table, row", [("T3", 5), ("T4", 0), ("T5", 9),
+                                            ("T6", 3)])
+    def test_reference_table_rows(self, table, row):
+        config = ExperimentConfig()
+        setup = _table_setup(TableId[table])
+        prob = build_problem(config, setup, *setup.rows[row])
+        assert _seeds(prob, config.search) == \
+            reference_seeds(prob, config.search)
+        # A pool as large as the grid holds every finite point, evaluated
+        # in chunks to the same bits as over the flattened grid.
+        grid = reference_grid(prob, config.search)
+        pool = equilibrium._candidate_grid(prob, config.search,
+                                           grid[-1].size)
+        finite = np.isfinite(grid[-1])
+        want = np.stack(grid)[:, finite]
+        got = np.stack(pool)
+        assert got.shape == want.shape
+        assert (got[:, np.lexsort(got[:4])].tobytes()
+                == want[:, np.lexsort(want[:4])].tobytes())
+
+    def test_seeded_random_problems(self):
+        rng = np.random.default_rng(11)
+        specs = (MDT, NPS, SignalSpec(SignalKind.WEIGHTED,
+                                      ((SignalKind.MDT, 0.3),
+                                       (SignalKind.NPS, 0.7))))
+        for _ in range(25):
+            prob = problem(tau=float(rng.uniform(0.5, 7.0)),
+                           c2=float(rng.choice([0.0, 0.2, 1.0, 1.7, 3.0])),
+                           K=float(rng.uniform(500.0, 4000.0)),
+                           r=float(rng.uniform(4.0, 48.0)),
+                           fee_model=(LIN, LOG)[rng.integers(2)],
+                           spec=specs[rng.integers(3)])
+            search = SearchSpec(n_time=int(rng.integers(3, 14)),
+                                n_fee=int(rng.integers(1, 9)),
+                                top_n=int(rng.integers(1, 12)))
+            assert _seeds(prob, search) == reference_seeds(prob, search)
+
+    def test_pinned_fee(self):
+        prob = problem(5.0, 1, f_min=40.0, f_max=40.0)
+        search = SearchSpec(n_time=20)
+        assert _seeds(prob, search) == reference_seeds(prob, search)
+
+    def test_short_pool_is_doubled(self, pools, monkeypatch):
+        # Eight candidates per seed never ran short on small grids, so the
+        # pool here holds one per seed; top_n=1000 asks for more seeds than
+        # the grid's 694 distinct ones, so the pool grows until it holds
+        # every point.
+        monkeypatch.setattr(equilibrium, "_POOL_PER_SEED", 1)
+        prob = problem(2.0, 1)
+        for top_n, seeds in ((8, 8), (1000, 694)):
+            pools.clear()
+            search = SearchSpec(n_time=10, n_fee=6, top_n=top_n)
+            got = _seeds(prob, search)
+            assert got == reference_seeds(prob, search)
+            assert len(got) == seeds
+            assert len(pools) > 1
+            assert [k for k, _ in pools] == [top_n * 2 ** i
+                                             for i in range(len(pools))]
+        assert pools[-1][1] < pools[-1][0]
+
+    def test_ties_at_the_pool_edge(self, pools):
+        # With no regular demand and the fee pinned where the linear
+        # family's member count is zero, the profit is -K/T for every
+        # (t1, t3): the best points all tie, at and beyond the k-th.
+        prob = problem(3.0, 1, f_min=100.0, f_max=100.0, lambda_r=0.0)
+        search = SearchSpec(n_time=12, top_n=3)
+        assert _seeds(prob, search) == reference_seeds(prob, search)
+        assert pools[0][1] > pools[0][0]
+
+
+class TestSearchBudget:
+    def test_default_and_finer_grids_fit(self):
+        SearchSpec()
+        SearchSpec(n_time=80)
+
+    def test_oversized_grid_rejected_before_allocation(self):
+        with pytest.raises(InvalidParams, match="budget"):
+            SearchSpec(n_time=400)
+        with pytest.raises(InvalidParams):
+            SearchSpec(n_time=40, n_fee=MAX_GRID_POINTS)

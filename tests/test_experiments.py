@@ -161,6 +161,13 @@ class TestPersist:
         assert manifest["rows"][0]["branch"]
         assert "wall" not in json.dumps(manifest)
 
+    def test_manifest_records_the_signal_the_rows_ran(self, config, t5_rows,
+                                                      tmp_path):
+        assert config.signal_kind.value == "MDT"
+        _, man_path = persist(t5_rows, str(tmp_path), "T5", config)
+        manifest = json.loads(open(man_path).read())
+        assert manifest["config"]["signal_kind"] == "NPS"
+
     def test_empty_results_give_header_only_csv(self, config, tmp_path):
         csv_path, man_path = persist([], str(tmp_path), "empty", config)
         with open(csv_path) as fh:
