@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +25,7 @@ from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
 from .dynamics import simulate, trace_rows
 from .equilibrium import (EquilibriumProblem, EquilibriumSolution, SearchSpec,
                           equilibrium_residual, solve_equilibrium)
-from .errors import ConfigError, WomopsError
+from .errors import ConfigError, NonFiniteResult, WomopsError
 from .experiments import (ExperimentConfig, TableId, TraceId, persist,
                           persist_trace, run_table, run_trace)
 from .myopic import solve_policy
@@ -57,14 +58,25 @@ class CliConfig:
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
 
+def _number(value, path: str) -> float:
+    """A JSON number as a finite float; anything else is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, "must be a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(path, "must be finite")
+    return value
+
+
 def _require(mapping, path: str, key: str, kind, default):
     value = mapping.get(key, default)
     if value is None:
         raise ConfigError(f"{path}.{key}", "missing required field")
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}", "must be a number")
-        return float(value)
+        return _number(value, f"{path}.{key}")
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}.{key}", "must be an integer")
@@ -94,7 +106,7 @@ def _parse_signal(raw, path: str) -> SignalSpec:
         except ValueError:
             raise ConfigError(f"{path}.weights[{i}]",
                               f"unknown signal kind {item[0]!r}") from None
-        parsed.append((comp, float(item[1])))
+        parsed.append((comp, _number(item[1], f"{path}.weights[{i}]")))
     try:
         return SignalSpec(SignalKind.WEIGHTED, tuple(parsed))
     except WomopsError as exc:
@@ -109,14 +121,16 @@ def parse_config(data: dict) -> CliConfig:
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema!r}")
 
-    merged = {k: {**DEFAULT_CONFIG.get(k, {}), **v} if isinstance(v, dict) else v
-              for k, v in data.items()}
-    for key, val in DEFAULT_CONFIG.items():
-        merged.setdefault(key, val)
+    merged = dict(DEFAULT_CONFIG)
+    for key, value in data.items():
+        default = DEFAULT_CONFIG.get(key)
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(key, "must be an object")
+            value = {**default, **value}
+        merged[key] = value
 
     m = merged["market"]
-    if not isinstance(m, dict):
-        raise ConfigError("market", "must be an object")
     try:
         market = MarketParams(
             r=_require(m, "market", "r", float, None),
@@ -159,16 +173,11 @@ def parse_config(data: dict) -> CliConfig:
 
     signal_spec = _parse_signal(merged["signal"], "signal")
 
-    fee = merged["fee"]
-    if isinstance(fee, bool) or not isinstance(fee, (int, float)):
-        raise ConfigError("fee", "must be a number")
-    fee = float(fee)
+    fee = _number(merged["fee"], "fee")
     if not fee_model.in_domain(fee):
         raise ConfigError("fee", f"outside the {family.value} fee domain")
 
     s = merged["search"]
-    if not isinstance(s, dict):
-        raise ConfigError("search", "must be an object")
     try:
         search = SearchSpec(
             n_time=_require(s, "search", "n_time", int, 40),
@@ -211,15 +220,19 @@ def config_to_dict(cfg: CliConfig) -> dict:
     return doc
 
 
+def _reject_constant(name: str):
+    raise ConfigError("$", f"{name} is not a JSON number")
+
+
 def load_config(path: str | None) -> CliConfig:
     if path is None:
         return parse_config({})
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError("$", f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from None
     return parse_config(data)
 
@@ -249,13 +262,17 @@ def solution_from_dict(data: dict) -> tuple[ShipmentPolicy, float, float, float]
 
 
 def _emit_json(obj, out) -> None:
-    out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"result is not finite: {exc}") from None
+    out.write(text + "\n")
 
 
 def _cmd_solve_m1(args, out) -> int:
     cfg = load_config(args.config)
-    if args.lambda_p < 0:
-        raise ConfigError("--lambda-p", "must be >= 0")
+    if not 0 <= args.lambda_p < math.inf:
+        raise ConfigError("--lambda-p", "must be finite and >= 0")
     sol = solve_policy(cfg.market, args.lambda_p)
     _emit_json({
         "case": sol.case.value,
@@ -287,8 +304,8 @@ def _cmd_simulate(args, out) -> int:
     cfg = load_config(args.config)
     if args.iters < 0:
         raise ConfigError("--iters", "must be >= 0")
-    if args.tol < 0:
-        raise ConfigError("--tol", "must be >= 0")
+    if not 0 <= args.tol < math.inf:
+        raise ConfigError("--tol", "must be finite and >= 0")
     c1 = potential_market(cfg.fee_model, cfg.fee)
     seed = c1 if args.seed_lambda is None else args.seed_lambda
     if not (0 <= seed <= c1):

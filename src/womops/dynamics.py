@@ -94,9 +94,9 @@ def step(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
     return policy, respond(resp, fee_model, fee, theta)
 
 
-def _classify_sequence(lambdas: list[float], c1: float,
-                       tol: float) -> LongRunClass:
-    """Earliest stopping pattern in a lambda sequence.
+def _classify_sequence(lambdas: list[float], c1: float, tol: float,
+                       previous: LongRunClass) -> LongRunClass:
+    """Earliest stopping pattern in a lambda sequence, one value at a time.
 
     Convergence: |lambda_{k+1} - lambda_k| < tol.  Two-point cycle:
     lambda_{k+2} returns to lambda_k within tol, the excursion
@@ -106,23 +106,31 @@ def _classify_sequence(lambdas: list[float], c1: float,
     two-apart differences shrink below tol while consecutive differences
     are still above it -- out of the cycle branch.  Convergence is
     checked first at each index.
+
+    ``previous`` is the result for ``lambdas[:-1]``.  A pattern found there
+    stays the earliest: the one check the new value completes at a lower
+    index, a cycle at k - 1 after convergence at k, would need a step of
+    at least 10 tol next to two of less than tol.  Otherwise only the
+    patterns the last value completes are checked, in scan order: the
+    cycle at n - 4, then convergence at n - 2.
     """
+    if previous.kind is not LongRunKind.UNDETERMINED:
+        return previous
     n = len(lambdas)
-    for k in range(n - 1):
-        if abs(lambdas[k + 1] - lambdas[k]) < tol:
-            limit = lambdas[k + 1]
-            if abs(limit - c1) <= 10.0 * tol:
-                return LongRunClass(LongRunKind.CONVERGED_TO_POTENTIAL,
-                                    (c1,), tol)
-            return LongRunClass(LongRunKind.CONVERGED_INTERIOR, (limit,), tol)
-        if (k + 3 < n
-                and abs(lambdas[k + 2] - lambdas[k]) < tol
-                and abs(lambdas[k + 3] - lambdas[k + 1]) < tol
-                and abs(lambdas[k + 1] - lambdas[k]) >= 10.0 * tol):
-            pair = (lambdas[k + 2], lambdas[k + 3])
-            return LongRunClass(LongRunKind.CYCLE2,
-                                (max(pair), min(pair)), tol)
-    return LongRunClass(LongRunKind.UNDETERMINED, (), tol)
+    k = n - 4
+    if (k >= 0
+            and abs(lambdas[k + 2] - lambdas[k]) < tol
+            and abs(lambdas[k + 3] - lambdas[k + 1]) < tol
+            and abs(lambdas[k + 1] - lambdas[k]) >= 10.0 * tol):
+        pair = (lambdas[k + 2], lambdas[k + 3])
+        return LongRunClass(LongRunKind.CYCLE2, (max(pair), min(pair)), tol)
+    k = n - 2
+    if k >= 0 and abs(lambdas[k + 1] - lambdas[k]) < tol:
+        limit = lambdas[k + 1]
+        if abs(limit - c1) <= 10.0 * tol:
+            return LongRunClass(LongRunKind.CONVERGED_TO_POTENTIAL, (c1,), tol)
+        return LongRunClass(LongRunKind.CONVERGED_INTERIOR, (limit,), tol)
+    return previous
 
 
 def simulate(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
@@ -160,7 +168,7 @@ def simulate(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
         points.append(TracePoint(k, lam, policy,
                                  profit_rate_with_fees(params, fee_model,
                                                        policy, fee, lam)))
-        classification = _classify_sequence(lambdas, c1, tol)
+        classification = _classify_sequence(lambdas, c1, tol, classification)
         if classification.kind is not LongRunKind.UNDETERMINED and k >= min_iters:
             break
 

@@ -48,6 +48,11 @@ _POOL_PER_SEED = 8    # candidates pooled per requested seed (doubled if short)
 #: points and n_time=80 15.2 M.
 MAX_GRID_POINTS = 1 << 24
 
+#: Budget on ``top_n``.  Seed selection compares every pooled candidate
+#: with every accepted seed, so its cost grows with the square of the
+#: seed count, and each seed adds a Nelder-Mead polish.
+MAX_SEEDS = 256
+
 
 @dataclass(frozen=True)
 class SearchSpec:
@@ -64,6 +69,9 @@ class SearchSpec:
             raise InvalidParams("grid resolutions must be positive")
         if self.polish_tol <= 0:
             raise InvalidParams("polish_tol must be > 0")
+        if self.top_n > MAX_SEEDS:
+            raise InvalidParams(
+                f"top_n={self.top_n} is over the budget of {MAX_SEEDS} seeds")
         points = self.n_fee * self.n_time ** 2 * (self.n_time - 1)
         if points > MAX_GRID_POINTS:
             raise InvalidParams(

@@ -39,6 +39,10 @@ class InfeasibleProblem(WomopsError):
     """The equilibrium problem admits no feasible cycle; cannot happen when tau > 0."""
 
 
+class NonFiniteResult(WomopsError):
+    """A result holds NaN or an infinity, which JSON output cannot carry."""
+
+
 class ConfigMismatch(WomopsError):
     """An experiment was asked for parameters the configuration does not cover."""
 

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import EPS_NUM, MarketParams, ShipmentPolicy, profit_rate
 from .errors import InvalidGrid, InvalidParams, NoFeasibleCandidate
@@ -36,6 +37,9 @@ class PolicyCase(enum.Enum):
 
 #: Deterministic tie-break order when candidates reach equal profit.
 _CASE_ORDER = (PolicyCase.I, PolicyCase.II, PolicyCase.III, PolicyCase.IV)
+
+_ORACLE_CHUNK = 1 << 17   # grid points the oracle evaluates at once
+_MASKED = 4               # trailing band columns where t2 can pass t_max
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,42 @@ def _classify(policy: ShipmentPolicy, tau: float, slack: float) -> PolicyCase:
     return PolicyCase.I if policy.t3 >= tau - slack else PolicyCase.II
 
 
+def _largest_t3(t1, T, t3_cap: float, t_max: float):
+    """(t2, t3, feasible) at the largest grid t3 for each (t1, T).
+
+    No-operation cycles (t3 = 0) are outside the policy domain and stay
+    excluded.
+    """
+    t3 = np.minimum(t3_cap, T - t1)
+    t2 = T - t1 - t3
+    return t2, t3, (t3 > 0) & (t2 <= t_max * (1 + 1e-12))
+
+
+def _oracle_band(params: MarketParams, lambda_p: float, grid: GridSpec):
+    """The oracle's (t1, T) grid as rows of t1 with a band of T each.
+
+    Returns ``(t1_axis, T_pad, width, t3_cap, t_max)``.  Row i has
+    t1 = i*step and scans ``T_pad[i:i + width]``.  T runs over
+    step, 2*step, ... up to every attainable t1 + t2 + t3; since
+    ``T_pad[i] > t1_axis[i]`` exactly, the band starts at the first T with
+    t3 > 0.  Along a row t2 never decreases, and the band is long enough
+    that its last column has t2 > t_max in every row, so every point
+    outside the band is infeasible.  ``T_pad`` ends in ``inf`` so the last
+    rows' bands exist; those points are infeasible too.
+    """
+    step = grid.step
+    t_max = grid.resolve_t_max(params, lambda_p)
+    n_phase = int(math.floor(t_max / step + 1e-9))
+    t3_cap = min(params.tau, t_max)
+    n_t3 = int(math.floor(t3_cap / step + 1e-9))
+    if n_phase < 1 or n_t3 < 1:
+        raise InvalidGrid("grid too coarse for the bounds")
+    t1_axis = np.arange(0, n_phase + 1) * step
+    T_pad = np.concatenate([np.arange(1, 2 * n_phase + n_t3 + 1) * step,
+                            np.full(2, np.inf)])
+    return t1_axis, T_pad, n_phase + n_t3 + 2, n_t3 * step, t_max
+
+
 def grid_search_policy(params: MarketParams, lambda_p: float,
                        grid: GridSpec) -> PolicySolution:
     """Exhaustive grid argmax of the profit rate; the validation oracle.
@@ -184,53 +224,58 @@ def grid_search_policy(params: MarketParams, lambda_p: float,
     is nondecreasing in t3 at fixed (t1, T) (its only t3 term is
     +r*lambda_r*t3/T), that point dominates every other (t2, t3) split of
     the same cycle, so the reduced argmax equals the full 3-d grid argmax.
+    Only each t1 row's band of feasible T is evaluated (see
+    :func:`_oracle_band`); ties go to the first (t1, T) in row-major order.
     The result is within O(step) of the true optimum.
     """
     if grid.step <= 0:
         raise InvalidGrid("step must be > 0")
     if lambda_p < 0:
         raise InvalidParams("lambda_p must be >= 0")
-    step = grid.step
-    t_max = grid.resolve_t_max(params, lambda_p)
+    t1_axis, T_pad, width, t3_cap, t_max = _oracle_band(params, lambda_p, grid)
     r, K, h, lam_r = params.r, params.K, params.h, params.lambda_r
 
-    n_phase = int(math.floor(t_max / step + 1e-9))
-    t3_cap = min(params.tau, t_max)
-    n_t3 = int(math.floor(t3_cap / step + 1e-9))
-    if n_phase < 1 or n_t3 < 1:
-        raise InvalidGrid("grid too coarse for the bounds")
-
-    t1_axis = np.arange(0, n_phase + 1) * step
-    # T ranges over all attainable sums; exclude T = 0.
-    T_axis = np.arange(1, 2 * n_phase + n_t3 + 1) * step
+    # The T-only terms, once per T; the band rows are views of them.  At
+    # lambda_p = 0 the padding's h*lambda_p*T is NaN; the mask drops it.
+    with np.errstate(invalid="ignore"):
+        bands = [sliding_window_view(a, width)
+                 for a in (T_pad, h * lambda_p * T_pad / 2.0, 2.0 * T_pad,
+                           K / T_pad)]
+    rows = max(1, _ORACLE_CHUNK // width)
+    buf = np.empty((min(rows, t1_axis.size), width))
+    tmp = np.empty_like(buf)
 
     best_val = -math.inf
-    best = (0.0, 0.0, 0.0)
-    chunk = max(1, int(1e6 // max(T_axis.size, 1)))
-    for lo in range(0, t1_axis.size, chunk):
-        t1 = t1_axis[lo:lo + chunk][:, None]
-        T = T_axis[None, :]
-        # Largest feasible t3 on the grid for each (t1, T); no-operation
-        # cycles (t3 = 0) are outside the policy domain and stay excluded.
-        t3 = np.minimum(n_t3 * step, T - t1)
-        t2 = T - t1 - t3
-        feasible = (t3 > 0) & (t2 <= t_max * (1 + 1e-12))
-        with np.errstate(invalid="ignore"):
-            profit = (r * lambda_p
-                      + r * lam_r * (t1 + t3) / T
-                      - h * lambda_p * T / 2.0
-                      - h * lam_r * t1 * t1 / (2.0 * T)
-                      - K / T)
-        profit = np.where(feasible, profit, -np.inf)
+    best = (0, 0)
+    for lo in range(0, t1_axis.size, rows):
+        t1 = t1_axis[lo:lo + rows][:, None]
+        T, half_hT, two_T, K_T = (b[lo:lo + rows] for b in bands)
+        profit, term = buf[:t1.shape[0]], tmp[:t1.shape[0]]
+        # r*lambda_p + r*lam_r*(t1 + t3)/T - h*lambda_p*T/2.0
+        #   - h*lam_r*t1*t1/(2.0*T) - K/T, in place, operation for operation.
+        np.subtract(T, t1, out=profit)
+        np.minimum(profit, t3_cap, out=profit)
+        profit += t1
+        profit *= r * lam_r
+        profit /= T
+        profit += r * lambda_p
+        profit -= half_hT
+        np.divide(h * lam_r * t1 * t1, two_T, out=term)
+        profit -= term
+        profit -= K_T
+        tail = profit[:, -_MASKED:]
+        tail[~_largest_t3(t1, T[:, -_MASKED:], t3_cap, t_max)[2]] = -np.inf
         flat = int(np.argmax(profit))
         val = float(profit.flat[flat])
         if val > best_val:
-            i, j = np.unravel_index(flat, profit.shape)
+            i, j = divmod(flat, width)
             best_val = val
-            best = (float(t1[i, 0]), float(t2[i, j]), float(t3[i, j]))
+            best = (lo + i, lo + i + j)
 
     if not math.isfinite(best_val):
         raise InvalidGrid("no feasible grid point")
-    policy = ShipmentPolicy(best[0], max(best[1], 0.0), best[2])
-    case = _classify(policy, params.tau, step / 2.0)
+    t1 = float(t1_axis[best[0]])
+    t2, t3, _ = _largest_t3(t1, T_pad[best[1]], t3_cap, t_max)
+    policy = ShipmentPolicy(t1, max(float(t2), 0.0), float(t3))
+    case = _classify(policy, params.tau, grid.step / 2.0)
     return PolicySolution(policy, case, best_val, lambda_p)

@@ -216,3 +216,66 @@ class TestConfig:
         cfg = parse_config(doc)
         again = parse_config(config_to_dict(cfg))
         assert again == cfg
+
+
+class TestTotalParsing:
+    """Every malformed input exits 2 naming its path, never a traceback."""
+
+    @staticmethod
+    def config_error(tmp_path, capsys, text, argv=("solve-m1", "--lambda-p",
+                                                     "450")):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code, out, err = run_cli([*argv, "-c", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ")
+        return err[len("config error: "):]
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_rejected_at_parse(self, tmp_path, capsys,
+                                                    constant):
+        err = self.config_error(tmp_path, capsys,
+                                '{"market": {"lambda_r": %s}}' % constant)
+        assert err.startswith("$: ")
+
+    def test_overflowing_number_names_its_field(self, tmp_path, capsys):
+        err = self.config_error(tmp_path, capsys, '{"fee": 1e999}')
+        assert err.startswith("fee: ")
+
+    def test_non_numeric_signal_weight(self, tmp_path, capsys):
+        doc = {"signal": {"kind": "weighted",
+                          "weights": [["MDT", 0.5], ["NPS", "half"]]}}
+        err = self.config_error(tmp_path, capsys, json.dumps(doc))
+        assert err.startswith("signal.weights[1]: ")
+
+    @pytest.mark.parametrize("section,value", [
+        ("response", 3), ("fee_model", []), ("signal", "MDT"),
+        ("experiment", None), ("market", [1])])
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, section,
+                                           value):
+        err = self.config_error(tmp_path, capsys,
+                                json.dumps({section: value}))
+        assert err.startswith(f"{section}: must be an object")
+
+    def test_too_many_seeds(self, tmp_path, capsys):
+        # Rejected while parsing; no solve starts.
+        err = self.config_error(tmp_path, capsys,
+                                json.dumps({"search": {"top_n": 1000000}}),
+                                argv=("solve-m2",))
+        assert err.startswith("search: ") and "budget" in err
+
+    def test_non_finite_result_exits_3_without_output(self, tmp_path, capsys):
+        # Finite inputs whose profit overflows: the JSON would say Infinity.
+        cfg = write_config(tmp_path, market={"r": 1e306})
+        code, out, err = run_cli(["solve-m1", "--lambda-p", "450", "-c", cfg],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-m1", "--lambda-p", "nan"], ["solve-m1", "--lambda-p", "inf"],
+        ["simulate", "--tol", "nan"], ["simulate", "--seed-lambda", "nan"]])
+    def test_non_finite_flags(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {argv[1]}: ")

@@ -8,6 +8,7 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     InvalidParams, LongRunKind, MarketParams,
                     UnsupportedSignal, potential_market, predict_long_run,
                     simulate, step, trace_rows)
+from womops.dynamics import LongRunClass, _classify_sequence
 from womops.reference import T7_TRACE, T8_TRACE
 
 LIN = FeeModel(FeeFamily.LINEAR, 100, 1, 5)
@@ -177,3 +178,71 @@ class TestPrediction:
         assert cls.kind is pred.kind
         for got, want in zip(sorted(cls.values), sorted(pred.values)):
             assert got == pytest.approx(want, abs=10 * tol)
+
+
+def _reference_classify(lambdas, c1, tol):
+    """The full rescan the incremental classifier replaced, kept as its
+    reference: the earliest pattern over the whole sequence."""
+    n = len(lambdas)
+    for k in range(n - 1):
+        if abs(lambdas[k + 1] - lambdas[k]) < tol:
+            limit = lambdas[k + 1]
+            if abs(limit - c1) <= 10.0 * tol:
+                return LongRunClass(LongRunKind.CONVERGED_TO_POTENTIAL,
+                                    (c1,), tol)
+            return LongRunClass(LongRunKind.CONVERGED_INTERIOR, (limit,), tol)
+        if (k + 3 < n
+                and abs(lambdas[k + 2] - lambdas[k]) < tol
+                and abs(lambdas[k + 3] - lambdas[k + 1]) < tol
+                and abs(lambdas[k + 1] - lambdas[k]) >= 10.0 * tol):
+            pair = (lambdas[k + 2], lambdas[k + 3])
+            return LongRunClass(LongRunKind.CYCLE2,
+                                (max(pair), min(pair)), tol)
+    return LongRunClass(LongRunKind.UNDETERMINED, (), tol)
+
+
+# Values a few tol apart, so short random sequences converge, cycle and
+# damp in every order.
+_CLOSE = st.sampled_from([0.0, 5e-5, 1.5e-4, 1e-3, 1.0, 1.00005, 2.0,
+                          2.00005, 2.0009])
+
+
+class TestIncrementalClassification:
+    """Fed one value at a time, the classifier matches a full rescan."""
+
+    @staticmethod
+    def assert_matches_rescan(lambdas, c1, tol):
+        # Every prefix is compared, so results held past the first pattern
+        # (what min_iters asks for) are covered too.
+        cls = LongRunClass(LongRunKind.UNDETERMINED, (), tol)
+        for n in range(2, len(lambdas) + 1):
+            cls = _classify_sequence(lambdas[:n], c1, tol, cls)
+            assert cls == _reference_classify(lambdas[:n], c1, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_CLOSE, min_size=2, max_size=14),
+           st.sampled_from([0.0, 1e-4, 1e-3]))
+    def test_close_values(self, lambdas, tol):
+        self.assert_matches_rescan(lambdas, 2.0, tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0, 500), min_size=2, max_size=30),
+           st.floats(0, 50))
+    def test_arbitrary_values(self, lambdas, tol):
+        self.assert_matches_rescan(lambdas, 450.0, tol)
+
+    @pytest.mark.parametrize("min_iters", [0, 200])
+    @pytest.mark.parametrize("tau,c2", [(5.0, 1.82), (6.0, 1.85)])
+    def test_slowly_damped_trajectories_keep_their_label(self, tau, c2,
+                                                         min_iters):
+        # A known misclassification: these trajectories converge, yet the
+        # separation guard lets a two-point cycle through.  The incremental
+        # classifier must give the full rescan's answer, fault included.
+        tr = simulate(params(tau=tau), LIN, CustomerResponse(c2), MDT, 10,
+                      max_iters=1000, tol=1e-4, min_iters=min_iters)
+        want = _reference_classify(list(tr.lambdas), tr.points[0].lambda_p,
+                                   1e-4)
+        assert tr.classification == want
+        assert want.kind is LongRunKind.CYCLE2
+        self.assert_matches_rescan(list(tr.lambdas), tr.points[0].lambda_p,
+                                   1e-4)

@@ -13,8 +13,8 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     profit_rate_with_fees, recoverability, respond, signal,
                     solve_equilibrium)
 from womops import equilibrium
-from womops.equilibrium import (MAX_GRID_POINTS, SearchSpec, _profit_kernel,
-                                _seeds, search_cap)
+from womops.equilibrium import (MAX_GRID_POINTS, MAX_SEEDS, SearchSpec,
+                                _profit_kernel, _seeds, search_cap)
 from womops.errors import InvalidParams
 from womops.experiments import (ExperimentConfig, TableId, _table_setup,
                                 build_problem)
@@ -367,8 +367,10 @@ class TestStreamedSeedSelection:
         # Eight candidates per seed never ran short on small grids, so the
         # pool here holds one per seed; top_n=1000 asks for more seeds than
         # the grid's 694 distinct ones, so the pool grows until it holds
-        # every point.
+        # every point.  That seed count is over MAX_SEEDS, so the budget is
+        # raised here as well.
         monkeypatch.setattr(equilibrium, "_POOL_PER_SEED", 1)
+        monkeypatch.setattr(equilibrium, "MAX_SEEDS", 1000)
         prob = problem(2.0, 1)
         for top_n, seeds in ((8, 8), (1000, 694)):
             pools.clear()
@@ -401,3 +403,8 @@ class TestSearchBudget:
             SearchSpec(n_time=400)
         with pytest.raises(InvalidParams):
             SearchSpec(n_time=40, n_fee=MAX_GRID_POINTS)
+
+    def test_seed_count_capped(self):
+        SearchSpec(top_n=MAX_SEEDS)
+        with pytest.raises(InvalidParams, match="budget"):
+            SearchSpec(top_n=MAX_SEEDS + 1)

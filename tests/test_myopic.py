@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from womops import (GridSpec, InvalidGrid, InvalidParams, MarketParams,
-                    PolicyCase, candidate, grid_search_policy, profit_rate,
-                    solve_policy)
+                    PolicyCase, PolicySolution, ShipmentPolicy, candidate,
+                    grid_search_policy, myopic, profit_rate, solve_policy)
 
 
 def params(r=8.0, K=2000.0, h=4.0, tau=2.0, lambda_r=50.0):
@@ -140,3 +141,144 @@ class TestOracle:
         grid = grid_search_policy(p, 200.0, GridSpec(step=0.05))
         assert grid.profit == pytest.approx(
             profit_rate(p, grid.policy, 200.0), rel=1e-12)
+
+
+def _reference_grid_search(params, lambda_p, grid):
+    """The full-rectangle scan the band scan replaced, kept as its reference.
+
+    It evaluates every (t1, T) pair of the two axes and masks the infeasible
+    ones; the oracle must return the same ``PolicySolution`` to the bit.
+    """
+    step = grid.step
+    t_max = grid.resolve_t_max(params, lambda_p)
+    r, K, h, lam_r = params.r, params.K, params.h, params.lambda_r
+
+    n_phase = int(math.floor(t_max / step + 1e-9))
+    t3_cap = min(params.tau, t_max)
+    n_t3 = int(math.floor(t3_cap / step + 1e-9))
+    if n_phase < 1 or n_t3 < 1:
+        raise InvalidGrid("grid too coarse for the bounds")
+
+    t1_axis = np.arange(0, n_phase + 1) * step
+    T_axis = np.arange(1, 2 * n_phase + n_t3 + 1) * step
+
+    best_val = -math.inf
+    best = (0.0, 0.0, 0.0)
+    chunk = max(1, int(1e6 // max(T_axis.size, 1)))
+    for lo in range(0, t1_axis.size, chunk):
+        t1 = t1_axis[lo:lo + chunk][:, None]
+        T = T_axis[None, :]
+        t3 = np.minimum(n_t3 * step, T - t1)
+        t2 = T - t1 - t3
+        feasible = (t3 > 0) & (t2 <= t_max * (1 + 1e-12))
+        with np.errstate(invalid="ignore"):
+            profit = (r * lambda_p
+                      + r * lam_r * (t1 + t3) / T
+                      - h * lambda_p * T / 2.0
+                      - h * lam_r * t1 * t1 / (2.0 * T)
+                      - K / T)
+        profit = np.where(feasible, profit, -np.inf)
+        flat = int(np.argmax(profit))
+        val = float(profit.flat[flat])
+        if val > best_val:
+            i, j = np.unravel_index(flat, profit.shape)
+            best_val = val
+            best = (float(t1[i, 0]), float(t2[i, j]), float(t3[i, j]))
+
+    if not math.isfinite(best_val):
+        raise InvalidGrid("no feasible grid point")
+    policy = ShipmentPolicy(best[0], max(best[1], 0.0), best[2])
+    case = myopic._classify(policy, params.tau, step / 2.0)
+    return PolicySolution(policy, case, best_val, lambda_p)
+
+
+def _criterion_4_draws(n):
+    """Instances drawn from the ranges of acceptance criterion 4.
+
+    The step is twice the criterion's 0.005, which keeps the reference
+    scan to a quarter of the points; both scans still span many chunks.
+    """
+    rng = np.random.default_rng(1703)
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    return [(params(r=log_uniform(8, 48), K=log_uniform(2000, 4000),
+                    tau=log_uniform(1, 7)),
+             log_uniform(30, 500), GridSpec(step=0.01)) for _ in range(n)]
+
+
+def _below_integer(k, step, gap):
+    """t_max with t_max/step = k - gap."""
+    return (k - gap) * step
+
+
+#: (params, lambda_p, grid) instances the band scan is checked on.
+BAND_CASES = {
+    "zero-demand": (params(tau=5.0), 0.0, GridSpec(step=0.01, t_max=10.0)),
+    # K is never covered at lambda_p = 0, so the best cycle stretches t2
+    # up to t_max: the t2 bound decides the answer.
+    "t2-at-bound": (params(K=2e4), 0.0, GridSpec(step=0.05, t_max=30.0)),
+    "case-iv": (params(K=4000.0, tau=1.0), 100.0, GridSpec(step=0.01)),
+    "step-0.05": (params(), 200.0, GridSpec(step=0.05)),
+    "step-0.02": (params(K=3000.0, tau=1.5), 120.0, GridSpec(step=0.02)),
+    # Within the 1e-9 slack n_phase rounds up to 300, and t2 = n_phase*step
+    # lies above t_max by more than the 1e-12 tolerance: infeasible.
+    "t_max-in-slack": (params(), 450.0,
+                       GridSpec(step=0.01, t_max=_below_integer(300, 0.01,
+                                                                8e-10))),
+    # Past the slack but within the 1e-12 relative tolerance: n_phase is
+    # 1999, yet t2 = 2000*step still passes the t_max test.
+    "t_max-in-tolerance": (params(), 450.0,
+                           GridSpec(step=0.002,
+                                    t_max=_below_integer(2000, 0.002, 1.5e-9))),
+}
+
+
+class TestBandScan:
+    """The band scan returns exactly what the full-rectangle scan returns."""
+
+    @staticmethod
+    def assert_same(p, lam, grid):
+        got = grid_search_policy(p, lam, grid)
+        assert got == _reference_grid_search(p, lam, grid)
+
+    def test_criterion_4_draws(self):
+        for p, lam, grid in _criterion_4_draws(30):
+            self.assert_same(p, lam, grid)
+
+    @pytest.mark.parametrize("name", sorted(BAND_CASES))
+    def test_edge_grids(self, name):
+        self.assert_same(*BAND_CASES[name])
+
+    def test_ties_across_chunks_go_to_the_first_row(self, monkeypatch):
+        # Without regular demand the profit depends on T alone, so every t1
+        # row ties at the best T; the scan must keep t1 = 0.
+        monkeypatch.setattr(myopic, "_ORACLE_CHUNK", 1)
+        p, lam, grid = params(lambda_r=0.0), 450.0, GridSpec(step=0.05)
+        self.assert_same(p, lam, grid)
+        assert grid_search_policy(p, lam, grid).policy.t1 == 0.0
+
+    @pytest.mark.parametrize("name", sorted(BAND_CASES))
+    def test_only_band_points_are_feasible(self, name):
+        p, lam, grid = BAND_CASES[name]
+        t1_axis, T_pad, width, t3_cap, t_max = myopic._oracle_band(p, lam, grid)
+        t1 = t1_axis[:, None]
+        band = np.lib.stride_tricks.sliding_window_view(T_pad, width)
+        feasible = myopic._largest_t3(t1, band, t3_cap, t_max)[2]
+        assert band.shape[0] == t1_axis.size
+        assert not feasible[:, -1].any()
+        assert feasible[:, :-myopic._MASKED].all()
+        # Every feasible point of the full (t1, T) rectangle lies in its
+        # row's band.
+        T_axis = T_pad[np.isfinite(T_pad)]
+        full = myopic._largest_t3(t1, T_axis[None, :], t3_cap, t_max)[2]
+        offset = np.arange(T_axis.size)[None, :] - np.arange(t1_axis.size)[:, None]
+        assert not full[(offset < 0) | (offset >= width)].any()
+        # Each t_max case tests something only if its premise holds: the
+        # column with t2 = n_phase*step (third from the end) is infeasible
+        # in some row, or the one with t2 = (n_phase + 1)*step is feasible.
+        if name == "t_max-in-slack":
+            assert not feasible[:, -3].all()
+        if name == "t_max-in-tolerance":
+            assert feasible[:, -2].any()
