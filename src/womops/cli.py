@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, potential_market)
-from .dynamics import simulate, trace_rows
+from .dynamics import MAX_SIM_ITERS, simulate, trace_rows
 from .equilibrium import (EquilibriumProblem, EquilibriumSolution, SearchSpec,
                           equilibrium_residual, solve_equilibrium)
 from .errors import ConfigError, NonFiniteResult, WomopsError
@@ -286,6 +286,12 @@ def _cmd_solve_m1(args, out) -> int:
 
 def _cmd_solve_m2(args, out) -> int:
     cfg = load_config(args.config)
+    # The equilibrium search needs N(F) defined over the whole fee box;
+    # N is nonincreasing in F for both families, so the bounds decide.
+    for bound in ("f_min", "f_max"):
+        if not cfg.fee_model.in_domain(getattr(cfg.market, bound)):
+            raise ConfigError(f"market.{bound}", "outside the "
+                              f"{cfg.fee_model.family.value} fee domain")
     problem = EquilibriumProblem(cfg.market, cfg.fee_model, cfg.response,
                                  cfg.signal)
     sol = solve_equilibrium(problem, cfg.search)
@@ -302,8 +308,8 @@ def _trace_csv_lines(rows) -> list[str]:
 
 def _cmd_simulate(args, out) -> int:
     cfg = load_config(args.config)
-    if args.iters < 0:
-        raise ConfigError("--iters", "must be >= 0")
+    if not 0 <= args.iters <= MAX_SIM_ITERS:
+        raise ConfigError("--iters", f"must be in [0, {MAX_SIM_ITERS}]")
     if not 0 <= args.tol < math.inf:
         raise ConfigError("--tol", "must be finite and >= 0")
     c1 = potential_market(cfg.fee_model, cfg.fee)

@@ -25,6 +25,11 @@ from .domain import (CustomerResponse, FeeModel, MarketParams, ShipmentPolicy,
 from .errors import InvalidParams, UnsupportedSignal
 from .myopic import solve_policy
 
+#: Budget on ``simulate``'s ``max_iters``.  Every iteration is kept as a
+#: trace point (about 33 us and 0.5 KB each), so the budget bounds a
+#: run at a few seconds and some 50 MB.
+MAX_SIM_ITERS = 100_000
+
 
 class LongRunKind(enum.Enum):
     CONVERGED_TO_POTENTIAL = "converged-to-potential"
@@ -145,8 +150,8 @@ def simulate(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
     reproduction uses that to emit fixed-length traces.  The seed defaults
     to the potential market c1(F).
     """
-    if max_iters < 0:
-        raise InvalidParams("max_iters must be >= 0")
+    if not 0 <= max_iters <= MAX_SIM_ITERS:
+        raise InvalidParams(f"max_iters must be in [0, {MAX_SIM_ITERS}]")
     if tol < 0:
         raise InvalidParams("tol must be >= 0")
     c1 = potential_market(fee_model, fee)

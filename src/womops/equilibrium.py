@@ -9,13 +9,14 @@ box-constrained search over (t1, t2, t3, F) with t2 = T - t1 - t3 >= 0.
 The landscape is neither convex nor concave, so the solver searches a
 dense deterministic coarse grid (augmented with the t2 = 0 plane, where
 most optima live), keeps the best well-separated seeds and polishes each
-with Nelder-Mead.  The grid is evaluated in bounded chunks and only a
-pool of its most profitable points is kept; the seeds drawn from the
-pool are exactly those a full sort of the grid would give.  The grid
-size is capped by :data:`MAX_GRID_POINTS`.  For the linear-fee,
-unit-sensitivity, delivery-time-signal regime with t3 < tau the optimum
-also has closed forms (:func:`closed_form_t3`), used as independent
-cross-checks of the numeric path.
+with a bounded Nelder-Mead (:mod:`womops.neldermead`).  The grid is
+evaluated in bounded chunks and only a pool of its most profitable
+points is kept; the seeds drawn from the pool are exactly those a full
+sort of the grid would give.  The grid size is capped by
+:data:`MAX_GRID_POINTS`.  For the linear-fee, unit-sensitivity,
+delivery-time-signal regime with t3 < tau the optimum also has closed
+forms (:func:`closed_form_t3`), used as independent cross-checks of the
+numeric path.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .domain import (FeeFamily, FeeModel, MarketParams, ShipmentPolicy,
                      SignalKind, SignalSpec, CustomerResponse,
@@ -34,6 +34,7 @@ from .dynamics import LongRunKind, predict_long_run, simulate
 from .errors import (InfeasibleProblem, InvalidParams, RegimeViolation,
                      UnsupportedSignal)
 from .myopic import solve_policy
+from .neldermead import minimize
 
 _SNAP = 5e-6          # polish results this close to a bound are snapped onto it
 _PROFIT_TIE = 1e-6    # profits closer than this are ties (smaller F, then T wins)
@@ -161,37 +162,60 @@ def _profit_kernel(problem: EquilibriumProblem, t1, t2, t3, F):
             - p.K / T)
 
 
-def _theta_scalar(spec: SignalSpec, t2: float, t3: float, T: float,
-                  tau: float) -> float:
-    if spec.kind is SignalKind.MDT:
-        return min(t3 / tau, 1.0)
-    if spec.kind is SignalKind.NPS:
-        return (t2 + t3) / T
-    return sum(w * _theta_scalar(SignalSpec(k), t2, t3, T, tau)
-               for k, w in spec.weights)
+def _objective(problem: EquilibriumProblem, cap: float = math.inf):
+    """Scalar objective ``(t1, t2, t3, F) -> -profit`` of one problem.
 
-
-def _neg_profit(problem: EquilibriumProblem, t1: float, t2: float, t3: float,
-                fee: float) -> float:
-    """Scalar objective for the polish phase (minimized)."""
-    if t1 < 0 or t2 < 0 or t3 < 0:
-        return math.inf
-    T = t1 + t2 + t3
-    if T <= 0:
-        return math.inf
+    The fee-inclusive profit rate with lambda_p = R(theta) substituted,
+    negated for minimization; ``inf`` outside the box (a negative phase,
+    an empty cycle, or a cycle longer than ``cap``).  Built once per
+    problem with its constants bound as locals; the products are formed
+    in the order :func:`_profit_kernel` forms them.
+    """
     p = problem.params
     fm = problem.fee_model
-    theta = _theta_scalar(problem.signal_spec, t2, t3, T, p.tau)
-    if fm.family is FeeFamily.LINEAR:
-        members = max(fm.a - fm.b * fee, 0.0)
-    else:
-        members = fm.a * math.log(max(fm.b - fee, 1.0))
-    lam = members * fm.delta * theta ** problem.resp.c2
-    profit = (lam * (p.r + fee / (fm.delta * p.M) - p.h * T / 2.0)
-              + p.r * p.lambda_r * (t1 + t3) / T
-              - p.h * p.lambda_r * t1 * t1 / (2.0 * T)
-              - p.K / T)
-    return -profit
+    r, h, K, tau = p.r, p.h, p.K, p.tau
+    r_lr = p.r * p.lambda_r
+    h_lr = p.h * p.lambda_r
+    delta_M = fm.delta * p.M
+    delta, a, b = fm.delta, fm.a, fm.b
+    c2 = problem.resp.c2
+    linear = fm.family is FeeFamily.LINEAR
+    kind = problem.signal_spec.kind
+    weights = problem.signal_spec.weights
+    MDT, NPS = SignalKind.MDT, SignalKind.NPS
+
+    def neg_profit(t1: float, t2: float, t3: float, fee: float) -> float:
+        if t1 < 0 or t2 < 0 or t3 < 0:
+            return math.inf
+        T = t1 + t2 + t3
+        # Cycles beyond the search cap are outside the box; in the priced-
+        # out regime the profit otherwise climbs forever toward the
+        # unattained stretched-cycle supremum.
+        if T <= 0 or T > cap:
+            return math.inf
+        if kind is MDT:
+            theta = min(t3 / tau, 1.0)
+        elif kind is NPS:
+            theta = (t2 + t3) / T
+        else:
+            theta = sum(w * (min(t3 / tau, 1.0) if k is MDT else (t2 + t3) / T)
+                        for k, w in weights)
+        if linear:
+            members = max(a - b * fee, 0.0)
+        else:
+            members = a * math.log(max(b - fee, 1.0))
+        try:
+            response = theta ** c2
+        except OverflowError:  # a weighted theta a rounding step above 1
+            response = math.inf
+        lam = members * delta * response
+        profit = (lam * (r + fee / delta_M - h * T / 2.0)
+                  + r_lr * (t1 + t3) / T
+                  - h_lr * t1 * t1 / (2.0 * T)
+                  - K / T)
+        return -profit
+
+    return neg_profit
 
 
 def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec, k: int):
@@ -338,45 +362,31 @@ def solve_equilibrium(problem: EquilibriumProblem,
     best_key: tuple[float, float, float, float] | None = None
     best_x: tuple[float, float, float, float] | None = None
 
-    def objective(t1: float, t2: float, t3: float, fee: float) -> float:
-        # Cycles beyond the search cap are outside the box; in the priced-
-        # out regime the profit otherwise climbs forever toward the
-        # unattained stretched-cycle supremum.
-        if t1 + t2 + t3 > cap:
-            return math.inf
-        return _neg_profit(problem, t1, t2, t3, fee)
+    neg_profit = _objective(problem, cap)
 
     def consider(x: tuple[float, float, float, float]) -> None:
         nonlocal best_key, best_x
         t1, t2, t3, fee = x
         if t3 <= 0 or t1 + t2 + t3 <= 0:
             return
-        pi = -objective(t1, t2, t3, fee)
+        pi = -neg_profit(t1, t2, t3, fee)
         if not math.isfinite(pi):
             return
         key = (pi, fee, t1 + t2 + t3, t1)
         if _better(key, best_key):
             best_key, best_x = key, x
 
+    bounds = [(0.0, cap), (0.0, cap), (0.0, p.tau), (p.f_min, p.f_max)]
     options = dict(xatol=1e-9, fatol=search.polish_tol,
-                   maxfev=search.max_polish_evals,
-                   maxiter=search.max_polish_evals)
+                   maxfev=search.max_polish_evals)
     for seed in seeds:
         if pinned_fee:
-            res = minimize(
-                lambda y: objective(y[0], y[1], y[2], p.f_min),
-                list(seed[:3]), method="Nelder-Mead",
-                bounds=[(0.0, cap), (0.0, cap), (0.0, p.tau)],
-                options=options)
-            raw = (float(res.x[0]), float(res.x[1]), float(res.x[2]), p.f_min)
+            res = minimize(neg_profit, seed[:3], bounds[:3], (p.f_min,),
+                           **options)
+            raw = (*res.x, p.f_min)
         else:
-            res = minimize(
-                lambda y: objective(y[0], y[1], y[2], y[3]),
-                list(seed), method="Nelder-Mead",
-                bounds=[(0.0, cap), (0.0, cap), (0.0, p.tau),
-                        (p.f_min, p.f_max)],
-                options=options)
-            raw = tuple(float(v) for v in res.x)
+            res = minimize(neg_profit, seed, bounds, **options)
+            raw = res.x
         consider(raw)
         snapped = (_snap(raw[0], 0.0), _snap(raw[1], 0.0),
                    _snap(raw[2], p.tau), _snap(raw[3], p.f_min, p.f_max))
@@ -477,6 +487,7 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
                                    + (a - b * fee) / (delta * M))
         return d_t3t3 * d_ff - d_t3f * d_t3f > 0
 
+    neg_profit = _objective(problem)
     candidates = []
     for z in roots:
         if abs(z.imag) > 1e-7 * max(1.0, abs(z)):
@@ -489,7 +500,7 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
             continue
         if not is_local_max(t3, fee_star):
             continue
-        candidates.append((-_neg_profit(problem, 0.0, 0.0, t3, fee_star), t3))
+        candidates.append((-neg_profit(0.0, 0.0, t3, fee_star), t3))
     if not candidates:
         raise RegimeViolation(
             "no admissible interior-fee maximum; a boundary regime applies")

@@ -7,8 +7,10 @@ import os
 
 import pytest
 
+from womops import dynamics
 from womops.cli import (config_to_dict, load_config, main, parse_config,
                         solution_from_dict)
+from womops.dynamics import MAX_SIM_ITERS
 from womops.errors import ConfigError
 
 
@@ -129,6 +131,17 @@ class TestSimulate:
             assert code == 2, argv
             assert "--" in err
 
+    def test_iteration_budget_is_a_usage_error(self, capsys, monkeypatch):
+        def step(*args, **kwargs):
+            raise AssertionError("no iteration may run")
+
+        monkeypatch.setattr(dynamics, "step", step)
+        code, out, err = run_cli(["simulate", "--iters",
+                                  str(MAX_SIM_ITERS + 1)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--iters" in err
+
     def test_solver_error_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, market={"lambda_r": 0.0})
         code, _, err = run_cli(["solve-m1", "--lambda-p", "0", "-c", cfg],
@@ -184,6 +197,33 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config({"fee": 200.0})
         assert exc.value.path == "fee"
+
+    @pytest.mark.parametrize("bound, market", [
+        ("f_max", {"f_max": 150.0}),
+        ("f_min", {"f_min": 120.0, "f_max": 130.0}),
+    ])
+    def test_fee_bound_outside_domain_exits_2(self, tmp_path, capsys, bound,
+                                              market):
+        cfg = write_config(tmp_path, market=market,
+                           fee_model={"family": "logarithmic", "a": 20,
+                                      "b": 101, "delta": 5})
+        code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"market.{bound}" in err
+
+    def test_fee_box_is_checked_by_solve_m2_only(self, tmp_path, capsys):
+        # simulate reads the fee, not the fee box searched by solve-m2.
+        cfg = write_config(tmp_path, fee=50.0,
+                           fee_model={"family": "linear", "a": 80, "b": 1,
+                                      "delta": 5})
+        code, out, err = run_cli(["simulate", "-c", cfg, "--iters", "3"],
+                                 capsys)
+        assert code == 0
+        assert out.startswith("iter,")
+        code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert "market.f_max" in err
 
     def test_oversized_search_grid_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, search={"n_time": 400})

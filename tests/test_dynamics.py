@@ -8,7 +8,8 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     InvalidParams, LongRunKind, MarketParams,
                     UnsupportedSignal, potential_market, predict_long_run,
                     simulate, step, trace_rows)
-from womops.dynamics import LongRunClass, _classify_sequence
+from womops import dynamics
+from womops.dynamics import MAX_SIM_ITERS, LongRunClass, _classify_sequence
 from womops.reference import T7_TRACE, T8_TRACE
 
 LIN = FeeModel(FeeFamily.LINEAR, 100, 1, 5)
@@ -121,6 +122,15 @@ class TestSimulate:
                          seed_lambda_p=450.0, max_iters=0)
         assert len(trace.points) == 1
         assert trace.classification.kind is LongRunKind.UNDETERMINED
+
+    def test_iteration_budget_rejected_before_any_step(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("no iteration may run")
+
+        monkeypatch.setattr(dynamics, "step", no_step)
+        with pytest.raises(InvalidParams, match="max_iters"):
+            simulate(params(), LIN, CustomerResponse(1), MDT, 10,
+                     max_iters=MAX_SIM_ITERS + 1)
 
     def test_default_seed_is_potential_market(self):
         trace = simulate(params(), LIN, CustomerResponse(1), MDT, 10,

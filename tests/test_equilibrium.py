@@ -14,7 +14,8 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     solve_equilibrium)
 from womops import equilibrium
 from womops.equilibrium import (MAX_GRID_POINTS, MAX_SEEDS, SearchSpec,
-                                _profit_kernel, _seeds, search_cap)
+                                _objective, _profit_kernel, _seeds,
+                                search_cap)
 from womops.errors import InvalidParams
 from womops.experiments import (ExperimentConfig, TableId, _table_setup,
                                 build_problem)
@@ -128,6 +129,8 @@ class TestSolve:
             lam = respond(prob.resp, LIN, fee, theta)
             want = profit_rate_with_fees(prob.params, LIN, pol, fee, lam)
             assert pol_profit == pytest.approx(want, rel=1e-12, abs=1e-9)
+            assert -_objective(prob)(t1, t2, t3, fee) == \
+                pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
 class TestClosedForms:
