@@ -16,8 +16,8 @@ demand.  The package provides:
 
 from .domain import (EPS_NUM, MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                      MarketParams, ShipmentPolicy, SignalKind, SignalSpec,
-                     potential_market, profit_rate, profit_rate_with_fees,
-                     respond, signal)
+                     cycle_profit, potential_market, profit_rate,
+                     profit_rate_with_fees, respond, signal, signal_value)
 from .dynamics import (DynamicsTrace, LongRunClass, LongRunKind, TracePoint,
                        predict_long_run, simulate, step, trace_rows)
 from .equilibrium import (Branch, EquilibriumProblem, EquilibriumSolution,
@@ -26,10 +26,10 @@ from .equilibrium import (Branch, EquilibriumProblem, EquilibriumSolution,
                           closed_form_t3, equilibrium_residual,
                           interior_fee_for_t3, recoverability, search_cap,
                           solve_equilibrium)
-from .errors import (ConfigError, ConfigMismatch, DomainError,
-                     InfeasibleProblem, InvalidGrid, InvalidParams,
-                     InvalidPolicy, NoFeasibleCandidate, RegimeViolation,
-                     UnsupportedSignal, WomopsError)
+from .errors import (ConfigError, DomainError, InfeasibleProblem,
+                     InvalidGrid, InvalidParams, InvalidPolicy,
+                     NoFeasibleCandidate, RegimeViolation, UnsupportedSignal,
+                     WomopsError)
 from .myopic import (GridSpec, PolicyCase, PolicySolution, candidate,
                      grid_search_policy, solve_policy)
 

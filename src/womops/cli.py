@@ -22,12 +22,12 @@ from dataclasses import dataclass, field, replace
 
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, potential_market)
-from .dynamics import MAX_SIM_ITERS, simulate, trace_rows
+from .dynamics import MAX_SIM_ITERS, simulate
 from .equilibrium import (EquilibriumProblem, EquilibriumSolution, SearchSpec,
                           equilibrium_residual, solve_equilibrium)
 from .errors import ConfigError, NonFiniteResult, WomopsError
 from .experiments import (ExperimentConfig, TableId, TraceId, persist,
-                          persist_trace, run_table, run_trace)
+                          persist_trace, run_table, run_trace, trace_csv)
 from .myopic import solve_policy
 from .reference import ROW_TOLERANCES, TABLE_ROWS, TRACE_TOLERANCES, TRACES
 
@@ -299,13 +299,6 @@ def _cmd_solve_m2(args, out) -> int:
     return 0
 
 
-def _trace_csv_lines(rows) -> list[str]:
-    lines = ["iter,lambda_p,t1,t2,t3,profit"]
-    for k, lam, t1, t2, t3, profit in rows:
-        lines.append(f"{k},{lam:.2f},{t1:.2f},{t2:.2f},{t3:.2f},{profit:.2f}")
-    return lines
-
-
 def _cmd_simulate(args, out) -> int:
     cfg = load_config(args.config)
     if not 0 <= args.iters <= MAX_SIM_ITERS:
@@ -319,7 +312,7 @@ def _cmd_simulate(args, out) -> int:
     trace = simulate(cfg.market, cfg.fee_model, cfg.response, cfg.signal,
                      cfg.fee, seed_lambda_p=seed, max_iters=args.iters,
                      tol=args.tol)
-    text = "\n".join(_trace_csv_lines(trace_rows(trace))) + "\n"
+    text = trace_csv(trace)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

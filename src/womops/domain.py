@@ -15,6 +15,12 @@ through the response function ``R(theta) = c1(F) * theta**c2``, where
 ``c1(F) = N(F) * delta`` is the potential premium market at membership
 fee ``F``.
 
+Each model formula is written once, here: theta (:func:`signal_value`),
+N(F) (:meth:`FeeModel.members`) and the profit rate
+(:func:`cycle_profit`).  The first and the last use arithmetic operators
+only, so the same code runs on Python floats (the polish and the scalar
+API) and on NumPy arrays (the equilibrium candidate grid).
+
 Everything in this module is a pure function of immutable values; all
 quantities are double precision.
 """
@@ -103,22 +109,30 @@ class FeeModel:
             raise InvalidParams("delta must be > 0")
 
     def in_domain(self, fee: float) -> bool:
-        """True when N(fee) is defined and nonnegative.
-
-        The logarithmic family needs b - F >= 1 (so N >= 0; equality means
-        the premium service is priced out entirely).
-        """
-        if self.family is FeeFamily.LINEAR:
-            return self.a - self.b * fee >= -EPS_NUM
-        return self.b - fee >= 1.0 - EPS_NUM
+        """True when N(fee) is defined and nonnegative (see :meth:`members`)."""
+        try:
+            self.members(fee)
+        except DomainError:
+            return False
+        return True
 
     def members(self, fee: float) -> float:
-        """N(F), the number of premium members at fee F."""
-        if not self.in_domain(fee):
-            raise DomainError(f"fee {fee} outside the {self.family.value} domain")
+        """N(F), the number of premium members at fee F.
+
+        N must be nonnegative: the linear family needs a - b*F >= 0 and
+        the logarithmic one b - F >= 1 (equality prices the premium
+        service out entirely).  Inside an ``EPS_NUM`` slack beyond that
+        bound N is 0; further out the fee raises DomainError.
+        """
         if self.family is FeeFamily.LINEAR:
-            return max(self.a - self.b * fee, 0.0)
-        return self.a * math.log(max(self.b - fee, 1.0))
+            count = self.a - self.b * fee
+            if count >= -EPS_NUM:
+                return max(count, 0.0)
+        else:
+            room = self.b - fee
+            if room >= 1.0 - EPS_NUM:
+                return self.a * math.log(max(room, 1.0))
+        raise DomainError(f"fee {fee} outside the {self.family.value} domain")
 
 
 @dataclass(frozen=True)
@@ -193,25 +207,65 @@ def potential_market(fee_model: FeeModel, fee: float) -> float:
     return fee_model.members(fee) * fee_model.delta
 
 
+def _mdt_signal(spec: SignalSpec, t2, t3, T, tau):
+    return t3 / tau
+
+
+def _nps_signal(spec: SignalSpec, t2, t3, T, tau):
+    return (t2 + t3) / T
+
+
+def _weighted_signal(spec: SignalSpec, t2, t3, T, tau):
+    theta = total = 0.0
+    for kind, weight in spec.weights:
+        theta = theta + weight * _SIGNALS[kind](spec, t2, t3, T, tau)
+        total = total + weight
+    # Weights may sum to 1 + EPS_NUM.  Dividing by a sum above 1 keeps
+    # theta <= 1, since both sums add their terms in the same order.
+    return theta / total if total > 1.0 else theta
+
+
+_SIGNALS = {SignalKind.MDT: _mdt_signal, SignalKind.NPS: _nps_signal,
+            SignalKind.WEIGHTED: _weighted_signal}
+
+
+def signal_formula(spec: SignalSpec):
+    """The function ``(spec, t2, t3, T, tau) -> theta`` of ``spec``'s kind.
+
+    :func:`signal_value` dispatches to it on every call; a caller that
+    evaluates one signal many times binds it once instead.
+    """
+    return _SIGNALS[spec.kind]
+
+
+def signal_value(spec: SignalSpec, t2, t3, T, tau):
+    """Signal theta of a cycle of length T with Phase-2/3 lengths t2, t3.
+
+    MDT is t3 / tau and NPS (t2 + t3) / T; a weighted signal combines
+    them.  Only ``+ - * /`` are used, so Python floats and arrays alike
+    are accepted, and an array gives, element by element, the bits its
+    floats give.  No clamping: theta lies in [0, 1] because the callers
+    keep t3 <= tau (MDT) and T = t1 + t2 + t3 with nonnegative phases.
+    """
+    return _SIGNALS[spec.kind](spec, t2, t3, T, tau)
+
+
 def signal(spec: SignalSpec, policy: ShipmentPolicy, tau: float) -> float:
     """Service signal emitted by one cycle of ``policy``; a scalar in [0, 1].
 
     MDT compares the realized worst regular delivery time against the
     declared one (t3 / tau); NPS is the fraction of the cycle in which
     regular customers do not receive fast service ((t2 + t3) / T).  The
-    result lands in [0, 1] because of the preconditions (t3 <= tau for
-    MDT, enforced here up to float slack), not by numeric clamping.
+    MDT precondition t3 <= tau is enforced here up to float slack.
     """
     cycle = policy.cycle_length
     if cycle <= 0:
         raise InvalidPolicy("signal undefined for a zero-length cycle")
-    if spec.kind is SignalKind.MDT:
-        if policy.t3 > tau * (1.0 + 1e-12):
-            raise InvalidPolicy(f"t3={policy.t3} exceeds declared tau={tau}")
-        return min(policy.t3 / tau, 1.0)
-    if spec.kind is SignalKind.NPS:
-        return (policy.t2 + policy.t3) / cycle
-    return sum(w * signal(SignalSpec(k), policy, tau) for k, w in spec.weights)
+    if policy.t3 > tau * (1.0 + 1e-12) and (
+            spec.kind is SignalKind.MDT
+            or any(kind is SignalKind.MDT for kind, _ in spec.weights)):
+        raise InvalidPolicy(f"t3={policy.t3} exceeds declared tau={tau}")
+    return signal_value(spec, policy.t2, policy.t3, cycle, tau)
 
 
 def respond(resp: CustomerResponse, fee_model: FeeModel, fee: float,
@@ -227,28 +281,35 @@ def respond(resp: CustomerResponse, fee_model: FeeModel, fee: float,
     return potential_market(fee_model, fee) * theta ** resp.c2
 
 
-def profit_rate(params: MarketParams, policy: ShipmentPolicy,
-                lambda_p: float) -> float:
-    """Average profit per unit time of a cycle at a fixed premium rate.
+def cycle_profit(params: MarketParams, lambda_p, fee_rate, t1, t3, T):
+    """Average profit per unit time of a cycle at premium rate ``lambda_p``.
 
-    Revenue from premium demand and from regulars served in Phases 1 and 3,
-    less depot holding for premium stock (lambda_p*T/2 on average), holding
-    for the Phase-1 regular stock (lambda_r*t1^2/(2T)), and the shipment
-    cost K amortized over the cycle.  Membership-fee revenue is NOT
-    included here; see :func:`profit_rate_with_fees`.
+    Revenue from premium orders (r plus the fee revenue ``fee_rate`` per
+    order) and from regulars served in Phases 1 and 3, less depot holding
+    for premium stock (lambda_p*T/2 on average), holding for the Phase-1
+    regular stock (lambda_r*t1^2/(2T)), and the shipment cost K amortized
+    over the cycle.  Like :func:`signal_value`, it takes floats or arrays.
     """
+    return (lambda_p * (params.r + fee_rate - params.h * T / 2.0)
+            + params.r * params.lambda_r * (t1 + t3) / T
+            - params.h * params.lambda_r * t1 * t1 / (2.0 * T)
+            - params.K / T)
+
+
+def _checked_profit(params: MarketParams, policy: ShipmentPolicy,
+                    lambda_p: float, fee_rate: float) -> float:
     if lambda_p < 0:
         raise InvalidParams("lambda_p must be >= 0")
     T = policy.cycle_length
     if T <= 0:
         raise InvalidPolicy("profit undefined for a zero-length cycle")
-    return (
-        params.r * lambda_p
-        + params.r * params.lambda_r * (policy.t1 + policy.t3) / T
-        - params.h * lambda_p * T / 2.0
-        - params.h * params.lambda_r * policy.t1 ** 2 / (2.0 * T)
-        - params.K / T
-    )
+    return cycle_profit(params, lambda_p, fee_rate, policy.t1, policy.t3, T)
+
+
+def profit_rate(params: MarketParams, policy: ShipmentPolicy,
+                lambda_p: float) -> float:
+    """:func:`cycle_profit` of ``policy`` without membership-fee revenue."""
+    return _checked_profit(params, policy, lambda_p, 0.0)
 
 
 def profit_rate_with_fees(params: MarketParams, fee_model: FeeModel,
@@ -256,13 +317,10 @@ def profit_rate_with_fees(params: MarketParams, fee_model: FeeModel,
                           lambda_p: float) -> float:
     """Average profit rate including membership-fee revenue.
 
-    Equals :func:`profit_rate` plus ``F * lambda_p / (delta * M)``: each
-    member pays F once per membership period M and orders at rate delta,
-    so lambda_p/delta members renew continuously.
+    Each member pays F once per membership period M and orders at rate
+    delta, so lambda_p/delta members renew continuously: every premium
+    order brings ``F / (delta * M)`` of fee revenue on top of r.
     """
-    if not fee_model.in_domain(fee):
-        raise DomainError(f"fee {fee} outside the {fee_model.family.value} domain")
-    return (
-        profit_rate(params, policy, lambda_p)
-        + fee * lambda_p / (fee_model.delta * params.M)
-    )
+    fee_model.members(fee)  # DomainError outside the family's fee domain
+    return _checked_profit(params, policy, lambda_p,
+                           fee / (fee_model.delta * params.M))

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (FeeFamily, FeeModel, MarketParams, ShipmentPolicy,
-                     SignalKind, SignalSpec, CustomerResponse,
-                     potential_market, profit_rate_with_fees, respond, signal)
+from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
+                     ShipmentPolicy, SignalKind, SignalSpec, cycle_profit,
+                     potential_market, profit_rate_with_fees, respond, signal,
+                     signal_formula, signal_value)
 from .dynamics import LongRunKind, predict_long_run, simulate
 from .errors import (InfeasibleProblem, InvalidParams, RegimeViolation,
                      UnsupportedSignal)
@@ -131,58 +132,22 @@ def search_cap(problem: EquilibriumProblem) -> float:
     return cap
 
 
-def _theta_kernel(spec: SignalSpec, t2, t3, T, tau):
-    """Signal value(s) for phase arrays; works on scalars and ndarrays."""
-    if spec.kind is SignalKind.MDT:
-        return np.minimum(t3 / tau, 1.0)
-    if spec.kind is SignalKind.NPS:
-        return (t2 + t3) / T
-    out = 0.0
-    for kind, w in spec.weights:
-        out = out + w * _theta_kernel(SignalSpec(kind), t2, t3, T, tau)
-    return out
-
-
-def _members_kernel(fee_model: FeeModel, F):
-    if fee_model.family is FeeFamily.LINEAR:
-        return np.maximum(fee_model.a - fee_model.b * F, 0.0)
-    return fee_model.a * np.log(np.maximum(fee_model.b - F, 1.0))
-
-
-def _profit_kernel(problem: EquilibriumProblem, t1, t2, t3, F):
-    """Vectorized fee-inclusive profit with lambda_p = R(theta) substituted."""
-    p = problem.params
-    fm = problem.fee_model
-    T = t1 + t2 + t3
-    theta = _theta_kernel(problem.signal_spec, t2, t3, T, p.tau)
-    lam = _members_kernel(fm, F) * fm.delta * np.power(theta, problem.resp.c2)
-    return (lam * (p.r + F / (fm.delta * p.M) - p.h * T / 2.0)
-            + p.r * p.lambda_r * (t1 + t3) / T
-            - p.h * p.lambda_r * t1 * t1 / (2.0 * T)
-            - p.K / T)
-
-
 def _objective(problem: EquilibriumProblem, cap: float = math.inf):
     """Scalar objective ``(t1, t2, t3, F) -> -profit`` of one problem.
 
     The fee-inclusive profit rate with lambda_p = R(theta) substituted,
     negated for minimization; ``inf`` outside the box (a negative phase,
     an empty cycle, or a cycle longer than ``cap``).  Built once per
-    problem with its constants bound as locals; the products are formed
-    in the order :func:`_profit_kernel` forms them.
+    problem, with the signal's formula and the constants bound as locals.
+    Inside the box t3 <= tau, as the polish clips t3 to [0, tau].
     """
     p = problem.params
     fm = problem.fee_model
-    r, h, K, tau = p.r, p.h, p.K, p.tau
-    r_lr = p.r * p.lambda_r
-    h_lr = p.h * p.lambda_r
-    delta_M = fm.delta * p.M
-    delta, a, b = fm.delta, fm.a, fm.b
+    spec, tau = problem.signal_spec, p.tau
+    theta_of = signal_formula(spec)
+    members = fm.members
+    delta, delta_M = fm.delta, fm.delta * p.M
     c2 = problem.resp.c2
-    linear = fm.family is FeeFamily.LINEAR
-    kind = problem.signal_spec.kind
-    weights = problem.signal_spec.weights
-    MDT, NPS = SignalKind.MDT, SignalKind.NPS
 
     def neg_profit(t1: float, t2: float, t3: float, fee: float) -> float:
         if t1 < 0 or t2 < 0 or t3 < 0:
@@ -193,27 +158,8 @@ def _objective(problem: EquilibriumProblem, cap: float = math.inf):
         # unattained stretched-cycle supremum.
         if T <= 0 or T > cap:
             return math.inf
-        if kind is MDT:
-            theta = min(t3 / tau, 1.0)
-        elif kind is NPS:
-            theta = (t2 + t3) / T
-        else:
-            theta = sum(w * (min(t3 / tau, 1.0) if k is MDT else (t2 + t3) / T)
-                        for k, w in weights)
-        if linear:
-            members = max(a - b * fee, 0.0)
-        else:
-            members = a * math.log(max(b - fee, 1.0))
-        try:
-            response = theta ** c2
-        except OverflowError:  # a weighted theta a rounding step above 1
-            response = math.inf
-        lam = members * delta * response
-        profit = (lam * (r + fee / delta_M - h * T / 2.0)
-                  + r_lr * (t1 + t3) / T
-                  - h_lr * t1 * t1 / (2.0 * T)
-                  - K / T)
-        return -profit
+        lam = members(fee) * delta * theta_of(spec, t2, t3, T, tau) ** c2
+        return -cycle_profit(p, lam, fee / delta_M, t1, t3, T)
 
     return neg_profit
 
@@ -225,8 +171,9 @@ def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec, k: int):
     search cap, plus the t2 = 0 plane T = t1 + t3 where the structural
     results put most optima, crossed with the fee axis.  It is evaluated
     in chunks of about ``_CHUNK`` points, a block of t1 rows against all
-    fees at once (by broadcasting, so the fee-free terms are computed once
-    per point), and only a running pool of the k best finite profits is
+    fees at once (by broadcasting): N(F) is computed once per fee, theta
+    and T once per block, and the fee-free profit terms once per point of
+    a chunk.  Only a running pool of the k best finite profits is
     kept, every tie at the k-th profit included: memory stays bounded
     whatever the grid size.  Points that tie in (profit, F, T, t1) share a
     fee and a t1 row, so they come from one chunk and stay in grid order,
@@ -234,6 +181,8 @@ def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec, k: int):
     such ties.
     """
     p = problem.params
+    fm = problem.fee_model
+    spec = problem.signal_spec
     cap = search_cap(problem)
     t1g = np.linspace(0.0, cap, search.n_time)
     t3g = np.linspace(0.0, p.tau, search.n_time)[1:]
@@ -242,6 +191,8 @@ def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec, k: int):
         Fg = np.linspace(p.f_min, p.f_max, search.n_fee)
     else:
         Fg = np.array([p.f_min])
+    c1 = np.array([fm.members(fee) for fee in Fg.tolist()]) * fm.delta
+    fee_rate = Fg / (fm.delta * p.M)
 
     pool = (np.empty(0),) * 5
     rows = max(1, _CHUNK // (Fg.size * t3g.size * (Tg.size + 1)))
@@ -254,13 +205,16 @@ def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec, k: int):
         t3b = np.concatenate([t3g[j], t3g[pj]])
         Tb = np.concatenate([Tg[l], t1r[pi] + t3g[pj]])
         t2b = np.maximum(Tb - t1b - t3b, 0.0)
+        T = t1b + t2b + t3b
+        response = signal_value(spec, t2b, t3b, T, p.tau) ** problem.resp.c2
         fees = max(1, _CHUNK // max(t1b.size, 1))
         for f0 in range(0, Fg.size, fees):
-            Fc = Fg[f0:f0 + fees]
-            prof = _profit_kernel(problem, t1b, t2b, t3b, Fc[:, None]).ravel()
+            lam = c1[f0:f0 + fees, None] * response
+            prof = cycle_profit(p, lam, fee_rate[f0:f0 + fees, None],
+                                t1b, t3b, T).ravel()
             best = _best_k(prof, k)
             f, b = np.divmod(best, t1b.size)
-            chunk = (t1b[b], t2b[b], t3b[b], Fc[f], prof[best])
+            chunk = (t1b[b], t2b[b], t3b[b], Fg[f0 + f], prof[best])
             pool = tuple(np.concatenate(pair) for pair in zip(pool, chunk))
             keep = _best_k(pool[-1], k)
             pool = tuple(a[keep] for a in pool)

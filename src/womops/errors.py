@@ -43,10 +43,6 @@ class NonFiniteResult(WomopsError):
     """A result holds NaN or an infinity, which JSON output cannot carry."""
 
 
-class ConfigMismatch(WomopsError):
-    """An experiment was asked for parameters the configuration does not cover."""
-
-
 class ConfigError(WomopsError):
     """A CLI configuration failed validation.
 

@@ -24,7 +24,6 @@ from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
 from .dynamics import DynamicsTrace, LongRunKind, simulate, trace_rows
 from .equilibrium import (EquilibriumProblem, EquilibriumSolution, SearchSpec,
                           recoverability, solve_equilibrium)
-from .errors import ConfigMismatch
 from .myopic import solve_policy
 from .reference import TABLE_ROWS
 
@@ -49,30 +48,22 @@ class TraceId(enum.Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep grids and run settings for the benchmark harness."""
+    """Market constants and run settings for the benchmark harness.
 
-    r_values: tuple[float, ...] = (8.0, 16.0, 48.0)
-    K_values: tuple[float, ...] = (1000.0, 2000.0, 3000.0, 4000.0)
-    tau_values: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
-    c2_values: tuple[float, ...] = (0.1, 0.2, 0.5, 1.0, 2.0, 3.0)
-    delta_values: tuple[float, ...] = (0.56, 5.0)
+    Each table's (tau, c2, K, r) rows come from :mod:`womops.reference`,
+    and its signal, fee family, delta and membership from
+    :func:`_table_setup`, not from here.
+    """
+
     h: float = 4.0
     lambda_r: float = 50.0
     linear_coeffs: tuple[float, float] = (100.0, 1.0)
     log_coeffs: tuple[float, float] = (20.0, 101.0)
-    memberships: tuple[str, ...] = ("monthly", "lifetime")
     f_min: float = 10.0
     f_max: float = 100.0
     signal_kind: SignalKind = SignalKind.MDT
     out_dir: str = "womops-out"
-    seed: int = 0
     search: SearchSpec = field(default_factory=SearchSpec)
-
-    def __post_init__(self) -> None:
-        for name in ("r_values", "K_values", "tau_values", "c2_values",
-                     "delta_values", "memberships"):
-            if not getattr(self, name):
-                raise ConfigMismatch(f"{name} must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -152,26 +143,9 @@ def build_problem(config: ExperimentConfig, setup: TableSetup, tau: float,
                               SignalSpec(setup.signal))
 
 
-def _check_coverage(config: ExperimentConfig, setup: TableSetup) -> None:
-    for tau, c2, K, r in setup.rows:
-        if tau not in config.tau_values:
-            raise ConfigMismatch(f"tau={tau} not in configured tau_values")
-        if c2 not in config.c2_values:
-            raise ConfigMismatch(f"c2={c2} not in configured c2_values")
-        if K not in config.K_values:
-            raise ConfigMismatch(f"K={K} not in configured K_values")
-        if r not in config.r_values:
-            raise ConfigMismatch(f"r={r} not in configured r_values")
-    if setup.delta not in config.delta_values:
-        raise ConfigMismatch(f"delta={setup.delta} not in configured delta_values")
-    if setup.membership not in config.memberships:
-        raise ConfigMismatch(f"membership={setup.membership} not configured")
-
-
 def run_table(config: ExperimentConfig, table: TableId) -> list[ResultRow]:
     """Solve every row of one benchmark table and label its recoverability."""
     setup = _table_setup(table)
-    _check_coverage(config, setup)
 
     def solve_row(key: tuple[float, float, float, float]) -> ResultRow:
         tau, c2, K, r = key
@@ -315,6 +289,14 @@ def persist(rows: list[ResultRow], out_dir: str, name: str,
     return csv_path, manifest_path
 
 
+def trace_csv(trace: DynamicsTrace) -> str:
+    """The trace as CSV text: a header, then one LF-ended line per iteration."""
+    lines = ["iter,lambda_p,t1,t2,t3,profit"]
+    for k, lam, t1, t2, t3, profit in trace_rows(trace):
+        lines.append(f"{k},{lam:.2f},{t1:.2f},{t2:.2f},{t3:.2f},{profit:.2f}")
+    return "\n".join(lines) + "\n"
+
+
 def persist_trace(trace: DynamicsTrace, out_dir: str, name: str,
                   config: ExperimentConfig) -> tuple[str, str]:
     """Trace analogue of :func:`persist`: iter-indexed CSV plus manifest."""
@@ -322,14 +304,8 @@ def persist_trace(trace: DynamicsTrace, out_dir: str, name: str,
     csv_path = os.path.join(out_dir, f"{name}.csv")
     manifest_path = os.path.join(out_dir, f"{name}_manifest.json")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("iter", "lambda_p", "t1", "t2", "t3", "profit"))
-    for k, lam, t1, t2, t3, profit in trace_rows(trace):
-        writer.writerow((str(k), f"{lam:.2f}", f"{t1:.2f}", f"{t2:.2f}",
-                         f"{t3:.2f}", f"{profit:.2f}"))
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(trace_csv(trace))
 
     manifest = {
         "schema": 1,

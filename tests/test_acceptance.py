@@ -214,6 +214,16 @@ def test_criterion_8_cyclic_beats_stationary():
               f"(margin {rep.margin:+.2f})")
 
 
+#: sha256 of ``womops reproduce --table T3`` output (Python 3.11, NumPy 2.4,
+#: x86-64 Linux).  A change that alters a reproduced digit or a manifest
+#: field has to update these on purpose.
+T3_SHA256 = {
+    "T3.csv": "7013fc1a9c668f71a659466955615d4d796054e1edb400a9a6b8ce37cac5b38e",
+    "T3_manifest.json":
+        "bf98ee1efd3fd432f989c7d88287a8d43bf715fe36ddb6310d5d50641f86bee7",
+}
+
+
 def test_criterion_9_reproduction_determinism(tmp_path, capsys):
     with criterion("criterion 9: byte-identical CSV and manifest across "
                    "reruns"):
@@ -227,3 +237,4 @@ def test_criterion_9_reproduction_determinism(tmp_path, capsys):
         second = run(str(tmp_path / "run2"))
         capsys.readouterr()
         assert first == second
+        assert first == T3_SHA256

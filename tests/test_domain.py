@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from womops import (EPS_NUM, MDT, NPS, CustomerResponse, DomainError,
                     FeeFamily, FeeModel, InvalidParams, InvalidPolicy,
                     MarketParams, ShipmentPolicy, SignalKind, SignalSpec,
-                    potential_market, profit_rate, profit_rate_with_fees,
-                    respond, signal)
+                    cycle_profit, potential_market, profit_rate,
+                    profit_rate_with_fees, respond, signal, signal_value)
 
 LIN = FeeModel(FeeFamily.LINEAR, 100, 1, 5)
 LOG = FeeModel(FeeFamily.LOGARITHMIC, 20, 101, 5)
@@ -164,6 +165,97 @@ class TestProfitRate:
         # Subtracting two large profit values loses up to |base|*ulp.
         assert gap == pytest.approx(fee * lam / (LIN.delta * PARAMS.M),
                                     abs=1e-10 * max(1.0, abs(base)))
+
+
+SPECS = (MDT, NPS,
+         SignalSpec(SignalKind.WEIGHTED,
+                    ((SignalKind.MDT, 0.3), (SignalKind.NPS, 0.7))),
+         SignalSpec(SignalKind.WEIGHTED,
+                    ((SignalKind.MDT, 0.5000000005), (SignalKind.NPS, 0.5))),
+         SignalSpec(SignalKind.WEIGHTED,
+                    ((SignalKind.NPS, 0.4999999995), (SignalKind.MDT, 0.5))))
+
+
+def random_cycles(seed: int, n: int = 2000):
+    """(t1, t2, t3, T, tau) arrays with t3 <= tau and T > 0; some phases 0."""
+    rng = np.random.default_rng(seed)
+    tau = rng.uniform(0.2, 7.0, n)
+    t1, t2 = rng.uniform(0.0, 12.0, (2, n)) * (rng.random((2, n)) < 0.7)
+    t3 = tau * rng.uniform(0.0, 1.0, n)
+    t3[::7] = tau[::7]
+    t3[3::11], t1[3::11] = 0.0, 1.5
+    t2[1::13] = 0.0
+    return t1, t2, t3, t1 + t2 + t3, tau
+
+
+class TestSharedFormulas:
+    """signal_value and cycle_profit serve floats (the polish, the scalar
+    API) and arrays (the candidate grid) with one body each."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["MDT", "NPS", "weighted",
+                                                  "weights-above-1",
+                                                  "weights-below-1"])
+    def test_signal_arrays_give_the_bits_of_floats(self, spec):
+        t1, t2, t3, T, tau = random_cycles(3)
+        theta = signal_value(spec, t2, t3, T, tau)
+        want = [signal_value(spec, float(t2[i]), float(t3[i]),
+                             float(t1[i]) + float(t2[i]) + float(t3[i]),
+                             float(tau[i]))
+                for i in range(T.size)]
+        assert {type(w) for w in want} == {float}
+        assert theta.tobytes() == np.array(want).tobytes()
+        assert np.all((theta >= 0.0) & (theta <= 1.0))
+
+    @pytest.mark.parametrize("c2", [0, 0.1, 0.5, 1, 1.7, 2, 3])
+    def test_array_power_is_numpy_power(self, c2):
+        # The grid raises theta to c2 with ``**``; on arrays that is
+        # np.power bit for bit (Python floats use the C library's pow,
+        # which can differ in the last bit).
+        theta = signal_value(NPS, *random_cycles(6)[1:])
+        assert (theta ** c2).tobytes() == np.power(theta, c2).tobytes()
+
+    def test_profit_arrays_give_the_bits_of_floats(self):
+        t1, _, t3, T, _ = random_cycles(4)
+        rng = np.random.default_rng(5)
+        lam = rng.uniform(0.0, 900.0, T.size) * (rng.random(T.size) < 0.9)
+        fee_rate = rng.uniform(0.0, 1.0, T.size)
+        got = cycle_profit(PARAMS, lam, fee_rate, t1, t3, T)
+        want = [cycle_profit(PARAMS, float(lam[i]), float(fee_rate[i]),
+                             float(t1[i]), float(t3[i]), float(T[i]))
+                for i in range(T.size)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_scalar_api_delegates(self):
+        pol = ShipmentPolicy(0.4, 0.1, 1.5)
+        spec = SPECS[3]
+        assert signal(spec, pol, 2.0) == signal_value(spec, 0.1, 1.5, 2.0, 2.0)
+        assert profit_rate(PARAMS, pol, 300.0) == cycle_profit(
+            PARAMS, 300.0, 0.0, 0.4, 1.5, 2.0)
+        assert profit_rate_with_fees(PARAMS, LIN, pol, 40.0, 300.0) == \
+            cycle_profit(PARAMS, 300.0, 40.0 / (LIN.delta * PARAMS.M),
+                         0.4, 1.5, 2.0)
+
+    def test_weighted_theta_over_unit_weight_sum_stays_in_range(self):
+        # Weights summing to 1 + 5e-10 would give theta = 1 + 5e-10 at a
+        # full cycle, and theta ** c2 would overflow for a large c2.
+        spec = SPECS[3]
+        assert signal_value(spec, 0.0, 2.0, 2.0, 2.0) == 1.0
+        assert signal_value(spec, 0.0, 2.0, 2.0, 2.0) ** 1e13 == 1.0
+        # Exactly unit weight sums are not rescaled.
+        assert signal_value(SPECS[2], 1.0, 1.0, 3.0, 2.0) == \
+            0.0 + 0.3 * (1.0 / 2.0) + 0.7 * (2.0 / 3.0)
+
+    @pytest.mark.parametrize("fm, edge", [(LIN, 100.0), (LOG, 100.0)],
+                             ids=["linear", "logarithmic"])
+    def test_members_clamp_inside_the_slack_and_raise_beyond(self, fm, edge):
+        assert fm.members(edge) == 0.0
+        assert fm.members(edge + 0.5e-9) == 0.0
+        assert fm.in_domain(edge + 0.5e-9)
+        with pytest.raises(DomainError):
+            fm.members(edge + 2e-9)
+        assert not fm.in_domain(edge + 2e-9)
+        assert not fm.in_domain(math.nan)
+        assert fm.members(edge - 1.0) > 0.0
 
 
 class TestValidation:

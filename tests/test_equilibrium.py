@@ -13,15 +13,31 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     profit_rate_with_fees, recoverability, respond, signal,
                     solve_equilibrium)
 from womops import equilibrium
+from womops.domain import cycle_profit, signal_value
 from womops.equilibrium import (MAX_GRID_POINTS, MAX_SEEDS, SearchSpec,
-                                _objective, _profit_kernel, _seeds,
-                                search_cap)
+                                _objective, _seeds, search_cap)
 from womops.errors import InvalidParams
 from womops.experiments import (ExperimentConfig, TableId, _table_setup,
                                 build_problem)
 
 LIN = FeeModel(FeeFamily.LINEAR, 100, 1, 5)
 LOG = FeeModel(FeeFamily.LOGARITHMIC, 20, 101, 5)
+
+
+def substituted_profit(prob, t1, t2, t3, F):
+    """Fee-inclusive profit with lambda_p = R(theta), from the domain formulas.
+
+    Takes floats or arrays; N(F) is taken once per distinct fee, as the
+    candidate grid takes it, so a grid gives the grid's bits.
+    """
+    p, fm = prob.params, prob.fee_model
+    F = np.asarray(F, dtype=float)
+    fees, where = np.unique(F, return_inverse=True)
+    c1 = np.array([fm.members(f) for f in fees.tolist()]) * fm.delta
+    T = t1 + t2 + t3
+    lam = (c1[where].reshape(F.shape)
+           * signal_value(prob.signal_spec, t2, t3, T, p.tau) ** prob.resp.c2)
+    return cycle_profit(p, lam, F / (fm.delta * p.M), t1, t3, T)
 
 
 def problem(tau, c2, K=2000.0, r=8.0, fee_model=LIN, spec=MDT, M=30.0,
@@ -73,12 +89,10 @@ class TestSolve:
         assert sol.fee == 10.0
         assert sol.branch.value == "numeric-boundary"
         # 3-variable brute force with the fee pinned.
-        best = -math.inf
-        for t1 in np.linspace(0, 3, 61):
-            for t3 in np.linspace(0.05, 5, 100):
-                for t2 in np.linspace(0, 3, 61):
-                    val = float(_profit_kernel(prob, t1, t2, t3, 10.0))
-                    best = max(best, val)
+        t1, t3, t2 = np.meshgrid(np.linspace(0, 3, 61),
+                                 np.linspace(0.05, 5, 100),
+                                 np.linspace(0, 3, 61), indexing="ij")
+        best = float(np.max(substituted_profit(prob, t1, t2, t3, 10.0)))
         assert sol.profit >= best - 1e-2
 
     def test_unprofitable_corner_pins_cycle_to_search_cap(self):
@@ -122,7 +136,7 @@ class TestSolve:
             t1, t2 = rng.uniform(0, 2, 2)
             t3 = rng.uniform(0.05, 2.0)
             fee = rng.uniform(10, 100)
-            pol_profit = float(_profit_kernel(prob, t1, t2, t3, fee))
+            pol_profit = float(substituted_profit(prob, t1, t2, t3, fee))
             from womops import ShipmentPolicy
             pol = ShipmentPolicy(t1, t2, t3)
             theta = signal(MDT, pol, 2.0)
@@ -142,7 +156,7 @@ class TestClosedForms:
         assert abs(sol.policy.t3 - t3) <= 1e-3
         # 1-d brute force over t3 of the substituted objective.
         grid = np.linspace(0.05, 5.0, 20000)
-        profits = _profit_kernel(prob, 0.0, 0.0, grid, 10.0)
+        profits = substituted_profit(prob, 0.0, 0.0, grid, 10.0)
         assert grid[int(np.argmax(profits))] == pytest.approx(t3, abs=1e-3)
 
     def test_boundary_fee_monotone_in_declared_time(self):
@@ -165,7 +179,7 @@ class TestClosedForms:
         sol = solve_equilibrium(prob)
         assert abs(sol.policy.t3 - t3) <= 1e-3
         assert abs(sol.fee - fee) <= 1e-3
-        assert abs(sol.profit - -(-1) * float(_profit_kernel(prob, 0, 0, t3, fee))) <= 1e-2
+        assert abs(sol.profit - -(-1) * float(substituted_profit(prob, 0, 0, t3, fee))) <= 1e-2
 
     def test_interior_fee_regime_violation_when_fee_hits_bound(self):
         with pytest.raises(RegimeViolation):
@@ -282,7 +296,7 @@ def reference_grid(prob, search):
     T = np.tile(np.concatenate([C[box], (P1 + P3)[plane]]), Fg.size)
     t2 = np.maximum(T - t1 - t3, 0.0)
     F = np.repeat(Fg, t1.size // Fg.size)
-    return t1, t2, t3, F, _profit_kernel(prob, t1, t2, t3, F)
+    return t1, t2, t3, F, substituted_profit(prob, t1, t2, t3, F)
 
 
 def reference_seeds(prob, search):

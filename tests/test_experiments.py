@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from womops import ConfigMismatch, LongRunKind
+from womops import LongRunKind
 from womops.experiments import (ExperimentConfig, TableId, TraceId,
                                 build_problem, cyclic_vs_stationary,
                                 load_rows, persist, persist_trace, run_table,
@@ -81,15 +81,6 @@ class TestRunTable:
             assert row.lambda_p == pytest.approx(lame, abs=ROW_TOLERANCES["lambda_p"])
             assert row.profit == pytest.approx(pie, abs=ROW_TOLERANCES["profit"])
             assert row.no_wom_decision == dece
-
-    def test_missing_coverage_raises(self):
-        cfg = ExperimentConfig(tau_values=(3.0,))
-        with pytest.raises(ConfigMismatch):
-            run_table(cfg, TableId.T3)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigMismatch):
-            ExperimentConfig(r_values=())
 
 
 class TestRunTrace:

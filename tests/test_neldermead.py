@@ -7,7 +7,6 @@ edge cases of the simplex (bounds, zero coordinates, ties, budgets).
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
@@ -221,16 +220,19 @@ class TestPaths:
                               scipy_polish(fun, x0, bounds, **options))
 
     def test_overflowing_response(self, monkeypatch):
-        # Weights may sum to 1 + 1e-9, so a weighted theta can exceed 1 and
-        # theta ** c2 overflow: NumPy gives inf, Python floats raise.
+        # Weights may sum to 1 + 1e-9.  Unless the weighted theta is divided
+        # by that sum it can exceed 1, and theta ** c2 then overflows and
+        # hides the best cycle, (0, 0, tau, f_min).
         spec = SignalSpec(SignalKind.WEIGHTED, ((SignalKind.MDT, 0.5000000005),
                                                 (SignalKind.NPS, 0.5)))
         prob = problem(2.0, 1e13, spec=spec)
-        assert _objective(prob)(0.0, 0.0, 2.0, 10.0) == -math.inf
+        assert _objective(prob)(0.0, 0.0, 2.0, 10.0) == -1230.0
         calls = record_polishes(monkeypatch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            solve_equilibrium(prob, SearchSpec(n_time=12, n_fee=6, top_n=3))
-            assert_polishes_match_scipy(calls)
+        sol = solve_equilibrium(prob, SearchSpec(n_time=12, n_fee=6, top_n=3))
+        assert (sol.policy.t1, sol.policy.t2, sol.policy.t3, sol.fee) == \
+            (0.0, 0.0, 2.0, 10.0)
+        assert sol.profit == pytest.approx(1230.0, rel=1e-12)
+        assert_polishes_match_scipy(calls)
 
     def test_seeded_random_problems(self, monkeypatch):
         calls = record_polishes(monkeypatch)
