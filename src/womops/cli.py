@@ -18,11 +18,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, potential_market)
-from .dynamics import MAX_SIM_ITERS, simulate
+from .dynamics import MAX_SIM_ITERS, simulate, trace_rows
 from .equilibrium import (EquilibriumProblem, EquilibriumSolution, SearchSpec,
                           equilibrium_residual, solve_equilibrium)
 from .errors import ConfigError, NonFiniteResult, WomopsError
@@ -45,6 +45,11 @@ DEFAULT_CONFIG = {
     "experiment": {"out_dir": "womops-out"},
 }
 
+_MARKET_KEYS = ("r", "K", "h", "tau", "lambda_r", "M", "f_min", "f_max")
+_FEE_MODEL_KEYS = ("a", "b", "delta")
+_SEARCH_KEYS = (("n_time", int), ("n_fee", int), ("top_n", int),
+                ("polish_tol", float))
+
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -55,7 +60,6 @@ class CliConfig:
     fee: float
     search: SearchSpec
     out_dir: str
-    experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
 
 def _number(value, path: str) -> float:
@@ -71,27 +75,45 @@ def _number(value, path: str) -> float:
     return value
 
 
-def _require(mapping, path: str, key: str, kind, default):
-    value = mapping.get(key, default)
+def _require(mapping, path: str, key: str, kind):
+    """``mapping[key]`` as a float, an int or a str; null counts as missing."""
+    where = f"{path}.{key}"
+    value = mapping.get(key)
     if value is None:
-        raise ConfigError(f"{path}.{key}", "missing required field")
+        raise ConfigError(where, "missing required field")
     if kind is float:
-        return _number(value, f"{path}.{key}")
+        return _number(value, where)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}.{key}", "must be an integer")
-        return value
-    if kind is str and not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}", "must be a string")
+            raise ConfigError(where, "must be an integer")
+    elif not isinstance(value, str):
+        raise ConfigError(where, "must be a string")
     return value
 
 
-def _parse_signal(raw, path: str) -> SignalSpec:
-    kind = _require(raw, path, "kind", str, "MDT")
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a validation error it raises names ``path``.
+
+    Field values are read before ``make`` is entered, so a
+    :class:`ConfigError` naming the field itself passes through unchanged.
+    """
     try:
-        sk = SignalKind(kind) if kind != "weighted" else SignalKind.WEIGHTED
+        return make(*args, **kwargs)
+    except WomopsError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _member(enum_cls, value, path: str, what: str):
+    """``enum_cls(value)``; an unknown value is a config error at ``path``."""
+    try:
+        return enum_cls(value)
     except ValueError:
-        raise ConfigError(f"{path}.kind", f"unknown signal kind {kind!r}") from None
+        raise ConfigError(path, f"unknown {what} {value!r}") from None
+
+
+def _parse_signal(raw, path: str) -> SignalSpec:
+    sk = _member(SignalKind, _require(raw, path, "kind", str), f"{path}.kind",
+                 "signal kind")
     if sk is not SignalKind.WEIGHTED:
         return SignalSpec(sk)
     weights = raw.get("weights")
@@ -101,16 +123,11 @@ def _parse_signal(raw, path: str) -> SignalSpec:
     for i, item in enumerate(weights):
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ConfigError(f"{path}.weights[{i}]", "must be [kind, weight]")
-        try:
-            comp = SignalKind(item[0])
-        except ValueError:
-            raise ConfigError(f"{path}.weights[{i}]",
-                              f"unknown signal kind {item[0]!r}") from None
+        comp = _member(SignalKind, item[0], f"{path}.weights[{i}]",
+                       "signal kind")
         parsed.append((comp, _number(item[1], f"{path}.weights[{i}]")))
-    try:
-        return SignalSpec(SignalKind.WEIGHTED, tuple(parsed))
-    except WomopsError as exc:
-        raise ConfigError(f"{path}.weights", str(exc)) from None
+    return _build(f"{path}.weights", SignalSpec, SignalKind.WEIGHTED,
+                  tuple(parsed))
 
 
 def parse_config(data: dict) -> CliConfig:
@@ -131,45 +148,19 @@ def parse_config(data: dict) -> CliConfig:
         merged[key] = value
 
     m = merged["market"]
-    try:
-        market = MarketParams(
-            r=_require(m, "market", "r", float, None),
-            K=_require(m, "market", "K", float, None),
-            h=_require(m, "market", "h", float, None),
-            tau=_require(m, "market", "tau", float, None),
-            lambda_r=_require(m, "market", "lambda_r", float, None),
-            M=_require(m, "market", "M", float, None),
-            f_min=_require(m, "market", "f_min", float, None),
-            f_max=_require(m, "market", "f_max", float, None))
-    except WomopsError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("market", str(exc)) from None
+    market = _build("market", MarketParams,
+                    **{key: _require(m, "market", key, float)
+                       for key in _MARKET_KEYS})
 
     f = merged["fee_model"]
-    family_name = _require(f, "fee_model", "family", str, "linear")
-    try:
-        family = FeeFamily(family_name)
-    except ValueError:
-        raise ConfigError("fee_model.family",
-                          f"unknown family {family_name!r}") from None
-    try:
-        fee_model = FeeModel(family,
-                             a=_require(f, "fee_model", "a", float, None),
-                             b=_require(f, "fee_model", "b", float, None),
-                             delta=_require(f, "fee_model", "delta", float, None))
-    except WomopsError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("fee_model", str(exc)) from None
+    family = _member(FeeFamily, _require(f, "fee_model", "family", str),
+                     "fee_model.family", "family")
+    fee_model = _build("fee_model", FeeModel, family,
+                       **{key: _require(f, "fee_model", key, float)
+                          for key in _FEE_MODEL_KEYS})
 
-    try:
-        response = CustomerResponse(
-            _require(merged["response"], "response", "c2", float, None))
-    except WomopsError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("response.c2", str(exc)) from None
+    response = _build("response.c2", CustomerResponse,
+                      _require(merged["response"], "response", "c2", float))
 
     signal_spec = _parse_signal(merged["signal"], "signal")
 
@@ -178,40 +169,28 @@ def parse_config(data: dict) -> CliConfig:
         raise ConfigError("fee", f"outside the {family.value} fee domain")
 
     s = merged["search"]
-    try:
-        search = SearchSpec(
-            n_time=_require(s, "search", "n_time", int, 40),
-            n_fee=_require(s, "search", "n_fee", int, 30),
-            top_n=_require(s, "search", "top_n", int, 8),
-            polish_tol=_require(s, "search", "polish_tol", float, 1e-8))
-    except WomopsError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("search", str(exc)) from None
+    # Only the keys the document gives: SearchSpec holds the defaults.
+    search = _build("search", SearchSpec,
+                    **{key: _require(s, "search", key, kind)
+                       for key, kind in _SEARCH_KEYS if key in s})
 
-    e = merged["experiment"]
-    out_dir = _require(e, "experiment", "out_dir", str, "womops-out")
-    experiment = replace(ExperimentConfig(), search=search, out_dir=out_dir)
+    out_dir = _require(merged["experiment"], "experiment", "out_dir", str)
     return CliConfig(market, fee_model, response, signal_spec, fee, search,
-                     out_dir, experiment)
+                     out_dir)
 
 
 def config_to_dict(cfg: CliConfig) -> dict:
     """Serialize a validated config back to the JSON schema."""
-    m = cfg.market
     doc = {
         "schema": SCHEMA_VERSION,
-        "market": {"r": m.r, "K": m.K, "h": m.h, "tau": m.tau,
-                   "lambda_r": m.lambda_r, "M": m.M, "f_min": m.f_min,
-                   "f_max": m.f_max},
-        "fee_model": {"family": cfg.fee_model.family.value, "a": cfg.fee_model.a,
-                      "b": cfg.fee_model.b, "delta": cfg.fee_model.delta},
+        "market": {key: getattr(cfg.market, key) for key in _MARKET_KEYS},
+        "fee_model": {"family": cfg.fee_model.family.value,
+                      **{key: getattr(cfg.fee_model, key)
+                         for key in _FEE_MODEL_KEYS}},
         "response": {"c2": cfg.response.c2},
         "signal": {"kind": cfg.signal.kind.value},
         "fee": cfg.fee,
-        "search": {"n_time": cfg.search.n_time, "n_fee": cfg.search.n_fee,
-                   "top_n": cfg.search.top_n,
-                   "polish_tol": cfg.search.polish_tol},
+        "search": {key: getattr(cfg.search, key) for key, _ in _SEARCH_KEYS},
         "experiment": {"out_dir": cfg.out_dir},
     }
     if cfg.signal.kind is SignalKind.WEIGHTED:
@@ -269,10 +248,17 @@ def _emit_json(obj, out) -> None:
     out.write(text + "\n")
 
 
+def _check_demand(market: MarketParams, lambda_p: float, flag: str) -> None:
+    """The policy needs some demand: a zero premium rate needs regulars."""
+    if lambda_p == 0 and market.lambda_r == 0:
+        raise ConfigError(flag, "must be > 0 when market.lambda_r is 0")
+
+
 def _cmd_solve_m1(args, out) -> int:
     cfg = load_config(args.config)
     if not 0 <= args.lambda_p < math.inf:
         raise ConfigError("--lambda-p", "must be finite and >= 0")
+    _check_demand(cfg.market, args.lambda_p, "--lambda-p")
     sol = solve_policy(cfg.market, args.lambda_p)
     _emit_json({
         "case": sol.case.value,
@@ -309,13 +295,19 @@ def _cmd_simulate(args, out) -> int:
     seed = c1 if args.seed_lambda is None else args.seed_lambda
     if not (0 <= seed <= c1):
         raise ConfigError("--seed-lambda", f"must lie in [0, c1(F)={c1:g}]")
+    _check_demand(cfg.market, seed, "--seed-lambda")
     trace = simulate(cfg.market, cfg.fee_model, cfg.response, cfg.signal,
                      cfg.fee, seed_lambda_p=seed, max_iters=args.iters,
                      tol=args.tol)
+    if not all(math.isfinite(v) for row in trace_rows(trace) for v in row):
+        raise NonFiniteResult("trace is not finite")
     text = trace_csv(trace)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot write results: {exc}") from None
     else:
         out.write(text)
     cls = trace.classification
@@ -325,77 +317,75 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
+def _misses(fields) -> list[str]:
+    """One note per ``(name, got, want, tol)`` that misses its tolerance."""
+    return [f"{name} {got:.4f} vs {want:.2f} (tol {t})"
+            for name, got, want, t in fields if abs(got - want) > t]
+
+
+def _tally(checks) -> tuple[int, int, list[str]]:
+    """Matched count, total and one note per ``(label, misses)`` that missed."""
+    checks = list(checks)
+    notes = [f"  {label}: " + "; ".join(bad) for label, bad in checks if bad]
+    return len(checks) - len(notes), len(checks), notes
+
+
+#: Reference-row fields in table order, each with its ROW_TOLERANCES key.
+_ROW_FIELDS = (("t1", "t"), ("t2", "t"), ("t3", "t"), ("F", "F"),
+               ("lambda_p", "lambda_p"), ("profit", "profit"))
+
+
 def _diff_table(table_name: str, rows) -> tuple[int, int, list[str]]:
     reference = TABLE_ROWS[table_name]
-    tol = ROW_TOLERANCES
-    matched = 0
-    notes: list[str] = []
-    for row in rows:
-        key = (row.tau, row.c2, row.K, row.r)
-        exp = reference[key]
-        t1e, t2e, t3e, fe, lame, pie, dece = exp
-        deltas = {
-            "t1": (row.t1, t1e, tol["t"]), "t2": (row.t2, t2e, tol["t"]),
-            "t3": (row.t3, t3e, tol["t"]), "F": (row.F, fe, tol["F"]),
-            "lambda_p": (row.lambda_p, lame, tol["lambda_p"]),
-            "profit": (row.profit, pie, tol["profit"]),
-        }
-        bad = [f"{name} {got:.4f} vs {want:.2f} (tol {t})"
-               for name, (got, want, t) in deltas.items()
-               if abs(got - want) > t]
-        if row.no_wom_decision != dece:
-            bad.append(f"decision {row.no_wom_decision} vs {dece}")
-        if bad:
-            notes.append(f"  row tau={row.tau:g} c2={row.c2:g} K={row.K:g} "
-                         f"r={row.r:g}: " + "; ".join(bad))
-        else:
-            matched += 1
-    return matched, len(rows), notes
+
+    def check(row):
+        *want, decision = reference[(row.tau, row.c2, row.K, row.r)]
+        bad = _misses((name, getattr(row, name), w, ROW_TOLERANCES[kind])
+                      for (name, kind), w in zip(_ROW_FIELDS, want))
+        if row.no_wom_decision != decision:
+            bad.append(f"decision {row.no_wom_decision} vs {decision}")
+        return f"row tau={row.tau:g} c2={row.c2:g} K={row.K:g} r={row.r:g}", bad
+
+    return _tally(map(check, rows))
 
 
 def _diff_trace(trace_name: str, trace) -> tuple[int, int, list[str]]:
     ref = TRACES[trace_name]
-    tol = TRACE_TOLERANCES
-    matched = 0
-    notes: list[str] = []
-    points = trace.points
-    for k in range(len(ref["lambda_p"])):
-        if k >= len(points):
-            notes.append(f"  iteration {k}: missing")
-            continue
-        p = points[k]
-        bad = []
-        if abs(p.lambda_p - ref["lambda_p"][k]) > tol["lambda_p"]:
-            bad.append(f"lambda_p {p.lambda_p:.4f} vs {ref['lambda_p'][k]:.2f}")
-        if abs(p.policy.t3 - ref["t3"][k]) > tol["t3"]:
-            bad.append(f"t3 {p.policy.t3:.4f} vs {ref['t3'][k]:.2f}")
-        if abs(p.policy.t1 - ref["t1"][k]) > tol["t1"]:
-            bad.append(f"t1 {p.policy.t1:.4f} vs {ref['t1'][k]:.2f}")
-        if bad:
-            notes.append(f"  iteration {k}: " + "; ".join(bad))
-        else:
-            matched += 1
-    return matched, len(ref["lambda_p"]), notes
+
+    def check(k):
+        if k >= len(trace.points):
+            return f"iteration {k}", ["missing"]
+        p = trace.points[k]
+        got = {"lambda_p": p.lambda_p, "t3": p.policy.t3, "t1": p.policy.t1}
+        return f"iteration {k}", _misses(
+            (name, value, ref[name][k], TRACE_TOLERANCES[name])
+            for name, value in got.items())
+
+    return _tally(map(check, range(len(ref["lambda_p"]))))
 
 
 def _cmd_reproduce(args, out) -> int:
     cfg = load_config(args.config)
-    experiment = replace(cfg.experiment, out_dir=args.out or cfg.out_dir)
+    experiment = ExperimentConfig(search=cfg.search,
+                                  out_dir=args.out or cfg.out_dir)
     name = args.table
     if name in TableId.__members__:
-        rows = run_table(experiment, TableId[name])
-        csv_path, manifest_path = persist(rows, experiment.out_dir, name,
-                                          experiment)
-        matched, total, notes = _diff_table(name, rows)
-        out.write(f"{name}: rows matched {matched}/{total} within tolerance\n")
+        result = run_table(experiment, TableId[name])
+        write, diff, unit = persist, _diff_table, "rows"
     else:
-        trace = run_trace(experiment, TraceId[name])
-        csv_path, manifest_path = persist_trace(trace, experiment.out_dir,
-                                                name, experiment)
-        matched, total, notes = _diff_trace(name, trace)
-        out.write(f"{name}: iterations matched {matched}/{total} within tolerance\n")
+        result = run_trace(experiment, TraceId[name])
+        write, diff, unit = persist_trace, _diff_trace, "iterations"
+    try:
+        csv_path, manifest_path = write(result, experiment.out_dir, name,
+                                        experiment)
+    except OSError as exc:
+        where = "--out" if args.out else "experiment.out_dir"
+        raise ConfigError(where, f"cannot write results: {exc}") from None
+    matched, total, notes = diff(name, result)
+    out.write(f"{name}: {unit} matched {matched}/{total} within tolerance\n")
+    if name in TraceId.__members__:
         out.write(f"{name}: cycle detected: "
-                  f"{trace.classification.kind.value == 'cycle-2'}\n")
+                  f"{result.classification.kind.value == 'cycle-2'}\n")
     for note in notes:
         out.write(note + "\n")
     out.write(f"wrote {csv_path}\n")
@@ -447,7 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except WomopsError as exc:
+    except (WomopsError, ArithmeticError) as exc:
+        # ArithmeticError: finite inputs so extreme that a formula divides
+        # by an underflowed zero or overflows.
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

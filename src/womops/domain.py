@@ -107,6 +107,9 @@ class FeeModel:
     def __post_init__(self) -> None:
         if not (self.delta > 0):
             raise InvalidParams("delta must be > 0")
+        # a ln(b - F) with a < 0 is negative wherever it is defined.
+        if self.family is FeeFamily.LOGARITHMIC and not (self.a >= 0):
+            raise InvalidParams("a must be >= 0 for the logarithmic family")
 
     def in_domain(self, fee: float) -> bool:
         """True when N(fee) is defined and nonnegative (see :meth:`members`)."""

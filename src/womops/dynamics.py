@@ -159,23 +159,20 @@ def simulate(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
 
     lambdas: list[float] = []
     points: list[TracePoint] = []
-
-    lambdas.append(lam)
-    policy, nxt = step(params, fee_model, resp, spec, fee, lam)
-    points.append(TracePoint(0, lam, policy,
-                             profit_rate_with_fees(params, fee_model, policy,
-                                                   fee, lam)))
     classification = LongRunClass(LongRunKind.UNDETERMINED, (), tol)
-    for k in range(1, max_iters + 1):
-        lam = nxt
+    for k in range(max_iters + 1):
         lambdas.append(lam)
         policy, nxt = step(params, fee_model, resp, spec, fee, lam)
         points.append(TracePoint(k, lam, policy,
                                  profit_rate_with_fees(params, fee_model,
                                                        policy, fee, lam)))
-        classification = _classify_sequence(lambdas, c1, tol, classification)
-        if classification.kind is not LongRunKind.UNDETERMINED and k >= min_iters:
-            break
+        if k:  # the seed alone holds no pattern
+            classification = _classify_sequence(lambdas, c1, tol,
+                                                classification)
+            if (classification.kind is not LongRunKind.UNDETERMINED
+                    and k >= min_iters):
+                break
+        lam = nxt
 
     prediction = None
     if spec.kind is SignalKind.MDT:

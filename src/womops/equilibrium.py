@@ -350,7 +350,9 @@ def solve_equilibrium(problem: EquilibriumProblem,
     if best_x is None:
         raise InfeasibleProblem("polish produced no feasible point")
 
-    t1, t2, t3, fee = best_x
+    # Integer bounds reach best_x through the clip and the snap; the
+    # solution holds floats whatever the types of the market's fields.
+    t1, t2, t3, fee = map(float, best_x)
     policy = ShipmentPolicy(t1, t2, t3)
     theta = signal(problem.signal_spec, policy, p.tau)
     lam = respond(problem.resp, problem.fee_model, fee, theta)

@@ -175,13 +175,10 @@ def run_trace(config: ExperimentConfig, trace: TraceId,
     reference iteration even when a cycle is detected after two steps.
     """
     tau, c2, fee = _TRACE_SETUPS[trace]
-    a, b = config.linear_coeffs
-    params = MarketParams(r=8.0, K=2000.0, h=config.h, tau=tau,
-                          lambda_r=config.lambda_r, M=30.0,
-                          f_min=config.f_min, f_max=config.f_max)
-    fee_model = FeeModel(FeeFamily.LINEAR, a, b, 5.0)
-    return simulate(params, fee_model, CustomerResponse(c2),
-                    SignalSpec(SignalKind.MDT), fee,
+    problem = build_problem(config, _table_setup(TableId.T3), tau, c2,
+                            2000.0, 8.0)
+    return simulate(problem.params, problem.fee_model, problem.resp,
+                    problem.signal_spec, fee,
                     max_iters=iters, tol=1e-2, min_iters=iters)
 
 
@@ -243,50 +240,43 @@ def cyclic_vs_stationary(problem: EquilibriumProblem,
     return ComparisonReport(sol.profit, avg, avg - sol.profit, detected, phases)
 
 
-def _config_manifest(config: ExperimentConfig, signal_kind: str) -> dict:
-    data = asdict(config)
-    data["signal_kind"] = signal_kind
-    data["search"] = asdict(config.search)
+def _write(out_dir: str, name: str, csv_text: str, signal_kind: str,
+           config: ExperimentConfig, **extra) -> tuple[str, str]:
+    """Write ``{name}.csv`` and ``{name}_manifest.json``; returns both paths.
+
+    Output is byte-deterministic: fixed field order, LF newlines, sorted
+    manifest keys, and no timing or host information.  ``extra`` holds
+    the manifest keys beyond the shared envelope.
+    """
+    settings = {**asdict(config), "signal_kind": signal_kind}
     # Where results land does not affect them; keeping the location out of
     # the manifest keeps reruns byte-identical wherever they are written.
-    data.pop("out_dir", None)
-    return data
+    del settings["out_dir"]
+    manifest = {"schema": 1, "tool": {"name": "womops", "version": _version},
+                "table": name, "config": settings, **extra}
+    texts = (csv_text, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    os.makedirs(out_dir, exist_ok=True)
+    paths = (os.path.join(out_dir, f"{name}.csv"),
+             os.path.join(out_dir, f"{name}_manifest.json"))
+    for path, text in zip(paths, texts):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return paths
 
 
 def persist(rows: list[ResultRow], out_dir: str, name: str,
             config: ExperimentConfig) -> tuple[str, str]:
-    """Write ``{name}.csv`` and ``{name}_manifest.json``; returns both paths.
-
-    Output is byte-deterministic: fixed field order, LF newlines, sorted
-    manifest keys, and no timing or host information.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    manifest_path = os.path.join(out_dir, f"{name}_manifest.json")
-
+    """Write a table's rows as ``{name}.csv`` plus its manifest."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(row.csv_values())
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
-
+    writer.writerows(row.csv_values() for row in rows)
     # Each table fixes its own signal, so record the one its rows ran.
     signal_kind = (",".join(sorted({row.signal for row in rows}))
                    or config.signal_kind.value)
-    manifest = {
-        "schema": 1,
-        "tool": {"name": "womops", "version": _version},
-        "table": name,
-        "config": _config_manifest(config, signal_kind),
-        "rows": [{"tau": r.tau, "c2": r.c2, "K": r.K, "r": r.r,
-                  "branch": r.branch} for r in rows],
-    }
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return csv_path, manifest_path
+    return _write(out_dir, name, buf.getvalue(), signal_kind, config,
+                  rows=[{"tau": r.tau, "c2": r.c2, "K": r.K, "r": r.r,
+                         "branch": r.branch} for r in rows])
 
 
 def trace_csv(trace: DynamicsTrace) -> str:
@@ -300,27 +290,10 @@ def trace_csv(trace: DynamicsTrace) -> str:
 def persist_trace(trace: DynamicsTrace, out_dir: str, name: str,
                   config: ExperimentConfig) -> tuple[str, str]:
     """Trace analogue of :func:`persist`: iter-indexed CSV plus manifest."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    manifest_path = os.path.join(out_dir, f"{name}_manifest.json")
-
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trace_csv(trace))
-
-    manifest = {
-        "schema": 1,
-        "tool": {"name": "womops", "version": _version},
-        "table": name,
-        "config": _config_manifest(config, SignalKind.MDT.value),
-        "classification": {
-            "kind": trace.classification.kind.value,
-            "values": list(trace.classification.values),
-        },
-    }
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return csv_path, manifest_path
+    return _write(out_dir, name, trace_csv(trace), SignalKind.MDT.value,
+                  config, classification={
+                      "kind": trace.classification.kind.value,
+                      "values": list(trace.classification.values)})
 
 
 def load_rows(csv_path: str) -> list[dict[str, str]]:

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from womops import dynamics
-from womops.cli import (config_to_dict, load_config, main, parse_config,
-                        solution_from_dict)
+from womops.cli import (_diff_trace, config_to_dict, load_config, main,
+                        parse_config, solution_from_dict)
 from womops.dynamics import MAX_SIM_ITERS
 from womops.errors import ConfigError
+from womops.experiments import ExperimentConfig, TraceId, run_trace
+from womops.reference import TRACES
 
 
 def run_cli(argv, capsys):
@@ -143,11 +150,27 @@ class TestSimulate:
         assert "--iters" in err
 
     def test_solver_error_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, market={"lambda_r": 0.0})
-        code, _, err = run_cli(["solve-m1", "--lambda-p", "0", "-c", cfg],
-                               capsys)
+        # Finite inputs whose profit overflows: the CSV would say inf.
+        cfg = write_config(tmp_path, market={"r": 1e306})
+        target = tmp_path / "trace.csv"
+        code, out, err = run_cli(["simulate", "--iters", "3", "-c", cfg,
+                                  "--out", str(target)], capsys)
         assert code == 3
         assert "solver error" in err
+        assert out == "" and not target.exists()
+
+    def test_zero_demand_rates_name_the_flag(self, tmp_path, capsys):
+        # With no regular demand, a zero premium rate leaves nothing to
+        # plan for: the flag that set it is at fault, not the solver.
+        cfg = write_config(tmp_path, market={"lambda_r": 0.0})
+        for argv in (["solve-m1", "--lambda-p", "0"],
+                     ["simulate", "--seed-lambda", "0"]):
+            code, out, err = run_cli([*argv, "-c", cfg], capsys)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"config error: {argv[1]}: ")
+        code, _, _ = run_cli(["solve-m1", "--lambda-p", "10", "-c", cfg],
+                             capsys)
+        assert code == 0
 
 
 class TestReproduce:
@@ -175,6 +198,45 @@ class TestReproduce:
     def test_unknown_table_is_usage_error(self, capsys):
         code, _, err = run_cli(["reproduce", "--table", "T99"], capsys)
         assert code == 2
+
+    def test_trace_miss_names_its_tolerance(self):
+        trace = run_trace(ExperimentConfig(), TraceId.T7)
+        moved = dataclasses.replace(trace.points[3],
+                                    lambda_p=trace.points[3].lambda_p + 1.0)
+        points = trace.points[:3] + (moved,) + trace.points[4:]
+        matched, total, notes = _diff_trace(
+            "T7", dataclasses.replace(trace, points=points))
+        assert (matched, total) == (10, 11)
+        assert notes == [f"  iteration 3: lambda_p {moved.lambda_p:.4f} vs "
+                         f"{TRACES['T7']['lambda_p'][3]:.2f} (tol 0.02)"]
+
+
+class TestOutputPaths:
+    """An output location that cannot be written exits 2 at its name."""
+
+    def test_empty_out_dir(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, experiment={"out_dir": ""})
+        code, out, err = run_cli(["reproduce", "--table", "T7", "-c", cfg],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: experiment.out_dir: ")
+
+    @pytest.mark.parametrize("table, under", [("T3", False), ("T7", True)])
+    def test_out_names_a_file(self, tmp_path, capsys, table, under):
+        target = tmp_path / "taken"
+        target.write_text("")
+        out_dir = target / "sub" if under else target
+        code, out, err = run_cli(["reproduce", "--table", table,
+                                  "--out", str(out_dir)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: --out: ")
+
+    def test_simulate_out_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "trace.csv"
+        code, out, err = run_cli(["simulate", "--iters", "3",
+                                  "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: --out: ")
 
 
 class TestConfig:
@@ -258,6 +320,65 @@ class TestConfig:
         assert again == cfg
 
 
+class TestErrorPaths:
+    """One bad value per config field: the exit code and the path named."""
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"schema": 2}, "schema"),
+        ({"market": {"r": -1}}, "market"),
+        ({"market": {"K": 0}}, "market"),
+        ({"market": {"h": "4"}}, "market.h"),
+        ({"market": {"tau": "fast"}}, "market.tau"),
+        ({"market": {"lambda_r": -1}}, "market"),
+        ({"market": {"M": None}}, "market.M"),
+        ({"market": {"f_min": -1}}, "market"),
+        ({"market": {"f_max": True}}, "market.f_max"),
+        ({"fee_model": {"family": "cubic"}}, "fee_model.family"),
+        ({"fee_model": {"family": 1}}, "fee_model.family"),
+        ({"fee_model": {"a": "x"}}, "fee_model.a"),
+        ({"fee_model": {"b": []}}, "fee_model.b"),
+        ({"fee_model": {"delta": 0}}, "fee_model"),
+        ({"response": {"c2": -1}}, "response.c2"),
+        ({"response": {"c2": None}}, "response.c2"),
+        ({"signal": {"kind": "VIBES"}}, "signal.kind"),
+        ({"signal": {"kind": 3}}, "signal.kind"),
+        ({"signal": {"kind": "weighted"}}, "signal.weights"),
+        ({"signal": {"kind": "weighted",
+                     "weights": [["MDT", 0.25], ["NPS", 0.25]]}},
+         "signal.weights"),
+        ({"signal": {"kind": "weighted", "weights": [["MDT"]]}},
+         "signal.weights[0]"),
+        ({"signal": {"kind": "weighted", "weights": [["ETA", 1.0]]}},
+         "signal.weights[0]"),
+        ({"fee": 200}, "fee"),
+        ({"fee": "10"}, "fee"),
+        ({"search": {"n_time": 2.5}}, "search.n_time"),
+        ({"search": {"n_time": 1}}, "search"),
+        ({"search": {"n_fee": "30"}}, "search.n_fee"),
+        ({"search": {"top_n": 0}}, "search"),
+        ({"search": {"top_n": None}}, "search.top_n"),
+        ({"search": {"polish_tol": "tight"}}, "search.polish_tol"),
+        ({"search": {"polish_tol": 0}}, "search"),
+        ({"experiment": {"out_dir": 3}}, "experiment.out_dir"),
+        ({"experiment": {"out_dir": None}}, "experiment.out_dir"),
+    ])
+    def test_bad_field(self, tmp_path, capsys, doc, path):
+        cfg = write_config(tmp_path, **doc)
+        code, out, err = run_cli(["solve-m1", "--lambda-p", "450", "-c", cfg],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {path}: ")
+
+    def test_negative_logarithmic_scale(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, fee_model={"family": "logarithmic",
+                                                "a": -20, "b": 101,
+                                                "delta": 5})
+        for argv in (["solve-m2"], ["simulate", "--iters", "3"]):
+            code, out, err = run_cli([*argv, "-c", cfg], capsys)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("config error: fee_model: ")
+
+
 class TestTotalParsing:
     """Every malformed input exits 2 naming its path, never a traceback."""
 
@@ -319,3 +440,64 @@ class TestTotalParsing:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {argv[1]}: ")
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([0, 1, 2, 5, 10, 50, 100, 101, 2000, -1, 0.5, 1e-300,
+                     1e6, 1e306, -1e306]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6))
+_VALUES = st.one_of(_NUMBERS, st.sampled_from([None, True, "x", [], {}]))
+_MARKET_KEYS = ("r", "K", "h", "tau", "lambda_r", "M", "f_min", "f_max")
+_SIGNALS = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["MDT", "NPS", "x", 3])}),
+    st.fixed_dictionaries({
+        "kind": st.just("weighted"),
+        "weights": st.lists(st.lists(st.one_of(
+            st.sampled_from(["MDT", "NPS", "weighted"]), _VALUES),
+            min_size=1, max_size=3), max_size=3)}),
+    _VALUES)
+_DOCUMENTS = st.fixed_dictionaries({}, optional={
+    "market": st.one_of(st.dictionaries(st.sampled_from(_MARKET_KEYS),
+                                        _VALUES, max_size=3), _VALUES),
+    "fee_model": st.fixed_dictionaries({}, optional={
+        "family": st.sampled_from(["linear", "logarithmic", "x", 3]),
+        "a": _VALUES, "b": _VALUES, "delta": _VALUES}),
+    "response": st.fixed_dictionaries({}, optional={"c2": _VALUES}),
+    "signal": _SIGNALS,
+    "fee": _VALUES,
+})
+
+
+class TestFuzzedConfig:
+    """Every config document ends in exit 0, 2 or 3, never a traceback."""
+
+    @staticmethod
+    def run(doc, argv) -> tuple[int, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, allow_nan=False)
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main([*argv, "-c", path])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            text = out.getvalue().lower()
+            assert "nan" not in text and "inf" not in text, text
+        else:
+            assert out.getvalue() == ""
+        return code, err.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENTS, st.sampled_from(["0", "1e-9", "10", "450", "1e6",
+                                        "1e306"]))
+    def test_solve_m1(self, doc, lambda_p):
+        self.run(doc, ["solve-m1", "--lambda-p", lambda_p])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENTS, st.sampled_from([[], ["--seed-lambda", "0"],
+                                        ["--seed-lambda", "100"]]))
+    def test_simulate(self, doc, seed):
+        self.run(doc, ["simulate", "--iters", "5", *seed])

@@ -71,6 +71,16 @@ class TestSolve:
         assert sol.policy.t3 == 5.0
         assert sol.profit == pytest.approx(58.36, abs=0.02)
 
+    def test_snapped_bounds_are_floats(self):
+        # Integer bounds must not leak into the solution as Python ints.
+        params = MarketParams(r=8, K=2000, h=4, tau=2, lambda_r=50, M=30,
+                              f_min=10, f_max=100)
+        sol = solve_equilibrium(
+            EquilibriumProblem(params, LIN, CustomerResponse(1), MDT),
+            SearchSpec(n_time=12, n_fee=6, top_n=3))
+        assert (sol.policy.t3, sol.fee) == (2.0, 10.0)
+        assert type(sol.policy.t3) is float and type(sol.fee) is float
+
     def test_interior_fee_row(self):
         sol = solve_equilibrium(problem(5.0, 3, K=1000.0, fee_model=LOG))
         assert sol.fee == pytest.approx(45.21, abs=0.05)
