@@ -165,6 +165,8 @@ def parse_config(data: dict) -> CliConfig:
     signal_spec = _parse_signal(merged["signal"], "signal")
 
     fee = _number(merged["fee"], "fee")
+    if fee < 0:
+        raise ConfigError("fee", "must be >= 0")
     if not fee_model.in_domain(fee):
         raise ConfigError("fee", f"outside the {family.value} fee domain")
 

@@ -86,6 +86,11 @@ class DynamicsTrace:
     def lambdas(self) -> tuple[float, ...]:
         return tuple(p.lambda_p for p in self.points)
 
+    @property
+    def settled(self) -> tuple[float, ...]:
+        """The limit, the (high, low) cycle, or if undetermined the last rate."""
+        return self.classification.values or (self.points[-1].lambda_p,)
+
 
 def step(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
          spec: SignalSpec, fee: float,

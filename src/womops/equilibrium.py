@@ -31,7 +31,7 @@ from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, cycle_profit,
                      potential_market, profit_rate_with_fees, respond, signal,
                      signal_formula, signal_value)
-from .dynamics import LongRunKind, predict_long_run, simulate
+from .dynamics import LongRunKind, simulate
 from .errors import (InfeasibleProblem, InvalidParams, RegimeViolation,
                      UnsupportedSignal)
 from .myopic import solve_policy
@@ -312,7 +312,8 @@ def solve_equilibrium(problem: EquilibriumProblem,
     cap = search_cap(problem)
     seeds = _seeds(problem, search)
 
-    pinned_fee = p.f_max <= p.f_min
+    # A pinned fee is held fixed, so the polish searches the phases only.
+    dims = 3 if p.f_max <= p.f_min else 4
     best_key: tuple[float, float, float, float] | None = None
     best_x: tuple[float, float, float, float] | None = None
 
@@ -321,7 +322,7 @@ def solve_equilibrium(problem: EquilibriumProblem,
     def consider(x: tuple[float, float, float, float]) -> None:
         nonlocal best_key, best_x
         t1, t2, t3, fee = x
-        if t3 <= 0 or t1 + t2 + t3 <= 0:
+        if t3 <= 0:
             return
         pi = -neg_profit(t1, t2, t3, fee)
         if not math.isfinite(pi):
@@ -334,13 +335,9 @@ def solve_equilibrium(problem: EquilibriumProblem,
     options = dict(xatol=1e-9, fatol=search.polish_tol,
                    maxfev=search.max_polish_evals)
     for seed in seeds:
-        if pinned_fee:
-            res = minimize(neg_profit, seed[:3], bounds[:3], (p.f_min,),
-                           **options)
-            raw = (*res.x, p.f_min)
-        else:
-            res = minimize(neg_profit, seed, bounds, **options)
-            raw = res.x
+        res = minimize(neg_profit, seed[:dims], bounds[:dims], seed[dims:],
+                       **options)
+        raw = (*res.x, *seed[dims:])
         consider(raw)
         snapped = (_snap(raw[0], 0.0), _snap(raw[1], 0.0),
                    _snap(raw[2], p.tau), _snap(raw[3], p.f_min, p.f_max))
@@ -504,8 +501,8 @@ class StructureReport:
 
 
 def check_structure(problem: EquilibriumProblem,
-                    solution: EquilibriumSolution,
-                    tol: float = 1e-6) -> StructureReport:
+                    solution: EquilibriumSolution) -> StructureReport:
+    tol = 1e-6
     p = problem.params
     pol = solution.policy
     a = not (pol.t1 <= tol and pol.t2 > tol)
@@ -555,37 +552,36 @@ class RecoveryReport:
         return self.kind.value
 
 
-def recoverability(problem: EquilibriumProblem, solution: EquilibriumSolution,
-                   sim_tol: float = 1e-4, match_tol: float = 1e-3,
-                   max_iters: int = 500) -> RecoveryReport:
+def recoverability(problem: EquilibriumProblem,
+                   solution: EquilibriumSolution) -> RecoveryReport:
     """Classify whether the fee alone recovers the stationary optimum.
 
     Runs the feedback loop at the optimal fee from a seed equal to the
-    potential market and labels the outcome Opt-Eq (long-run demand and
-    profit match the stationary optimum within ``match_tol`` relative),
-    Non-opt-Eq (converged elsewhere) or Cycles.  For the MDT signal with
-    c2 = 1 it also evaluates the analytic long-run demand bound
-    lambda_bar <= lambda_eq, with equality exactly when the potential
-    market fits under 2K/(h tau^2).
+    potential market, for at most 500 iterations at tol 1e-4, and labels
+    the outcome by where it settled: Opt-Eq (long-run demand and profit
+    match the stationary optimum within 1e-3 relative), Non-opt-Eq
+    (settled elsewhere) or Cycles.  For the MDT signal with c2 = 1 it
+    also checks the trace's analytic prediction against the long-run
+    demand bound lambda_bar <= lambda_eq, with equality exactly when the
+    potential market fits under 2K/(h tau^2).
     """
     p = problem.params
     trace = simulate(p, problem.fee_model, problem.resp, problem.signal_spec,
-                     solution.fee, max_iters=max_iters, tol=sim_tol)
-    cls = trace.classification
+                     solution.fee, max_iters=500, tol=1e-4)
 
     lam_long: float | None = None
     profit_long: float | None = None
-    if cls.kind is LongRunKind.CYCLE2:
+    if trace.classification.kind is LongRunKind.CYCLE2:
         kind = RecoveryClass.CYCLES
     else:
-        lam_long = cls.values[0] if cls.values else trace.points[-1].lambda_p
+        lam_long = trace.settled[0]
         pol = solve_policy(p, lam_long).policy
         profit_long = profit_rate_with_fees(p, problem.fee_model, pol,
                                             solution.fee, lam_long)
         lam_ok = (abs(lam_long - solution.lambda_p)
-                  <= match_tol * max(1.0, solution.lambda_p))
+                  <= 1e-3 * max(1.0, solution.lambda_p))
         pi_ok = (abs(profit_long - solution.profit)
-                 <= match_tol * max(1.0, abs(solution.profit)))
+                 <= 1e-3 * max(1.0, abs(solution.profit)))
         kind = RecoveryClass.OPT_EQ if (lam_ok and pi_ok) else RecoveryClass.NON_OPT_EQ
 
     initial_profit = trace.points[0].profit
@@ -597,9 +593,7 @@ def recoverability(problem: EquilibriumProblem, solution: EquilibriumSolution,
     binding = None
     bound_ok = None
     if problem.signal_spec.kind is SignalKind.MDT and problem.resp.c2 == 1:
-        pred = predict_long_run(p, problem.fee_model, problem.resp,
-                                problem.signal_spec, solution.fee)
-        lam_bar = pred.values[0]
+        lam_bar = trace.prediction.values[0]
         c1 = potential_market(problem.fee_model, solution.fee)
         binding = c1 <= p.demand_threshold
         slack = 1e-6 * max(1.0, solution.lambda_p)

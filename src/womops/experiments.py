@@ -22,13 +22,19 @@ from . import __version__ as _version
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      SignalKind, SignalSpec, profit_rate_with_fees)
 from .dynamics import DynamicsTrace, LongRunKind, simulate, trace_rows
-from .equilibrium import (EquilibriumProblem, EquilibriumSolution, SearchSpec,
-                          recoverability, solve_equilibrium)
+from .equilibrium import (EquilibriumProblem, SearchSpec, recoverability,
+                          solve_equilibrium)
 from .myopic import solve_policy
-from .reference import TABLE_ROWS
+from .reference import TABLE_ROWS, TRACES
 
 #: Membership-duration labels; "lifetime" approximates an unbounded horizon.
 MEMBERSHIP_DURATIONS = {"monthly": 30.0, "lifetime": 1e6}
+
+#: The market every benchmark table and trace shares: holding cost h,
+#: regular demand lambda_r, each fee family's (a, b) and the fee bounds.
+BENCHMARK_MARKET = {"h": 4.0, "lambda_r": 50.0,
+                    "linear_coeffs": (100.0, 1.0), "log_coeffs": (20.0, 101.0),
+                    "f_min": 10.0, "f_max": 100.0}
 
 CSV_HEADER = ("tau", "c2", "K", "r", "M", "signal", "fee_family",
               "t1", "t2", "t3", "F", "lambda_p", "profit", "no_wom_decision")
@@ -48,19 +54,14 @@ class TraceId(enum.Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Market constants and run settings for the benchmark harness.
+    """Run settings for the benchmark harness.
 
-    Each table's (tau, c2, K, r) rows come from :mod:`womops.reference`,
-    and its signal, fee family, delta and membership from
-    :func:`_table_setup`, not from here.
+    The market constants are :data:`BENCHMARK_MARKET`.  Each table's
+    (tau, c2, K, r) rows come from :mod:`womops.reference`, and its
+    signal, fee family, delta and membership from :func:`_table_setup`.
+    ``signal_kind`` is what a manifest records for a table without rows.
     """
 
-    h: float = 4.0
-    lambda_r: float = 50.0
-    linear_coeffs: tuple[float, float] = (100.0, 1.0)
-    log_coeffs: tuple[float, float] = (20.0, 101.0)
-    f_min: float = 10.0
-    f_max: float = 100.0
     signal_kind: SignalKind = SignalKind.MDT
     out_dir: str = "womops-out"
     search: SearchSpec = field(default_factory=SearchSpec)
@@ -132,12 +133,14 @@ def worker_count() -> int:
 
 def build_problem(config: ExperimentConfig, setup: TableSetup, tau: float,
                   c2: float, K: float, r: float) -> EquilibriumProblem:
-    a, b = (config.linear_coeffs if setup.fee_family is FeeFamily.LINEAR
-            else config.log_coeffs)
-    params = MarketParams(r=r, K=K, h=config.h, tau=tau,
-                          lambda_r=config.lambda_r,
+    """One row's problem in the :data:`BENCHMARK_MARKET` (not ``config``)."""
+    m = BENCHMARK_MARKET
+    a, b = (m["linear_coeffs"] if setup.fee_family is FeeFamily.LINEAR
+            else m["log_coeffs"])
+    params = MarketParams(r=r, K=K, h=m["h"], tau=tau,
+                          lambda_r=m["lambda_r"],
                           M=MEMBERSHIP_DURATIONS[setup.membership],
-                          f_min=config.f_min, f_max=config.f_max)
+                          f_min=m["f_min"], f_max=m["f_max"])
     fee_model = FeeModel(setup.fee_family, a, b, setup.delta)
     return EquilibriumProblem(params, fee_model, CustomerResponse(c2),
                               SignalSpec(setup.signal))
@@ -167,14 +170,14 @@ def run_table(config: ExperimentConfig, table: TableId) -> list[ResultRow]:
 _TRACE_SETUPS = {TraceId.T7: (2.0, 1.0, 10.0), TraceId.T8: (2.0, 3.0, 10.0)}
 
 
-def run_trace(config: ExperimentConfig, trace: TraceId,
-              iters: int = 10) -> DynamicsTrace:
-    """Reproduce one reference feedback trace (11 iterations by default).
+def run_trace(config: ExperimentConfig, trace: TraceId) -> DynamicsTrace:
+    """Reproduce one reference feedback trace, as long as the reference.
 
     ``min_iters`` pins the trace length so the emitted series covers every
     reference iteration even when a cycle is detected after two steps.
     """
     tau, c2, fee = _TRACE_SETUPS[trace]
+    iters = len(TRACES[trace.value]["lambda_p"]) - 1
     problem = build_problem(config, _table_setup(TableId.T3), tau, c2,
                             2000.0, 8.0)
     return simulate(problem.params, problem.fee_model, problem.resp,
@@ -213,30 +216,25 @@ class ComparisonReport:
 
 
 def cyclic_vs_stationary(problem: EquilibriumProblem,
-                         search: SearchSpec = SearchSpec(),
-                         solution: EquilibriumSolution | None = None) -> ComparisonReport:
+                         search: SearchSpec = SearchSpec()) -> ComparisonReport:
     """Compare the stationary optimum with running the feedback loop at its fee."""
-    sol = solution if solution is not None else solve_equilibrium(problem, search)
+    sol = solve_equilibrium(problem, search)
     p = problem.params
     trace = simulate(p, problem.fee_model, problem.resp, problem.signal_spec,
                      sol.fee, max_iters=1000, tol=1e-6)
-    cls = trace.classification
 
     def phase(lam: float) -> CyclePhase:
         pol = solve_policy(p, lam).policy
         profit = profit_rate_with_fees(p, problem.fee_model, pol, sol.fee, lam)
         return CyclePhase(lam, pol.t1, pol.t2, pol.t3, pol.cycle_length, profit)
 
-    if cls.kind is LongRunKind.CYCLE2:
-        phases = tuple(phase(lam) for lam in cls.cycle)
+    phases = tuple(phase(lam) for lam in trace.settled)
+    detected = trace.classification.kind is LongRunKind.CYCLE2
+    if detected:
         total_time = sum(ph.cycle_length for ph in phases)
         avg = sum(ph.profit * ph.cycle_length for ph in phases) / total_time
-        detected = True
     else:
-        lam = cls.values[0] if cls.values else trace.points[-1].lambda_p
-        phases = (phase(lam),)
         avg = phases[0].profit
-        detected = False
     return ComparisonReport(sol.profit, avg, avg - sol.profit, detected, phases)
 
 
@@ -248,10 +246,9 @@ def _write(out_dir: str, name: str, csv_text: str, signal_kind: str,
     manifest keys, and no timing or host information.  ``extra`` holds
     the manifest keys beyond the shared envelope.
     """
-    settings = {**asdict(config), "signal_kind": signal_kind}
-    # Where results land does not affect them; keeping the location out of
-    # the manifest keeps reruns byte-identical wherever they are written.
-    del settings["out_dir"]
+    # No out_dir: reruns stay byte-identical wherever they are written.
+    settings = {**BENCHMARK_MARKET, "search": asdict(config.search),
+                "signal_kind": signal_kind}
     manifest = {"schema": 1, "tool": {"name": "womops", "version": _version},
                 "table": name, "config": settings, **extra}
     texts = (csv_text, json.dumps(manifest, sort_keys=True, indent=2) + "\n")

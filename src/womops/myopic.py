@@ -35,9 +35,6 @@ class PolicyCase(enum.Enum):
     IV = "IV"
 
 
-#: Deterministic tie-break order when candidates reach equal profit.
-_CASE_ORDER = (PolicyCase.I, PolicyCase.II, PolicyCase.III, PolicyCase.IV)
-
 _ORACLE_CHUNK = 1 << 17   # grid points the oracle evaluates at once
 _MASKED = 4               # trailing band columns where t2 can pass t_max
 
@@ -97,14 +94,14 @@ def _stationarity_residual(case: PolicyCase, params: MarketParams,
     Variables at their bounds are covered by multipliers and contribute
     nothing here; case I therefore has no free variable.
     """
+    if case is PolicyCase.I:
+        return 0.0
     r, K, h, lam_r = params.r, params.K, params.h, params.lambda_r
     t1, t2, T = policy.t1, policy.t2, policy.cycle_length
     common = h * lambda_p / 2.0 - h * lam_r * t1 * t1 / (2.0 * T * T) - K / (T * T)
     df_dt3 = common - r * lam_r * t2 / (T * T)
     df_dt1 = df_dt3 + h * lam_r * t1 / T
     df_dt2 = common + r * lam_r * (t1 + policy.t3) / (T * T)
-    if case is PolicyCase.I:
-        return 0.0
     if case is PolicyCase.II:
         return abs(df_dt3)
     if case is PolicyCase.III:
@@ -126,21 +123,21 @@ def solve_policy(params: MarketParams, lambda_p: float) -> PolicySolution:
     if lambda_p == 0 and params.lambda_r == 0:
         raise InvalidParams("at least one demand rate must be positive")
 
-    best: PolicySolution | None = None
-    for case in _CASE_ORDER:
+    best = None
+    for case in PolicyCase:
         if lambda_p == 0 and case in (PolicyCase.II, PolicyCase.IV):
             continue
         policy = candidate(case, params, lambda_p)
         if policy is None:
             continue
         profit = profit_rate(params, policy, lambda_p)
-        if best is None or profit > best.profit + EPS_NUM:
-            best = PolicySolution(
-                policy, case, profit, lambda_p,
-                _stationarity_residual(case, params, policy, lambda_p))
+        if best is None or profit > best[2] + EPS_NUM:
+            best = (case, policy, profit)
     if best is None:
         raise NoFeasibleCandidate("no feasible candidate; tau must be positive")
-    return best
+    case, policy, profit = best
+    return PolicySolution(policy, case, profit, lambda_p,
+                          _stationarity_residual(case, params, policy, lambda_p))
 
 
 @dataclass(frozen=True)

@@ -214,13 +214,19 @@ def test_criterion_8_cyclic_beats_stationary():
               f"(margin {rep.margin:+.2f})")
 
 
-#: sha256 of ``womops reproduce --table T3`` output (Python 3.11, NumPy 2.4,
-#: x86-64 Linux).  A change that alters a reproduced digit or a manifest
-#: field has to update these on purpose.
-T3_SHA256 = {
+#: sha256 of ``womops reproduce --table T3/T7/T8`` output (Python 3.11,
+#: NumPy 2.4, x86-64 Linux).  A change that alters a reproduced digit or a
+#: manifest field has to update these on purpose.
+REPRODUCE_SHA256 = {
     "T3.csv": "7013fc1a9c668f71a659466955615d4d796054e1edb400a9a6b8ce37cac5b38e",
     "T3_manifest.json":
         "bf98ee1efd3fd432f989c7d88287a8d43bf715fe36ddb6310d5d50641f86bee7",
+    "T7.csv": "b2e9c70bc62ed429e6bf619648e264cc6a302c7957a7edc2401fbe1de40d5fbf",
+    "T7_manifest.json":
+        "5aa46177978410dc8927c7d6fa777cf0b311cdb2f28df7d95d858cf1649c239f",
+    "T8.csv": "e7f901ce76677052c17d5d93a2be4dec2b0f6f757e3ece6df0f54b8672f6bb0b",
+    "T8_manifest.json":
+        "3f838fc4fcefbd5be6f215138085583914187c70d9b7201adaa0a0e5f8e7050c",
 }
 
 
@@ -228,13 +234,15 @@ def test_criterion_9_reproduction_determinism(tmp_path, capsys):
     with criterion("criterion 9: byte-identical CSV and manifest across "
                    "reruns"):
         def run(out):
-            assert cli_main(["reproduce", "--table", "T3", "--out", out]) == 0
+            for table in ("T3", "T7", "T8"):
+                assert cli_main(["reproduce", "--table", table,
+                                 "--out", out]) == 0
             return {name: hashlib.sha256(
                 open(os.path.join(out, name), "rb").read()).hexdigest()
-                for name in ("T3.csv", "T3_manifest.json")}
+                for name in REPRODUCE_SHA256}
 
         first = run(str(tmp_path / "run1"))
         second = run(str(tmp_path / "run2"))
         capsys.readouterr()
         assert first == second
-        assert first == T3_SHA256
+        assert first == REPRODUCE_SHA256

@@ -60,6 +60,14 @@ class TestSolveM1:
         assert doc["case"] == "III"
         assert doc["policy"]["t1"] > 0
 
+    def test_declared_time_whose_square_underflows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, market={"tau": 2.07e-307})
+        code, out, _ = run_cli(["solve-m1", "--lambda-p", "0", "-c", cfg],
+                               capsys)
+        assert code == 0
+        # Exit 0 means the JSON was written without NaN or Infinity.
+        assert json.loads(out)["case"] == "III"
+
     def test_malformed_config_exits_2_with_field_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, market={"r": -1})
         code, _, err = run_cli(["solve-m1", "--lambda-p", "10", "-c", cfg], capsys)
@@ -361,6 +369,7 @@ class TestErrorPaths:
         ({"search": {"polish_tol": 0}}, "search"),
         ({"experiment": {"out_dir": 3}}, "experiment.out_dir"),
         ({"experiment": {"out_dir": None}}, "experiment.out_dir"),
+        ({"fee": -5}, "fee"),
     ])
     def test_bad_field(self, tmp_path, capsys, doc, path):
         cfg = write_config(tmp_path, **doc)
@@ -457,6 +466,24 @@ _SIGNALS = st.one_of(
             st.sampled_from(["MDT", "NPS", "weighted"]), _VALUES),
             min_size=1, max_size=3), max_size=3)}),
     _VALUES)
+_NONNEGATIVE = st.one_of(
+    st.sampled_from([0, 0.5, 1, 2, 5, 10, 50, 100, 101, 2000, 1e-300, 1e6,
+                     1e306]),
+    st.floats(0, 1e4))
+#: Search sections small enough that a solve takes milliseconds.
+_SEARCHES = st.fixed_dictionaries({
+    "n_time": st.integers(2, 6), "n_fee": st.integers(1, 3),
+    "top_n": st.integers(1, 3)}, optional={"polish_tol": _NONNEGATIVE})
+#: Documents that mostly parse, so that most draws reach the solver.
+_SOLVABLE = st.fixed_dictionaries({
+    "market": st.dictionaries(st.sampled_from(_MARKET_KEYS), _NONNEGATIVE,
+                              max_size=3),
+    "fee_model": st.sampled_from([
+        {"family": "linear", "a": 100, "b": 1},
+        {"family": "logarithmic", "a": 20, "b": 101}]),
+    "response": st.fixed_dictionaries({"c2": st.floats(0, 5)}),
+    "signal": st.fixed_dictionaries({"kind": st.sampled_from(["MDT", "NPS"])}),
+})
 _DOCUMENTS = st.fixed_dictionaries({}, optional={
     "market": st.one_of(st.dictionaries(st.sampled_from(_MARKET_KEYS),
                                         _VALUES, max_size=3), _VALUES),
@@ -473,7 +500,9 @@ class TestFuzzedConfig:
     """Every config document ends in exit 0, 2 or 3, never a traceback."""
 
     @staticmethod
-    def run(doc, argv) -> tuple[int, str]:
+    def run(doc, argv, out_dir=None) -> tuple[int, str]:
+        """Run ``argv`` on ``doc``; with ``out_dir``, files written there
+        are output too, and their location is left out of the check."""
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "config.json")
@@ -484,8 +513,15 @@ class TestFuzzedConfig:
                 code = main([*argv, "-c", path])
         assert code in (0, 2, 3), err.getvalue()
         if code == 0:
-            text = out.getvalue().lower()
-            assert "nan" not in text and "inf" not in text, text
+            texts = [out.getvalue()]
+            if out_dir is not None:
+                texts[0] = texts[0].replace(out_dir, "")
+                for name in sorted(os.listdir(out_dir)):
+                    with open(os.path.join(out_dir, name),
+                              encoding="utf-8") as fh:
+                        texts.append(fh.read())
+            for text in map(str.lower, texts):
+                assert "nan" not in text and "inf" not in text, text
         else:
             assert out.getvalue() == ""
         return code, err.getvalue()
@@ -501,3 +537,25 @@ class TestFuzzedConfig:
                                         ["--seed-lambda", "100"]]))
     def test_simulate(self, doc, seed):
         self.run(doc, ["simulate", "--iters", "5", *seed])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_DOCUMENTS, _SOLVABLE), _SEARCHES)
+    def test_solve_m2(self, doc, search):
+        self.run({**doc, "search": search}, ["solve-m2"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SEARCHES,
+           st.sampled_from([None, True, 3, [], {}, "", "out", "a/b"]),
+           st.sampled_from(["T7", "T8"]))
+    def test_reproduce_trace(self, search, out_dir, table):
+        # A string out_dir is placed inside a fresh temporary directory,
+        # so nothing is written anywhere else.
+        with tempfile.TemporaryDirectory() as tmp:
+            if isinstance(out_dir, str):
+                out_dir = os.path.join(tmp, out_dir)
+            doc = {"search": search, "experiment": {"out_dir": out_dir}}
+            code, _ = self.run(doc, ["reproduce", "--table", table],
+                               out_dir if isinstance(out_dir, str) else None)
+            if isinstance(out_dir, str) and code == 0:
+                assert sorted(os.listdir(out_dir)) == [
+                    f"{table}.csv", f"{table}_manifest.json"]

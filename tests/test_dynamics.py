@@ -73,6 +73,23 @@ class TestSimulate:
         assert cls.cycle[0] == pytest.approx(450.00, abs=0.02)
         assert cls.cycle[1] == pytest.approx(186.34, abs=0.02)
 
+    @pytest.mark.parametrize("c2, max_iters, kind", [
+        (3, 10, LongRunKind.CYCLE2),
+        (1, 40, LongRunKind.CONVERGED_INTERIOR),
+        (1, 3, LongRunKind.UNDETERMINED),
+        (1, 0, LongRunKind.UNDETERMINED)])
+    def test_settled_values(self, c2, max_iters, kind):
+        trace = simulate(params(), LIN, CustomerResponse(c2), MDT, 10,
+                         seed_lambda_p=450.0, max_iters=max_iters, tol=1e-2)
+        cls = trace.classification
+        assert cls.kind is kind
+        if kind is LongRunKind.CYCLE2:
+            assert trace.settled == cls.cycle
+        elif kind is LongRunKind.UNDETERMINED:
+            assert trace.settled == (trace.points[-1].lambda_p,)
+        else:
+            assert trace.settled == (cls.limit,)
+
     def test_small_market_converges_in_one_step(self):
         p = params(tau=1.0)
         trace = simulate(p, LIN, CustomerResponse(1), MDT, 10,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     closed_form_t3, equilibrium_residual, interior_fee_for_t3,
                     profit_rate_with_fees, recoverability, respond, signal,
                     solve_equilibrium)
-from womops import equilibrium
+from womops import dynamics, equilibrium
 from womops.domain import cycle_profit, signal_value
 from womops.equilibrium import (MAX_GRID_POINTS, MAX_SEEDS, SearchSpec,
                                 _objective, _seeds, search_cap)
@@ -253,6 +254,26 @@ class TestRecoverability:
         assert rep.potential_bound_binding is False
         assert rep.lambda_bar_predicted <= rep.lambda_eq + 1e-9
         assert rep.demand_bound_ok
+
+    def test_one_long_run_prediction_per_run(self):
+        prob = problem(2.0, 1)
+        sol = solve_equilibrium(prob)
+        code = dynamics.predict_long_run.__code__
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame.f_locals["fee"])
+
+        # A profile hook counts the calls however the function is reached.
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            rep = recoverability(prob, sol)
+        finally:
+            sys.setprofile(previous)
+        assert calls == [sol.fee]
+        assert rep.lambda_bar_predicted is not None
 
     def test_sensitive_market_cycles(self):
         prob = problem(2.0, 3)

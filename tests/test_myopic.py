@@ -80,6 +80,14 @@ class TestSolve:
         with pytest.raises(InvalidParams):
             solve_policy(params(lambda_r=0.0), 0.0)
 
+    def test_declared_time_whose_square_underflows(self):
+        # T*T is 0 for case I's cycle T = tau; case I has no free phase,
+        # so its residual needs no derivative and the solve divides by
+        # nothing.
+        sol = solve_policy(params(r=1.0, tau=2.07e-307), 0.0)
+        assert sol.case is PolicyCase.III
+        assert math.isfinite(sol.profit) and math.isfinite(sol.kkt_residual)
+
     @settings(max_examples=80, deadline=None)
     @given(st.floats(8, 48), st.floats(2000, 4000), st.floats(1, 7),
            st.floats(0, 500))
