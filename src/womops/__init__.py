@@ -28,8 +28,7 @@ from .equilibrium import (Branch, EquilibriumProblem, EquilibriumSolution,
                           solve_equilibrium)
 from .errors import (ConfigError, DomainError, InfeasibleProblem,
                      InvalidGrid, InvalidParams, InvalidPolicy,
-                     NoFeasibleCandidate, RegimeViolation, UnsupportedSignal,
-                     WomopsError)
+                     RegimeViolation, UnsupportedSignal, WomopsError)
 from .myopic import (GridSpec, PolicyCase, PolicySolution, candidate,
                      grid_search_policy, solve_policy)
 

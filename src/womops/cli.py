@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, potential_market)
-from .dynamics import MAX_SIM_ITERS, simulate, trace_rows
+from .dynamics import MAX_SIM_ITERS, LongRunKind, simulate, trace_rows
 from .equilibrium import (EquilibriumProblem, EquilibriumSolution, SearchSpec,
                           equilibrium_residual, solve_equilibrium)
 from .errors import ConfigError, NonFiniteResult, WomopsError
@@ -181,26 +181,6 @@ def parse_config(data: dict) -> CliConfig:
                      out_dir)
 
 
-def config_to_dict(cfg: CliConfig) -> dict:
-    """Serialize a validated config back to the JSON schema."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "market": {key: getattr(cfg.market, key) for key in _MARKET_KEYS},
-        "fee_model": {"family": cfg.fee_model.family.value,
-                      **{key: getattr(cfg.fee_model, key)
-                         for key in _FEE_MODEL_KEYS}},
-        "response": {"c2": cfg.response.c2},
-        "signal": {"kind": cfg.signal.kind.value},
-        "fee": cfg.fee,
-        "search": {key: getattr(cfg.search, key) for key, _ in _SEARCH_KEYS},
-        "experiment": {"out_dir": cfg.out_dir},
-    }
-    if cfg.signal.kind is SignalKind.WEIGHTED:
-        doc["signal"]["weights"] = [[kind.value, weight]
-                                    for kind, weight in cfg.signal.weights]
-    return doc
-
-
 def _reject_constant(name: str):
     raise ConfigError("$", f"{name} is not a JSON number")
 
@@ -233,13 +213,6 @@ def solution_to_dict(problem: EquilibriumProblem,
         "branch": solution.branch.value,
         "equilibrium_residual": equilibrium_residual(problem, solution),
     }
-
-
-def solution_from_dict(data: dict) -> tuple[ShipmentPolicy, float, float, float]:
-    """Inverse of :func:`solution_to_dict` for the value fields."""
-    pol = data["policy"]
-    return (ShipmentPolicy(pol["t1"], pol["t2"], pol["t3"]),
-            data["fee"], data["lambda_p"], data["profit"])
 
 
 def _emit_json(obj, out) -> None:
@@ -387,7 +360,7 @@ def _cmd_reproduce(args, out) -> int:
     out.write(f"{name}: {unit} matched {matched}/{total} within tolerance\n")
     if name in TraceId.__members__:
         out.write(f"{name}: cycle detected: "
-                  f"{result.classification.kind.value == 'cycle-2'}\n")
+                  f"{result.classification.kind is LongRunKind.CYCLE2}\n")
     for note in notes:
         out.write(note + "\n")
     out.write(f"wrote {csv_path}\n")
@@ -421,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p4 = sub.add_parser("reproduce", help="regenerate a benchmark table or trace")
     p4.add_argument("--table", required=True,
-                    choices=["T3", "T4", "T5", "T6", "T7", "T8"])
+                    choices=[*TableId.__members__, *TraceId.__members__])
     p4.add_argument("--out")
     p4.add_argument("-c", "--config")
     p4.set_defaults(func=_cmd_reproduce)

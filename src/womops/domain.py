@@ -156,10 +156,6 @@ class ShipmentPolicy:
     def cycle_length(self) -> float:
         return self.t1 + self.t2 + self.t3
 
-    def max_inventory(self, lambda_p: float, lambda_r: float) -> float:
-        """Peak depot stock: premium demand for a full cycle plus Phase-1 regulars."""
-        return lambda_p * self.cycle_length + lambda_r * self.t1
-
 
 @dataclass(frozen=True)
 class SignalSpec:
@@ -261,14 +257,11 @@ def signal(spec: SignalSpec, policy: ShipmentPolicy, tau: float) -> float:
     regular customers do not receive fast service ((t2 + t3) / T).  The
     MDT precondition t3 <= tau is enforced here up to float slack.
     """
-    cycle = policy.cycle_length
-    if cycle <= 0:
-        raise InvalidPolicy("signal undefined for a zero-length cycle")
     if policy.t3 > tau * (1.0 + 1e-12) and (
             spec.kind is SignalKind.MDT
             or any(kind is SignalKind.MDT for kind, _ in spec.weights)):
         raise InvalidPolicy(f"t3={policy.t3} exceeds declared tau={tau}")
-    return signal_value(spec, policy.t2, policy.t3, cycle, tau)
+    return signal_value(spec, policy.t2, policy.t3, policy.cycle_length, tau)
 
 
 def respond(resp: CustomerResponse, fee_model: FeeModel, fee: float,
@@ -303,10 +296,8 @@ def _checked_profit(params: MarketParams, policy: ShipmentPolicy,
                     lambda_p: float, fee_rate: float) -> float:
     if lambda_p < 0:
         raise InvalidParams("lambda_p must be >= 0")
-    T = policy.cycle_length
-    if T <= 0:
-        raise InvalidPolicy("profit undefined for a zero-length cycle")
-    return cycle_profit(params, lambda_p, fee_rate, policy.t1, policy.t3, T)
+    return cycle_profit(params, lambda_p, fee_rate, policy.t1, policy.t3,
+                        policy.cycle_length)
 
 
 def profit_rate(params: MarketParams, policy: ShipmentPolicy,

@@ -83,10 +83,6 @@ class DynamicsTrace:
     prediction: LongRunClass | None = None
 
     @property
-    def lambdas(self) -> tuple[float, ...]:
-        return tuple(p.lambda_p for p in self.points)
-
-    @property
     def settled(self) -> tuple[float, ...]:
         """The limit, the (high, low) cycle, or if undetermined the last rate."""
         return self.classification.values or (self.points[-1].lambda_p,)
@@ -104,9 +100,9 @@ def step(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
     return policy, respond(resp, fee_model, fee, theta)
 
 
-def _classify_sequence(lambdas: list[float], c1: float, tol: float,
-                       previous: LongRunClass) -> LongRunClass:
-    """Earliest stopping pattern in a lambda sequence, one value at a time.
+def _classify_sequence(lambdas: list[float], c1: float,
+                       tol: float) -> LongRunClass | None:
+    """The stopping pattern the newest value of ``lambdas`` completes, or None.
 
     Convergence: |lambda_{k+1} - lambda_k| < tol.  Two-point cycle:
     lambda_{k+2} returns to lambda_k within tol, the excursion
@@ -117,15 +113,14 @@ def _classify_sequence(lambdas: list[float], c1: float, tol: float,
     are still above it -- out of the cycle branch.  Convergence is
     checked first at each index.
 
-    ``previous`` is the result for ``lambdas[:-1]``.  A pattern found there
-    stays the earliest: the one check the new value completes at a lower
-    index, a cycle at k - 1 after convergence at k, would need a step of
-    at least 10 tol next to two of less than tol.  Otherwise only the
-    patterns the last value completes are checked, in scan order: the
-    cycle at n - 4, then convergence at n - 2.
+    :func:`simulate` calls it once per new value until it returns a
+    pattern, and keeps that one: it is the earliest of the whole sequence,
+    since the one check a later value completes at a lower index, a cycle
+    at k - 1 after convergence at k, would need a step of at least 10 tol
+    next to two of less than tol.  The patterns the newest value completes
+    are checked in scan order: the cycle at n - 4, then convergence at
+    n - 2.
     """
-    if previous.kind is not LongRunKind.UNDETERMINED:
-        return previous
     n = len(lambdas)
     k = n - 4
     if (k >= 0
@@ -140,7 +135,7 @@ def _classify_sequence(lambdas: list[float], c1: float, tol: float,
         if abs(limit - c1) <= 10.0 * tol:
             return LongRunClass(LongRunKind.CONVERGED_TO_POTENTIAL, (c1,), tol)
         return LongRunClass(LongRunKind.CONVERGED_INTERIOR, (limit,), tol)
-    return previous
+    return None
 
 
 def simulate(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
@@ -152,8 +147,9 @@ def simulate(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
     Stops early once the sequence has converged (successive change below
     ``tol``) or revisits itself two steps apart (two-point cycle), but
     never before ``min_iters`` responses have been generated -- table
-    reproduction uses that to emit fixed-length traces.  The seed defaults
-    to the potential market c1(F).
+    reproduction uses that to emit fixed-length traces; the first pattern
+    found is the classification.  The seed defaults to the potential
+    market c1(F).
     """
     if not 0 <= max_iters <= MAX_SIM_ITERS:
         raise InvalidParams(f"max_iters must be in [0, {MAX_SIM_ITERS}]")
@@ -164,21 +160,21 @@ def simulate(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
 
     lambdas: list[float] = []
     points: list[TracePoint] = []
-    classification = LongRunClass(LongRunKind.UNDETERMINED, (), tol)
+    classification = None
     for k in range(max_iters + 1):
         lambdas.append(lam)
         policy, nxt = step(params, fee_model, resp, spec, fee, lam)
         points.append(TracePoint(k, lam, policy,
                                  profit_rate_with_fees(params, fee_model,
                                                        policy, fee, lam)))
-        if k:  # the seed alone holds no pattern
-            classification = _classify_sequence(lambdas, c1, tol,
-                                                classification)
-            if (classification.kind is not LongRunKind.UNDETERMINED
-                    and k >= min_iters):
-                break
+        if k and classification is None:  # the seed alone holds no pattern
+            classification = _classify_sequence(lambdas, c1, tol)
+        if classification is not None and k >= min_iters:
+            break
         lam = nxt
 
+    if classification is None:
+        classification = LongRunClass(LongRunKind.UNDETERMINED, (), tol)
     prediction = None
     if spec.kind is SignalKind.MDT:
         prediction = predict_long_run(params, fee_model, resp, spec, fee)

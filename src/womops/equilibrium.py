@@ -112,10 +112,6 @@ class EquilibriumSolution:
     profit: float
     branch: Branch
 
-    @property
-    def cycle_length(self) -> float:
-        return self.policy.cycle_length
-
 
 def search_cap(problem: EquilibriumProblem) -> float:
     """Upper bound on any phase length that provably encloses the optima.
@@ -269,7 +265,10 @@ def _seeds(problem: EquilibriumProblem, search: SearchSpec):
     cap = search_cap(problem)
     k = _POOL_PER_SEED * search.top_n
     while True:
-        t1f, t2f, t3f, Ff, prof = _candidate_grid(problem, search, k)
+        # Extreme markets overflow on parts of the grid; _best_k drops
+        # the non-finite profits that result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            t1f, t2f, t3f, Ff, prof = _candidate_grid(problem, search, k)
         if prof.size == 0:
             raise InfeasibleProblem("no feasible cycle in the search box")
         seeds = _select_seeds(t1f, t2f, t3f, Ff, prof, search, cap, p.tau,
@@ -362,7 +361,12 @@ def solve_equilibrium(problem: EquilibriumProblem,
 
 def equilibrium_residual(problem: EquilibriumProblem,
                          solution: EquilibriumSolution) -> float:
-    """|lambda_p - R(signal(policy))|: stationarity of the demand constraint."""
+    """|lambda_p - R(signal(policy))|: stationarity of the demand constraint.
+
+    Zero by construction for :func:`solve_equilibrium` output, whose
+    ``lambda_p`` comes from the same ``signal`` and ``respond`` calls; it
+    checks solutions built any other way.
+    """
     theta = signal(problem.signal_spec, solution.policy, problem.params.tau)
     return abs(solution.lambda_p
                - respond(problem.resp, problem.fee_model, solution.fee, theta))
@@ -492,12 +496,7 @@ class StructureReport:
 
     @property
     def ok(self) -> bool:
-        checks = {
-            "no_phase2_without_phase1": self.no_phase2_without_phase1,
-            "no_phase1_when_t3_short": self.no_phase1_when_t3_short,
-            "phase1_within_margin_bound": self.phase1_within_margin_bound,
-        }
-        return all(checks[name] for name in self.required)
+        return not set(self.required) & set(self.findings)
 
 
 def check_structure(problem: EquilibriumProblem,

@@ -23,10 +23,6 @@ class InvalidGrid(WomopsError):
     """A brute-force grid specification is unusable (bad step or bounds)."""
 
 
-class NoFeasibleCandidate(WomopsError):
-    """No closed-form candidate was feasible; cannot happen when tau > 0."""
-
-
 class UnsupportedSignal(WomopsError):
     """An analytic result was requested for a signal it does not cover."""
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import EPS_NUM, MarketParams, ShipmentPolicy, profit_rate
-from .errors import InvalidGrid, InvalidParams, NoFeasibleCandidate
+from .errors import InvalidGrid, InvalidParams
 
 
 class PolicyCase(enum.Enum):
@@ -81,7 +81,7 @@ def candidate(case: PolicyCase, params: MarketParams,
     radicand = 2.0 * h * K - 2.0 * h * lam_r * r * tau - lam_r * r * r
     if radicand <= 0:
         return None
-    t2 = math.sqrt(radicand / (h * h * lambda_p)) - r / h - tau
+    t2 = math.sqrt(radicand / lambda_p) / h - r / h - tau
     return ShipmentPolicy(r / h, t2, tau) if t2 > 0 else None
 
 
@@ -113,10 +113,12 @@ def solve_policy(params: MarketParams, lambda_p: float) -> PolicySolution:
     """Profit-maximizing policy given the observed premium rate.
 
     Evaluates all feasible closed-form candidates and returns the best;
-    exact ties go to the lowest case id.  At lambda_p = 0 only cases I and
-    III exist (the others divide by lambda_p).  Structurally the result
-    always satisfies: t1 = 0 implies t2 = 0, and t3 < tau implies t1 = 0;
-    moreover t3 < tau exactly when lambda_p > 2K/(h tau^2).
+    exact ties go to the lowest case id.  Case I (t3 = tau) is always
+    feasible, since ``MarketParams`` requires tau > 0.  At lambda_p = 0
+    only cases I and III exist (the others divide by lambda_p).
+    Structurally the result always satisfies: t1 = 0 implies t2 = 0, and
+    t3 < tau implies t1 = 0; moreover t3 < tau exactly when
+    lambda_p > 2K/(h tau^2).
     """
     if lambda_p < 0:
         raise InvalidParams("lambda_p must be >= 0")
@@ -133,8 +135,6 @@ def solve_policy(params: MarketParams, lambda_p: float) -> PolicySolution:
         profit = profit_rate(params, policy, lambda_p)
         if best is None or profit > best[2] + EPS_NUM:
             best = (case, policy, profit)
-    if best is None:
-        raise NoFeasibleCandidate("no feasible candidate; tau must be positive")
     case, policy, profit = best
     return PolicySolution(policy, case, profit, lambda_p,
                           _stationarity_residual(case, params, policy, lambda_p))

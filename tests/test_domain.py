@@ -283,7 +283,3 @@ class TestValidation:
         with pytest.raises(InvalidParams):
             FeeModel(FeeFamily.LOGARITHMIC, -20, 101, 5)
         assert FeeModel(FeeFamily.LOGARITHMIC, 0, 101, 5).members(10) == 0.0
-
-    def test_max_inventory(self):
-        pol = ShipmentPolicy(0.5, 0.25, 1.25)
-        assert pol.max_inventory(100, 50) == pytest.approx(100 * 2.0 + 50 * 0.5)

@@ -239,12 +239,14 @@ class TestIncrementalClassification:
 
     @staticmethod
     def assert_matches_rescan(lambdas, c1, tol):
-        # Every prefix is compared, so results held past the first pattern
-        # (what min_iters asks for) are covered too.
-        cls = LongRunClass(LongRunKind.UNDETERMINED, (), tol)
+        # Every prefix is compared, the first pattern kept as ``simulate``
+        # keeps it, so prefixes past it (what min_iters asks for) are
+        # covered too.
+        cls = None
         for n in range(2, len(lambdas) + 1):
-            cls = _classify_sequence(lambdas[:n], c1, tol, cls)
-            assert cls == _reference_classify(lambdas[:n], c1, tol)
+            cls = cls or _classify_sequence(lambdas[:n], c1, tol)
+            got = cls or LongRunClass(LongRunKind.UNDETERMINED, (), tol)
+            assert got == _reference_classify(lambdas[:n], c1, tol)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_CLOSE, min_size=2, max_size=14),
@@ -267,9 +269,8 @@ class TestIncrementalClassification:
         # classifier must give the full rescan's answer, fault included.
         tr = simulate(params(tau=tau), LIN, CustomerResponse(c2), MDT, 10,
                       max_iters=1000, tol=1e-4, min_iters=min_iters)
-        want = _reference_classify(list(tr.lambdas), tr.points[0].lambda_p,
-                                   1e-4)
+        lambdas = [p.lambda_p for p in tr.points]
+        want = _reference_classify(lambdas, lambdas[0], 1e-4)
         assert tr.classification == want
         assert want.kind is LongRunKind.CYCLE2
-        self.assert_matches_rescan(list(tr.lambdas), tr.points[0].lambda_p,
-                                   1e-4)
+        self.assert_matches_rescan(lambdas, lambdas[0], 1e-4)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -117,7 +118,8 @@ class TestSolve:
         assert sol.lambda_p == 0.0
         assert sol.policy.t1 == pytest.approx(prob.params.r / prob.params.h,
                                               abs=1e-6)
-        assert sol.cycle_length == pytest.approx(search_cap(prob), abs=1e-6)
+        assert sol.policy.cycle_length == pytest.approx(search_cap(prob),
+                                                         abs=1e-6)
         assert check_structure(prob, sol).ok
 
     def test_insensitive_customers_capture_whole_market(self):
@@ -234,6 +236,15 @@ class TestStructure:
         report = check_structure(prob, sol)
         assert report.phase1_within_margin_bound
 
+    def test_required_finding_fails_the_report(self):
+        from womops import EquilibriumSolution, Branch, ShipmentPolicy
+        prob = problem(1.0, 1)
+        sol = EquilibriumSolution(ShipmentPolicy(3.0, 0.0, 1.0), 10.0,
+                                  450.0, 0.0, Branch.NUMERIC_BOUNDARY)
+        report = check_structure(prob, sol)
+        assert report.findings == ("phase1_within_margin_bound",)
+        assert not report.ok
+
 
 class TestRecoverability:
     def test_small_market_recovers_optimum(self):
@@ -307,6 +318,49 @@ class TestMonotonicity:
         theta = signal(MDT, sol.policy, prob.params.tau)
         lam_back = respond(prob.resp, prob.fee_model, sol.fee, theta)
         assert lam_back == pytest.approx(sol.lambda_p, rel=1e-9)
+
+
+def scaled_linear(prob, c):
+    """``prob`` in money units c times larger: r, K, h and the fee bounds
+    scale by c and the linear family's b by 1/c, so N(F) keeps its values
+    at the scaled fees, and every profit scales by c."""
+    p = prob.params
+    params = dataclasses.replace(p, r=p.r * c, K=p.K * c, h=p.h * c,
+                                 f_min=p.f_min * c, f_max=p.f_max * c)
+    fee_model = dataclasses.replace(prob.fee_model, b=prob.fee_model.b / c)
+    return dataclasses.replace(prob, params=params, fee_model=fee_model)
+
+
+class TestLinearFamilyScaling:
+    """Metamorphic: rescaling the money unit rescales F and the profit only."""
+
+    # T3: slack declared time; priced out.  T5: both extra phases; the
+    # row that moves most under c = 10.
+    ROWS = [(TableId.T3, (5.0, 1.0, 2000.0, 8.0)),
+            (TableId.T3, (6.0, 3.0, 2000.0, 8.0)),
+            (TableId.T5, (1.0, 0.1, 3000.0, 16.0)),
+            (TableId.T5, (1.0, 0.1, 3000.0, 48.0))]
+
+    @pytest.mark.parametrize("table, key", ROWS)
+    def test_scaled_rows(self, table, key):
+        config = ExperimentConfig()
+        prob = build_problem(config, _table_setup(table), *key)
+        base = solve_equilibrium(prob, config.search)
+        # A power of two scales every float exactly, so the search takes
+        # the same steps.
+        for c in (0.5, 2.0):
+            sol = solve_equilibrium(scaled_linear(prob, c), config.search)
+            assert sol.policy == base.policy
+            assert sol.lambda_p == base.lambda_p
+            assert (sol.fee, sol.profit) == (c * base.fee, c * base.profit)
+        sol = solve_equilibrium(scaled_linear(prob, 10.0), config.search)
+        T = base.policy.cycle_length
+        for got, want in zip((sol.policy.t1, sol.policy.t2, sol.policy.t3),
+                             (base.policy.t1, base.policy.t2, base.policy.t3)):
+            assert got == pytest.approx(want, abs=1e-5 * T)
+        assert sol.lambda_p == pytest.approx(base.lambda_p, rel=1e-5)
+        assert sol.fee == pytest.approx(10.0 * base.fee, rel=1e-5)
+        assert sol.profit == pytest.approx(10.0 * base.profit, rel=1e-5)
 
 
 def reference_grid(prob, search):

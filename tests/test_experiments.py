@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -26,6 +27,30 @@ def config():
 @pytest.fixture(scope="module")
 def t5_rows(config):
     return run_table(config, TableId.T5)
+
+
+@pytest.fixture(scope="module")
+def t4_rows(config):
+    return run_table(config, TableId.T4)
+
+
+@pytest.fixture(scope="module")
+def t6_rows(config):
+    return run_table(config, TableId.T6)
+
+
+#: sha256 of the files ``womops reproduce --table T4/T5/T6`` writes.
+TABLE_SHA256 = {
+    "T4.csv": "4d5ee39567863b09974ab8620d1d5007e61cc4d86184b5cae9e74942b13d1438",
+    "T4_manifest.json":
+        "14e52eb990d78eefa688aba86e9f76184ed888719bdf355e5bc7f8a760d3d9bf",
+    "T5.csv": "9f5c72eb64ffb64b1f371c23030697e0bb7c4eb0ba929eeea873c233245d4ac2",
+    "T5_manifest.json":
+        "1d8f3708ba59fdafaa83627cf98d172957db812fa5a82f66597a01df40b13e9e",
+    "T6.csv": "2becab320713913e84bf3b64492f34870d18070030f526cf6f5c7b4de74291f7",
+    "T6_manifest.json":
+        "3c208a9a956c54a6760c07e0de99426ee094017b57de983873d7afab594ef381",
+}
 
 
 class TestRunTable:
@@ -53,10 +78,9 @@ class TestRunTable:
         for row in t5_rows:
             assert row.t1 <= row.r / 4.0 + 1e-9
 
-    def test_t4_rows_and_decisions(self, config):
-        rows = run_table(config, TableId.T4)
+    def test_t4_rows_and_decisions(self, t4_rows):
         ref = TABLE_ROWS["T4"]
-        for row in rows:
+        for row in t4_rows:
             t1e, t2e, t3e, fe, lame, pie, dece = ref[(row.tau, row.c2, row.K, row.r)]
             assert row.t3 == pytest.approx(t3e, abs=ROW_TOLERANCES["t"])
             assert row.F == pytest.approx(fe, abs=ROW_TOLERANCES["F"])
@@ -65,14 +89,13 @@ class TestRunTable:
             assert row.no_wom_decision == dece
             assert row.t1 <= row.r / 4.0 + 1e-9
 
-    def test_t6_reproduces_reference(self, config):
+    def test_t6_reproduces_reference(self, t6_rows):
         # T6 pairs the frequency signal with the logarithmic fee family
         # (a=20, b=101): the pairing that actually matches the reference
         # rows, whatever the caption labels claim.
-        rows = run_table(config, TableId.T6)
         ref = TABLE_ROWS["T6"]
-        assert len(rows) == len(ref)
-        for row in rows:
+        assert len(t6_rows) == len(ref)
+        for row in t6_rows:
             assert row.fee_family == "logarithmic"
             t1e, t2e, t3e, fe, lame, pie, dece = ref[(row.tau, row.c2, row.K, row.r)]
             assert row.t1 == pytest.approx(t1e, abs=ROW_TOLERANCES["t"])
@@ -151,6 +174,17 @@ class TestPersist:
         assert manifest["schema"] == 1
         assert manifest["rows"][0]["branch"]
         assert "wall" not in json.dumps(manifest)
+
+    def test_t4_to_t6_bytes_are_pinned(self, config, t4_rows, t5_rows,
+                                       t6_rows, tmp_path):
+        # persist writes the bytes reproduce writes; T3 is pinned in
+        # criterion 9.
+        tables = {"T4": t4_rows, "T5": t5_rows, "T6": t6_rows}
+        got = {}
+        for name, rows in tables.items():
+            for path in persist(rows, str(tmp_path), name, config):
+                got[os.path.basename(path)] = _hash(path)
+        assert got == TABLE_SHA256
 
     def test_manifest_records_the_signal_the_rows_ran(self, config, t5_rows,
                                                       tmp_path):

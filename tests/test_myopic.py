@@ -88,6 +88,18 @@ class TestSolve:
         assert sol.case is PolicyCase.III
         assert math.isfinite(sol.profit) and math.isfinite(sol.kkt_residual)
 
+    def test_case_iv_with_a_holding_cost_whose_square_underflows(self):
+        # h*h is 0 here; case IV's t2 divides by h only after the root.
+        p = params(K=1e306, h=1e-300)
+        sol = solve_policy(p, 450.0)
+        assert sol.case is PolicyCase.IV
+        radicand = 2 * p.h * p.K - p.lambda_r * p.r * (2 * p.h * p.tau + p.r)
+        # t2 = sqrt(radicand / lambda_p) / h - r / h - tau; tau is lost
+        # next to the other terms, near 6e301.
+        assert sol.policy.t2 == pytest.approx(
+            (math.sqrt(radicand / 450.0) - p.r) / p.h, rel=1e-12)
+        assert math.isfinite(sol.profit) and math.isfinite(sol.kkt_residual)
+
     @settings(max_examples=80, deadline=None)
     @given(st.floats(8, 48), st.floats(2000, 4000), st.floats(1, 7),
            st.floats(0, 500))
