@@ -39,16 +39,13 @@ DEFAULT_CONFIG = {
                "M": 30.0, "f_min": 10.0, "f_max": 100.0},
     "fee_model": {"family": "linear", "a": 100.0, "b": 1.0, "delta": 5.0},
     "response": {"c2": 1.0},
-    "signal": {"kind": "MDT"},
+    "signal": {"kind": "MDT", "weights": []},
     "fee": 10.0,
     "search": {},
     "experiment": {"out_dir": "womops-out"},
 }
 
-_MARKET_KEYS = ("r", "K", "h", "tau", "lambda_r", "M", "f_min", "f_max")
-_FEE_MODEL_KEYS = ("a", "b", "delta")
-_SEARCH_KEYS = (("n_time", int), ("n_fee", int), ("top_n", int),
-                ("polish_tol", float))
+_SEARCH_KEYS = {"n_time": int, "n_fee": int, "top_n": int, "polish_tol": float}
 
 
 @dataclass(frozen=True)
@@ -114,11 +111,9 @@ def _member(enum_cls, value, path: str, what: str):
 def _parse_signal(raw, path: str) -> SignalSpec:
     sk = _member(SignalKind, _require(raw, path, "kind", str), f"{path}.kind",
                  "signal kind")
-    if sk is not SignalKind.WEIGHTED:
-        return SignalSpec(sk)
-    weights = raw.get("weights")
-    if not isinstance(weights, list) or not weights:
-        raise ConfigError(f"{path}.weights", "weighted signal needs components")
+    weights = raw["weights"]
+    if not isinstance(weights, list):
+        raise ConfigError(f"{path}.weights", "must be a list")
     parsed = []
     for i, item in enumerate(weights):
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
@@ -126,8 +121,7 @@ def _parse_signal(raw, path: str) -> SignalSpec:
         comp = _member(SignalKind, item[0], f"{path}.weights[{i}]",
                        "signal kind")
         parsed.append((comp, _number(item[1], f"{path}.weights[{i}]")))
-    return _build(f"{path}.weights", SignalSpec, SignalKind.WEIGHTED,
-                  tuple(parsed))
+    return _build(f"{path}.weights", SignalSpec, sk, tuple(parsed))
 
 
 def parse_config(data: dict) -> CliConfig:
@@ -140,24 +134,31 @@ def parse_config(data: dict) -> CliConfig:
 
     merged = dict(DEFAULT_CONFIG)
     for key, value in data.items():
-        default = DEFAULT_CONFIG.get(key)
+        if key not in DEFAULT_CONFIG:
+            raise ConfigError(key, "unknown field")
+        default = DEFAULT_CONFIG[key]
         if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(key, "must be an object")
+            known = _SEARCH_KEYS if key == "search" else default
+            for name in value:
+                if name not in known:
+                    raise ConfigError(f"{key}.{name}", "unknown field")
             value = {**default, **value}
         merged[key] = value
 
     m = merged["market"]
     market = _build("market", MarketParams,
                     **{key: _require(m, "market", key, float)
-                       for key in _MARKET_KEYS})
+                       for key in DEFAULT_CONFIG["market"]})
 
     f = merged["fee_model"]
     family = _member(FeeFamily, _require(f, "fee_model", "family", str),
                      "fee_model.family", "family")
     fee_model = _build("fee_model", FeeModel, family,
                        **{key: _require(f, "fee_model", key, float)
-                          for key in _FEE_MODEL_KEYS})
+                          for key in DEFAULT_CONFIG["fee_model"]
+                          if key != "family"})
 
     response = _build("response.c2", CustomerResponse,
                       _require(merged["response"], "response", "c2", float))
@@ -174,7 +175,7 @@ def parse_config(data: dict) -> CliConfig:
     # Only the keys the document gives: SearchSpec holds the defaults.
     search = _build("search", SearchSpec,
                     **{key: _require(s, "search", key, kind)
-                       for key, kind in _SEARCH_KEYS if key in s})
+                       for key, kind in _SEARCH_KEYS.items() if key in s})
 
     out_dir = _require(merged["experiment"], "experiment", "out_dir", str)
     return CliConfig(market, fee_model, response, signal_spec, fee, search,

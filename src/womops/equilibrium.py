@@ -128,16 +128,17 @@ def search_cap(problem: EquilibriumProblem) -> float:
     return cap
 
 
-def _objective(problem: EquilibriumProblem, cap: float = math.inf):
+def _objective(problem: EquilibriumProblem):
     """Scalar objective ``(t1, t2, t3, F) -> -profit`` of one problem.
 
     The fee-inclusive profit rate with lambda_p = R(theta) substituted,
     negated for minimization; ``inf`` outside the box (a negative phase,
-    an empty cycle, or a cycle longer than ``cap``).  Built once per
+    an empty cycle, or a cycle longer than the search cap).  Built once per
     problem, with the signal's formula and the constants bound as locals.
     Inside the box t3 <= tau, as the polish clips t3 to [0, tau].
     """
     p = problem.params
+    cap = search_cap(problem)
     fm = problem.fee_model
     spec, tau = problem.signal_spec, p.tau
     theta_of = signal_formula(spec)
@@ -316,7 +317,7 @@ def solve_equilibrium(problem: EquilibriumProblem,
     best_key: tuple[float, float, float, float] | None = None
     best_x: tuple[float, float, float, float] | None = None
 
-    neg_profit = _objective(problem, cap)
+    neg_profit = _objective(problem)
 
     def consider(x: tuple[float, float, float, float]) -> None:
         nonlocal best_key, best_x
@@ -483,14 +484,11 @@ class StructureReport:
         fast service, and
     (c) the fast-service phase never exceeds r/h.
 
-    Under the MDT signal all three are required; under NPS the perception
-    driver can legitimately break (a)/(b), so only (c) is required and the
-    rest are reported as findings.
+    ``findings`` names each check the solution fails.  Under the MDT
+    signal all three are required; under NPS the perception driver can
+    legitimately break (a)/(b), so only (c) is required.
     """
 
-    no_phase2_without_phase1: bool
-    no_phase1_when_t3_short: bool
-    phase1_within_margin_bound: bool
     required: tuple[str, ...]
     findings: tuple[str, ...]
 
@@ -517,7 +515,7 @@ def check_structure(problem: EquilibriumProblem,
         ("no_phase1_when_t3_short", b),
         ("phase1_within_margin_bound", c),
     ) if not val)
-    return StructureReport(a, b, c, required, findings)
+    return StructureReport(required, findings)
 
 
 class RecoveryClass(enum.Enum):
@@ -533,18 +531,13 @@ class RecoveryReport:
     ``shortfall_vs_initial`` compares the long-run profit against the
     first-period profit at the stationary-equilibrium demand the process
     was seeded with (the profit the e-tailer sees before the feedback
-    erodes it).
+    erodes it).  ``long_run_lambda`` and the shortfall are None when the
+    loop cycles, and the shortfall also when that profit is not positive.
     """
 
     kind: RecoveryClass
     long_run_lambda: float | None
-    long_run_profit: float | None
-    initial_profit: float
     shortfall_vs_initial: float | None
-    lambda_bar_predicted: float | None
-    lambda_eq: float
-    potential_bound_binding: bool | None
-    demand_bound_ok: bool | None
 
     @property
     def label(self) -> str:
@@ -559,47 +552,26 @@ def recoverability(problem: EquilibriumProblem,
     potential market, for at most 500 iterations at tol 1e-4, and labels
     the outcome by where it settled: Opt-Eq (long-run demand and profit
     match the stationary optimum within 1e-3 relative), Non-opt-Eq
-    (settled elsewhere) or Cycles.  For the MDT signal with c2 = 1 it
-    also checks the trace's analytic prediction against the long-run
-    demand bound lambda_bar <= lambda_eq, with equality exactly when the
-    potential market fits under 2K/(h tau^2).
+    (settled elsewhere) or Cycles.
     """
     p = problem.params
     trace = simulate(p, problem.fee_model, problem.resp, problem.signal_spec,
                      solution.fee, max_iters=500, tol=1e-4)
 
-    lam_long: float | None = None
-    profit_long: float | None = None
     if trace.classification.kind is LongRunKind.CYCLE2:
-        kind = RecoveryClass.CYCLES
-    else:
-        lam_long = trace.settled[0]
-        pol = solve_policy(p, lam_long).policy
-        profit_long = profit_rate_with_fees(p, problem.fee_model, pol,
-                                            solution.fee, lam_long)
-        lam_ok = (abs(lam_long - solution.lambda_p)
-                  <= 1e-3 * max(1.0, solution.lambda_p))
-        pi_ok = (abs(profit_long - solution.profit)
-                 <= 1e-3 * max(1.0, abs(solution.profit)))
-        kind = RecoveryClass.OPT_EQ if (lam_ok and pi_ok) else RecoveryClass.NON_OPT_EQ
+        return RecoveryReport(RecoveryClass.CYCLES, None, None)
+    lam_long = trace.settled[0]
+    pol = solve_policy(p, lam_long).policy
+    profit_long = profit_rate_with_fees(p, problem.fee_model, pol,
+                                        solution.fee, lam_long)
+    lam_ok = (abs(lam_long - solution.lambda_p)
+              <= 1e-3 * max(1.0, solution.lambda_p))
+    pi_ok = (abs(profit_long - solution.profit)
+             <= 1e-3 * max(1.0, abs(solution.profit)))
+    kind = RecoveryClass.OPT_EQ if (lam_ok and pi_ok) else RecoveryClass.NON_OPT_EQ
 
     initial_profit = trace.points[0].profit
     shortfall = None
-    if profit_long is not None and initial_profit > 0:
+    if initial_profit > 0:
         shortfall = 1.0 - profit_long / initial_profit
-
-    lam_bar = None
-    binding = None
-    bound_ok = None
-    if problem.signal_spec.kind is SignalKind.MDT and problem.resp.c2 == 1:
-        lam_bar = trace.prediction.values[0]
-        c1 = potential_market(problem.fee_model, solution.fee)
-        binding = c1 <= p.demand_threshold
-        slack = 1e-6 * max(1.0, solution.lambda_p)
-        if binding:
-            bound_ok = abs(lam_bar - solution.lambda_p) <= slack
-        else:
-            bound_ok = lam_bar <= solution.lambda_p + slack
-    return RecoveryReport(kind, lam_long, profit_long, initial_profit,
-                          shortfall, lam_bar, solution.lambda_p, binding,
-                          bound_ok)
+    return RecoveryReport(kind, lam_long, shortfall)

@@ -32,7 +32,8 @@ class RegimeViolation(WomopsError):
 
 
 class InfeasibleProblem(WomopsError):
-    """The equilibrium problem admits no feasible cycle; cannot happen when tau > 0."""
+    """The equilibrium solver found no cycle with a finite profit: every grid
+    or every polished point overflowed, as with a ``market.r`` of 1e306."""
 
 
 class NonFiniteResult(WomopsError):

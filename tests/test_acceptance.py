@@ -7,9 +7,9 @@ or in the captured-output sections of ``pytest -rA``).
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,9 +237,8 @@ def test_criterion_9_reproduction_determinism(tmp_path, capsys):
             for table in ("T3", "T7", "T8"):
                 assert cli_main(["reproduce", "--table", table,
                                  "--out", out]) == 0
-            return {name: hashlib.sha256(
-                open(os.path.join(out, name), "rb").read()).hexdigest()
-                for name in REPRODUCE_SHA256}
+            return {name: hashlib.sha256(Path(out, name).read_bytes())
+                    .hexdigest() for name in REPRODUCE_SHA256}
 
         first = run(str(tmp_path / "run1"))
         second = run(str(tmp_path / "run2"))

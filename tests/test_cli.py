@@ -151,7 +151,8 @@ class TestSimulate:
         code, out, _ = run_cli(["simulate", "--iters", "3", "--out", target],
                                capsys)
         assert code == 0 and out == ""
-        assert open(target).readline().startswith("iter,")
+        with open(target) as fh:
+            assert fh.readline().startswith("iter,")
 
     def test_flag_validation_is_a_usage_error(self, capsys):
         for argv in (["simulate", "--iters", "-1"],
@@ -376,6 +377,12 @@ class TestErrorPaths:
         ({"experiment": {"out_dir": 3}}, "experiment.out_dir"),
         ({"experiment": {"out_dir": None}}, "experiment.out_dir"),
         ({"fee": -5}, "fee"),
+        ({"markett": {"r": 1}}, "markett"),
+        ({"market": {"R": 1}}, "market.R"),
+        ({"search": {"n_tme": 3}}, "search.n_tme"),
+        ({"search": {"max_polish_evals": 5}}, "search.max_polish_evals"),
+        ({"signal": {"kind": "MDT", "weights": [["NPS", 1.0]]}},
+         "signal.weights"),
     ])
     def test_bad_field(self, tmp_path, capsys, doc, path):
         cfg = write_config(tmp_path, **doc)
@@ -480,6 +487,10 @@ _NONNEGATIVE = st.one_of(
 _SEARCHES = st.fixed_dictionaries({
     "n_time": st.integers(2, 6), "n_fee": st.integers(1, 3),
     "top_n": st.integers(1, 3)}, optional={"polish_tol": _NONNEGATIVE})
+#: Search sections small enough that a whole table takes about 80 ms.
+_TABLE_SEARCHES = st.fixed_dictionaries({
+    "n_time": st.integers(2, 4), "n_fee": st.integers(1, 3),
+    "top_n": st.integers(1, 3)})
 #: Documents that mostly parse, so that most draws reach the solver.
 _SOLVABLE = st.fixed_dictionaries({
     "market": st.dictionaries(st.sampled_from(_MARKET_KEYS), _NONNEGATIVE,
@@ -565,3 +576,14 @@ class TestFuzzedConfig:
             if isinstance(out_dir, str) and code == 0:
                 assert sorted(os.listdir(out_dir)) == [
                     f"{table}.csv", f"{table}_manifest.json"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(_TABLE_SEARCHES, st.sampled_from(["T3", "T4", "T5", "T6"]))
+    def test_reproduce_table(self, search, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = os.path.join(tmp, "out")
+            doc = {"search": search, "experiment": {"out_dir": out_dir}}
+            code, _ = self.run(doc, ["reproduce", "--table", table], out_dir)
+            assert code == 0
+            assert sorted(os.listdir(out_dir)) == [
+                f"{table}.csv", f"{table}_manifest.json"]

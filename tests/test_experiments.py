@@ -170,7 +170,8 @@ class TestPersist:
         first = (_hash(csv_a), _hash(man_a))
         csv_b, man_b = persist(t5_rows, out, "T5", config)
         assert (_hash(csv_b), _hash(man_b)) == first
-        manifest = json.loads(open(man_a).read())
+        with open(man_a) as fh:
+            manifest = json.load(fh)
         assert manifest["schema"] == 1
         assert manifest["rows"][0]["branch"]
         assert "wall" not in json.dumps(manifest)
@@ -190,7 +191,8 @@ class TestPersist:
                                                       tmp_path):
         assert config.signal_kind.value == "MDT"
         _, man_path = persist(t5_rows, str(tmp_path), "T5", config)
-        manifest = json.loads(open(man_path).read())
+        with open(man_path) as fh:
+            manifest = json.load(fh)
         assert manifest["config"]["signal_kind"] == "NPS"
 
     def test_empty_results_give_header_only_csv(self, config, tmp_path):
@@ -199,7 +201,8 @@ class TestPersist:
             lines = fh.read().splitlines()
         assert lines == ["tau,c2,K,r,M,signal,fee_family,t1,t2,t3,F,"
                          "lambda_p,profit,no_wom_decision"]
-        assert json.loads(open(man_path).read())["rows"] == []
+        with open(man_path) as fh:
+            assert json.load(fh)["rows"] == []
 
     def test_trace_persist(self, config, tmp_path):
         trace = run_trace(config, TraceId.T8)
@@ -207,7 +210,8 @@ class TestPersist:
         rows = load_rows(csv_path)
         assert len(rows) == 11
         assert rows[1]["lambda_p"] == "186.34"
-        manifest = json.loads(open(man_path).read())
+        with open(man_path) as fh:
+            manifest = json.load(fh)
         assert manifest["classification"]["kind"] == "cycle-2"
 
 

@@ -161,7 +161,7 @@ class TestPaths:
         cap = search_cap(prob)
         p = prob.params
         bounds = [(0.0, cap), (0.0, cap), (0.0, p.tau), (p.f_min, p.f_max)]
-        fun = _objective(prob, cap)
+        fun = _objective(prob)
         x0 = _seeds(prob, search)[0]
         args = ()
         if pinned:
@@ -187,7 +187,7 @@ class TestPaths:
         prob = problem(2.0, 1)
         cap = search_cap(prob)
         bounds = [(0.0, cap), (0.0, cap), (0.0, 2.0), (10.0, 100.0)]
-        fun = _objective(prob, cap)
+        fun = _objective(prob)
         options = dict(xatol=1e-9, fatol=1e-8, maxfev=maxfev)
         assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
                           scipy_polish(fun, x0, bounds, **options))
