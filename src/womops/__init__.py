@@ -22,9 +22,9 @@ from .dynamics import (DynamicsTrace, LongRunClass, LongRunKind, TracePoint,
                        predict_long_run, simulate, step, trace_rows)
 from .equilibrium import (Branch, EquilibriumProblem, EquilibriumSolution,
                           FeeRegime, RecoveryClass, RecoveryReport,
-                          SearchSpec, StructureReport, check_structure,
-                          closed_form_t3, equilibrium_residual,
-                          interior_fee_for_t3, recoverability, search_cap,
+                          SearchSpec, StructureReport, best_fee,
+                          check_structure, closed_form_t3,
+                          equilibrium_residual, recoverability, search_cap,
                           solve_equilibrium)
 from .errors import (ConfigError, DomainError, InfeasibleProblem,
                      InvalidGrid, InvalidParams, InvalidPolicy,

@@ -45,7 +45,7 @@ DEFAULT_CONFIG = {
     "experiment": {"out_dir": "womops-out"},
 }
 
-_SEARCH_KEYS = {"n_time": int, "n_fee": int, "top_n": int, "polish_tol": float}
+_SEARCH_KEYS = {"n_time": int, "top_n": int, "polish_tol": float}
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,19 @@
 Here the e-tailer knows how service signals drive premium demand and
 picks (t1, t3, T, F) so that the demand the policy *creates* is the
 demand it was built for: the stationarity constraint lambda_p =
-R(signal) is substituted into the objective, reducing the problem to a
-box-constrained search over (t1, t2, t3, F) with t2 = T - t1 - t3 >= 0.
+R(signal) is substituted into the objective.  For a fixed policy the
+best fee then depends on the cycle length alone (:func:`best_fee`), so
+the fee is profiled out and the problem reduces to a box-constrained
+search over (t1, t2, t3) with t2 = T - t1 - t3 >= 0.
 
-The landscape is neither convex nor concave, so the solver searches a
+The landscape is neither convex nor concave, so the solver evaluates a
 dense deterministic coarse grid (augmented with the t2 = 0 plane, where
-most optima live), keeps the best well-separated seeds and polishes each
-with a bounded Nelder-Mead (:mod:`womops.neldermead`).  The grid is
-evaluated in bounded chunks and only a pool of its most profitable
-points is kept; the seeds drawn from the pool are exactly those a full
-sort of the grid would give.  The grid size is capped by
-:data:`MAX_GRID_POINTS`.  For the linear-fee, unit-sensitivity,
-delivery-time-signal regime with t3 < tau the optimum also has closed
-forms (:func:`closed_form_t3`), used as independent cross-checks of the
-numeric path.
+most optima live) in one pass, keeps the best well-separated seeds and
+polishes each with a bounded Nelder-Mead (:mod:`womops.neldermead`).
+The grid size is capped by :data:`MAX_GRID_POINTS`.  For the linear-fee,
+unit-sensitivity, delivery-time-signal regime with t3 < tau the optimum
+also has closed forms (:func:`closed_form_t3`), used as independent
+cross-checks of the numeric path.
 """
 
 from __future__ import annotations
@@ -39,18 +38,17 @@ from .neldermead import minimize
 
 _SNAP = 5e-6          # polish results this close to a bound are snapped onto it
 _PROFIT_TIE = 1e-6    # profits closer than this are ties (smaller F, then T wins)
-_CHUNK = 1 << 17      # grid points evaluated at once by the candidate search
-_POOL_PER_SEED = 8    # candidates pooled per requested seed (doubled if short)
+_HEAD_PER_SEED = 8    # grid points sorted per requested seed before the rest
+_NEWTON_STEPS = 64    # cap on the logarithmic family's Newton iterations
 
-#: Budget on the candidate grid: n_fee * n_time^2 * (n_time - 1), the
-#: points of the full (t1, t3, T) box plus the t2 = 0 plane for every fee
-#: value, before the T >= t1 + t3 cut.  It bounds the search time (under
-#: a second per solve at the budget); memory is bounded by ``_CHUNK``
-#: whatever the grid.  The default n_time=40, n_fee=30 counts 1.87 M
-#: points and n_time=80 15.2 M.
-MAX_GRID_POINTS = 1 << 24
+#: Budget on the candidate grid: n_time^2 * (n_time - 1), the points of
+#: the full (t1, t3, T) box plus the t2 = 0 plane, before the T >= t1 + t3
+#: cut.  The grid is evaluated in one pass, so the budget bounds its memory
+#: as well as its time: it admits n_time <= 128 (2.08 M points, about
+#: 125 MB at the peak).  The default n_time=40 counts 62,400 points.
+MAX_GRID_POINTS = 1 << 21
 
-#: Budget on ``top_n``.  Seed selection compares every pooled candidate
+#: Budget on ``top_n``.  Seed selection compares every sorted grid point
 #: with every accepted seed, so its cost grows with the square of the
 #: seed count, and each seed adds a Nelder-Mead polish.
 MAX_SEEDS = 256
@@ -61,24 +59,23 @@ class SearchSpec:
     """Deterministic search settings: grid density, seed count, polish tolerance."""
 
     n_time: int = 40
-    n_fee: int = 30
     top_n: int = 8
     polish_tol: float = 1e-8
     max_polish_evals: int = 4000
 
     def __post_init__(self) -> None:
-        if self.n_time < 2 or self.n_fee < 1 or self.top_n < 1:
+        if self.n_time < 2 or self.top_n < 1:
             raise InvalidParams("grid resolutions must be positive")
         if self.polish_tol <= 0:
             raise InvalidParams("polish_tol must be > 0")
         if self.top_n > MAX_SEEDS:
             raise InvalidParams(
                 f"top_n={self.top_n} is over the budget of {MAX_SEEDS} seeds")
-        points = self.n_fee * self.n_time ** 2 * (self.n_time - 1)
+        points = self.n_time ** 2 * (self.n_time - 1)
         if points > MAX_GRID_POINTS:
             raise InvalidParams(
-                f"n_time={self.n_time}, n_fee={self.n_fee} make a grid of "
-                f"{points} points, over the budget of {MAX_GRID_POINTS}")
+                f"n_time={self.n_time} makes a grid of {points} points, "
+                f"over the budget of {MAX_GRID_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -128,156 +125,175 @@ def search_cap(problem: EquilibriumProblem) -> float:
     return cap
 
 
-def _objective(problem: EquilibriumProblem):
-    """Scalar objective ``(t1, t2, t3, F) -> -profit`` of one problem.
+def best_fee(problem: EquilibriumProblem):
+    """The profit-maximizing fee as a function ``T -> F*(T)`` on floats.
 
-    The fee-inclusive profit rate with lambda_p = R(theta) substituted,
-    negated for minimization; ``inf`` outside the box (a negative phase,
-    an empty cycle, or a cycle longer than the search cap).  Built once per
-    problem, with the signal's formula and the constants bound as locals.
-    Inside the box t3 <= tau, as the polish clips t3 to [0, tau].
+    For a fixed policy the profit is theta^c2 N(F) delta (r - hT/2 +
+    F/(delta M)) plus terms free of F, and theta > 0 whenever t3 > 0, so
+    the best fee in [f_min, f_max] depends on the cycle length T alone.
+    A pinned fee is f_min.  The linear family with b > 0 is a concave
+    quadratic in F: F* = clip((a - b delta M r)/(2b) + delta M h T/4).
+    With b <= 0 it is linear or convex, so the better end of the box wins,
+    f_min on a tie (as when a = b = 0; with a = 0 and b < 0, N = -bF > 0).
+    The logarithmic family with a = 0 has N = 0 and takes f_min.  With
+    a > 0, u = b - F and A = delta M (r - hT/2) + b, the product falls in u
+    when A <= 1 (F* = f_max) and otherwise peaks at the root of u (ln u +
+    1) = A, found by Newton from u = A and clipped.
+    """
+    p, fm = problem.params, problem.fee_model
+    lo, hi = p.f_min, p.f_max
+    delta_M = fm.delta * p.M
+
+    def clip(fee: float) -> float:
+        return min(max(fee, lo), hi)
+
+    if hi <= lo or fm.family is FeeFamily.LOGARITHMIC and fm.a == 0:
+        return lambda T: lo
+    if fm.family is FeeFamily.LINEAR and fm.b > 0:
+        base = (fm.a - fm.b * delta_M * p.r) / (2.0 * fm.b)
+        slope = delta_M * p.h / 4.0
+        return lambda T: clip(base + slope * T)
+    if fm.family is FeeFamily.LINEAR:
+        def value(fee: float, T: float) -> float:
+            return fm.members(fee) * (p.r - p.h * T / 2.0 + fee / delta_M)
+
+        return lambda T: hi if value(hi, T) > value(lo, T) else lo
+
+    def fee_of(T: float) -> float:
+        A = delta_M * (p.r - p.h * T / 2.0) + fm.b
+        if not A > 1.0:
+            return hi
+        if A == math.inf:
+            return lo
+        # u (ln u + 1) is convex and increasing: Newton from above descends
+        # onto the root.  The step is split so that u + A cannot overflow.
+        u = A
+        for _ in range(_NEWTON_STEPS):
+            slope = math.log(u) + 2.0
+            nxt = u / slope + A / slope
+            if not nxt < u:
+                break
+            u = nxt
+        return clip(fm.b - u)
+
+    return fee_of
+
+
+def _objective(problem: EquilibriumProblem):
+    """Scalar objective ``(t1, t2, t3) -> -profit`` of one problem.
+
+    The fee-inclusive profit rate with lambda_p = R(theta) substituted and
+    the fee at F*(T) (:func:`best_fee`), negated for minimization; ``inf``
+    outside the box (a negative phase, no Phase 3, or a cycle longer than
+    the search cap).  A polish that runs into t3 = 0 therefore turns back
+    toward t3 > 0 instead of ending on a cycle no solution may have.  Built
+    once per problem, with the signal's formula and the constants bound as
+    locals.  Inside the box t3 <= tau, as the polish clips t3 to [0, tau].
     """
     p = problem.params
     cap = search_cap(problem)
     fm = problem.fee_model
     spec, tau = problem.signal_spec, p.tau
     theta_of = signal_formula(spec)
+    fee_of = best_fee(problem)
     members = fm.members
     delta, delta_M = fm.delta, fm.delta * p.M
     c2 = problem.resp.c2
 
-    def neg_profit(t1: float, t2: float, t3: float, fee: float) -> float:
-        if t1 < 0 or t2 < 0 or t3 < 0:
+    def neg_profit(t1: float, t2: float, t3: float) -> float:
+        if t1 < 0 or t2 < 0 or t3 <= 0:
             return math.inf
         T = t1 + t2 + t3
         # Cycles beyond the search cap are outside the box; in the priced-
         # out regime the profit otherwise climbs forever toward the
         # unattained stretched-cycle supremum.
-        if T <= 0 or T > cap:
+        if T > cap:
             return math.inf
+        fee = fee_of(T)
         lam = members(fee) * delta * theta_of(spec, t2, t3, T, tau) ** c2
         return -cycle_profit(p, lam, fee / delta_M, t1, t3, T)
 
     return neg_profit
 
 
-def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec, k: int):
-    """The k most profitable grid points (t1, t2, t3, F) and their profits.
+def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
+    """Every grid point (t1, t2, t3, F) with a finite profit, and the profits.
 
     The grid is the box over (t1, t3, T) with the cycle capped at the
     search cap, plus the t2 = 0 plane T = t1 + t3 where the structural
-    results put most optima, crossed with the fee axis.  It is evaluated
-    in chunks of about ``_CHUNK`` points, a block of t1 rows against all
-    fees at once (by broadcasting): N(F) is computed once per fee, theta
-    and T once per block, and the fee-free profit terms once per point of
-    a chunk.  Only a running pool of the k best finite profits is
-    kept, every tie at the k-th profit included: memory stays bounded
-    whatever the grid size.  Points that tie in (profit, F, T, t1) share a
-    fee and a t1 row, so they come from one chunk and stay in grid order,
-    the order in which the stable sort of :func:`_select_seeds` breaks
-    such ties.
+    results put most optima.  Each point takes the fee F*(T) of its grid
+    cycle length (:func:`best_fee`); the fee and N(F) are computed once per
+    distinct T, the rest in one vectorized pass.  Points keep grid order,
+    box first, the order in which the stable sort of :func:`_select_seeds`
+    breaks ties.
     """
     p = problem.params
     fm = problem.fee_model
-    spec = problem.signal_spec
     cap = search_cap(problem)
+    fee_of = best_fee(problem)
     t1g = np.linspace(0.0, cap, search.n_time)
     t3g = np.linspace(0.0, p.tau, search.n_time)[1:]
     Tg = np.linspace(0.0, cap, search.n_time)[1:]
-    if p.f_max > p.f_min:
-        Fg = np.linspace(p.f_min, p.f_max, search.n_fee)
-    else:
-        Fg = np.array([p.f_min])
-    c1 = np.array([fm.members(fee) for fee in Fg.tolist()]) * fm.delta
-    fee_rate = Fg / (fm.delta * p.M)
-
-    pool = (np.empty(0),) * 5
-    rows = max(1, _CHUNK // (Fg.size * t3g.size * (Tg.size + 1)))
-    for lo in range(0, t1g.size, rows):
-        t1r = t1g[lo:lo + rows]
-        i, j, l = np.nonzero(Tg[None, None, :] - t1r[:, None, None]
-                             - t3g[None, :, None] >= -1e-12)
-        pi, pj = np.nonzero(t1r[:, None] + t3g[None, :] <= cap + 1e-12)
-        t1b = np.concatenate([t1r[i], t1r[pi]])
-        t3b = np.concatenate([t3g[j], t3g[pj]])
-        Tb = np.concatenate([Tg[l], t1r[pi] + t3g[pj]])
-        t2b = np.maximum(Tb - t1b - t3b, 0.0)
-        T = t1b + t2b + t3b
-        response = signal_value(spec, t2b, t3b, T, p.tau) ** problem.resp.c2
-        fees = max(1, _CHUNK // max(t1b.size, 1))
-        for f0 in range(0, Fg.size, fees):
-            lam = c1[f0:f0 + fees, None] * response
-            prof = cycle_profit(p, lam, fee_rate[f0:f0 + fees, None],
-                                t1b, t3b, T).ravel()
-            best = _best_k(prof, k)
-            f, b = np.divmod(best, t1b.size)
-            chunk = (t1b[b], t2b[b], t3b[b], Fg[f0 + f], prof[best])
-            pool = tuple(np.concatenate(pair) for pair in zip(pool, chunk))
-            keep = _best_k(pool[-1], k)
-            pool = tuple(a[keep] for a in pool)
-    return pool
-
-
-def _best_k(prof, k: int):
-    """Indices of the k best finite profits, every tie at the k-th one kept."""
+    i, j, l = np.nonzero(Tg[None, None, :] - t1g[:, None, None]
+                         - t3g[None, :, None] >= -1e-12)
+    pi, pj = np.nonzero(t1g[:, None] + t3g[None, :] <= cap + 1e-12)
+    # The distinct cycle lengths: the T axis, then one per plane point.
+    lengths = np.concatenate([Tg, t1g[pi] + t3g[pj]])
+    fees = np.array([fee_of(T) for T in lengths.tolist()], dtype=float)
+    c1 = np.array([fm.members(fee) for fee in fees.tolist()]) * fm.delta
+    which = np.concatenate([l, Tg.size + np.arange(pi.size)])
+    t1 = np.concatenate([t1g[i], t1g[pi]])
+    t3 = np.concatenate([t3g[j], t3g[pj]])
+    t2 = np.maximum(lengths[which] - t1 - t3, 0.0)
+    T = t1 + t2 + t3
+    response = (signal_value(problem.signal_spec, t2, t3, T, p.tau)
+                ** problem.resp.c2)
+    F = fees[which]
+    prof = cycle_profit(p, c1[which] * response, F / (fm.delta * p.M),
+                        t1, t3, T)
     keep = np.isfinite(prof)
-    if np.count_nonzero(keep) > k:
-        keep &= prof >= -np.partition(-prof[keep], k - 1)[k - 1]
-    return np.flatnonzero(keep)
+    return t1[keep], t2[keep], t3[keep], F[keep], prof[keep]
 
 
 def _select_seeds(t1f, t2f, t3f, Ff, prof, search: SearchSpec,
-                  cap: float, tau: float, fee_span: float):
+                  cap: float, tau: float):
     """Best candidates, skipping near-duplicates of already accepted seeds.
 
-    Separation below one grid cell in every coordinate counts as a
-    duplicate; this keeps the polish seeds spread over distinct basins.
-    Fully deterministic: candidates are visited in (profit, F, T, t1)
-    order.
+    Separation below one grid cell in every phase counts as a duplicate;
+    this keeps the polish seeds spread over distinct basins.  Fully
+    deterministic: candidates are visited in (profit, F, T, t1) order.
+    Only the points at or above the k-th best profit (ties kept), k a
+    few per seed, are sorted first: they are exactly the head of that
+    order.  The rest is sorted and scanned only if they run short.
     """
     Tf = t1f + t2f + t3f
-    order = np.lexsort((t1f, Tf, Ff, -prof))
     dt = cap / (search.n_time - 1)
     d3 = tau / (search.n_time - 1)
-    df = fee_span / max(search.n_fee - 1, 1)
-    seeds: list[tuple[float, float, float, float]] = []
-    for idx in order:
-        cand = (float(t1f[idx]), float(t2f[idx]), float(t3f[idx]), float(Ff[idx]))
-        dup = any(abs(cand[0] - s[0]) < dt and abs(cand[1] - s[1]) < dt
-                  and abs(cand[2] - s[2]) < d3
-                  and abs(cand[3] - s[3]) < df + 1e-12
-                  for s in seeds)
-        if not dup:
-            seeds.append(cand)
-        if len(seeds) >= search.top_n:
-            break
+    k = min(_HEAD_PER_SEED * search.top_n, prof.size)
+    head = prof >= -np.partition(-prof, k - 1)[k - 1]
+    seeds: list[tuple[float, float, float]] = []
+    for part in (head, ~head):
+        idx = np.flatnonzero(part)
+        for i in idx[np.lexsort((t1f[idx], Tf[idx], Ff[idx], -prof[idx]))]:
+            cand = (float(t1f[i]), float(t2f[i]), float(t3f[i]))
+            if not any(abs(cand[0] - s[0]) < dt and abs(cand[1] - s[1]) < dt
+                       and abs(cand[2] - s[2]) < d3 for s in seeds):
+                seeds.append(cand)
+                if len(seeds) >= search.top_n:
+                    return seeds
     return seeds
 
 
 def _seeds(problem: EquilibriumProblem, search: SearchSpec):
-    """Polish seeds: those a full sort of the whole grid would select.
-
-    The pool is a prefix of the grid's (profit, F, T, t1) order, so seeds
-    picked from it are the full sort's as long as it holds enough of them;
-    when it runs short while grid points outside it remain, the search is
-    redone with a pool twice the size.
-    """
-    p = problem.params
-    cap = search_cap(problem)
-    k = _POOL_PER_SEED * search.top_n
-    while True:
-        # Extreme markets overflow on parts of the grid; _best_k drops
-        # the non-finite profits that result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            t1f, t2f, t3f, Ff, prof = _candidate_grid(problem, search, k)
-        if prof.size == 0:
-            raise InfeasibleProblem("no feasible cycle in the search box")
-        seeds = _select_seeds(t1f, t2f, t3f, Ff, prof, search, cap, p.tau,
-                              max(p.f_max - p.f_min, 1.0))
-        # A pool of fewer than k points already holds every finite one.
-        if len(seeds) >= search.top_n or prof.size < k:
-            return seeds
-        k *= 2
+    """Polish seeds (t1, t2, t3) from the whole profiled grid."""
+    # Extreme markets overflow on parts of the grid; the grid drops the
+    # non-finite profits that result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _candidate_grid(problem, search)
+    if grid[-1].size == 0:
+        raise InfeasibleProblem("no feasible cycle in the search box")
+    return _select_seeds(*grid, search, search_cap(problem),
+                         problem.params.tau)
 
 
 def _better(a: tuple[float, ...], b: tuple[float, ...] | None) -> bool:
@@ -291,65 +307,58 @@ def _better(a: tuple[float, ...], b: tuple[float, ...] | None) -> bool:
     return (a[1], a[2], a[3]) < (b[1], b[2], b[3])
 
 
-def _snap(value: float, *bounds: float) -> float:
-    for bound in bounds:
-        if abs(value - bound) < _SNAP:
-            return bound
-    return value
+def _snap(value: float, bound: float) -> float:
+    return bound if abs(value - bound) < _SNAP else value
 
 
 def solve_equilibrium(problem: EquilibriumProblem,
                       search: SearchSpec = SearchSpec()) -> EquilibriumSolution:
     """Best stationary (policy, fee) pair; deterministic for a fixed search.
 
-    Grid seeds are polished with Nelder-Mead on (t1, t2, t3, F) inside the
-    box; the best polished point wins, with ties (within 1e-6 in profit)
-    resolved toward the smaller fee, then the shorter cycle.  Degenerate
-    optima with lambda_p = 0 (premium service priced out at F = f_max) are
-    legitimate outputs.
+    Grid seeds are polished with Nelder-Mead on (t1, t2, t3) inside the
+    box, the fee at F*(T); the best polished point wins, with ties (within
+    1e-6 in profit) resolved toward the smaller fee, then the shorter
+    cycle.  Degenerate optima with lambda_p = 0 (premium service priced
+    out at F = f_max) are legitimate outputs.
     """
     p = problem.params
     cap = search_cap(problem)
     seeds = _seeds(problem, search)
 
-    # A pinned fee is held fixed, so the polish searches the phases only.
-    dims = 3 if p.f_max <= p.f_min else 4
     best_key: tuple[float, float, float, float] | None = None
-    best_x: tuple[float, float, float, float] | None = None
+    best_x: tuple[float, float, float] | None = None
 
     neg_profit = _objective(problem)
+    fee_of = best_fee(problem)
 
-    def consider(x: tuple[float, float, float, float]) -> None:
+    def consider(x: tuple[float, float, float]) -> None:
         nonlocal best_key, best_x
-        t1, t2, t3, fee = x
-        if t3 <= 0:
-            return
-        pi = -neg_profit(t1, t2, t3, fee)
+        t1, t2, t3 = x
+        pi = -neg_profit(t1, t2, t3)
         if not math.isfinite(pi):
             return
-        key = (pi, fee, t1 + t2 + t3, t1)
+        T = t1 + t2 + t3
+        key = (pi, fee_of(T), T, t1)
         if _better(key, best_key):
             best_key, best_x = key, x
 
-    bounds = [(0.0, cap), (0.0, cap), (0.0, p.tau), (p.f_min, p.f_max)]
-    options = dict(xatol=1e-9, fatol=search.polish_tol,
-                   maxfev=search.max_polish_evals)
+    bounds = [(0.0, cap), (0.0, cap), (0.0, p.tau)]
     for seed in seeds:
-        res = minimize(neg_profit, seed[:dims], bounds[:dims], seed[dims:],
-                       **options)
-        raw = (*res.x, *seed[dims:])
+        raw = minimize(neg_profit, seed, bounds, xatol=1e-9,
+                       fatol=search.polish_tol,
+                       maxfev=search.max_polish_evals).x
         consider(raw)
-        snapped = (_snap(raw[0], 0.0), _snap(raw[1], 0.0),
-                   _snap(raw[2], p.tau), _snap(raw[3], p.f_min, p.f_max))
+        snapped = (_snap(raw[0], 0.0), _snap(raw[1], 0.0), _snap(raw[2], p.tau))
         if snapped != raw:
             consider(snapped)
 
     if best_x is None:
         raise InfeasibleProblem("polish produced no feasible point")
 
-    # Integer bounds reach best_x through the clip and the snap; the
+    # Integer bounds reach the winner through the clip and the snap; the
     # solution holds floats whatever the types of the market's fields.
-    t1, t2, t3, fee = map(float, best_x)
+    t1, t2, t3 = map(float, best_x)
+    fee = float(best_key[1])
     policy = ShipmentPolicy(t1, t2, t3)
     theta = signal(problem.signal_spec, policy, p.tau)
     lam = respond(problem.resp, problem.fee_model, fee, theta)
@@ -392,8 +401,8 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
 
     (BOUNDARY regime: F pinned at a fee bound; exactly one positive root).
     With the fee interior and a linear fee family, fee stationarity
-    additionally gives F*(t3) = (a - b delta M r)/(2b) + delta M h t3/4,
-    and substituting it yields the quartic
+    additionally gives F*(t3) = (a - b delta M r)/(2b) + delta M h t3/4
+    (:func:`best_fee` at T = t3), and substituting it yields the quartic
 
         3 u^4 - 8 G u^3 + 4 G^2 u^2 + C = 0,
         u = b delta M h t3,  G = a + b delta M r,
@@ -446,6 +455,7 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
         return d_t3t3 * d_ff - d_t3f * d_t3f > 0
 
     neg_profit = _objective(problem)
+    fee_of = best_fee(problem)
     candidates = []
     for z in roots:
         if abs(z.imag) > 1e-7 * max(1.0, abs(z)):
@@ -453,26 +463,16 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
         t3 = float(z.real) / scale
         if not (0.0 < t3 < p.tau):
             continue
-        fee_star = interior_fee_for_t3(problem, t3)
+        fee_star = fee_of(t3)
         if not (p.f_min < fee_star < p.f_max):
             continue
         if not is_local_max(t3, fee_star):
             continue
-        candidates.append((-neg_profit(0.0, 0.0, t3, fee_star), t3))
+        candidates.append((-neg_profit(0.0, 0.0, t3), t3))
     if not candidates:
         raise RegimeViolation(
             "no admissible interior-fee maximum; a boundary regime applies")
     return max(candidates)[1]
-
-
-def interior_fee_for_t3(problem: EquilibriumProblem, t3: float) -> float:
-    """Fee stationarity partner of the interior-fee closed form."""
-    fm = problem.fee_model
-    if fm.family is not FeeFamily.LINEAR:
-        raise UnsupportedSignal("interior-fee closed form requires the linear family")
-    p = problem.params
-    return ((fm.a - fm.b * fm.delta * p.M * p.r) / (2.0 * fm.b)
-            + fm.delta * p.M * p.h * t3 / 4.0)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ the way ``np.clip`` clips them, the same acceptance and convergence tests
 and the same evaluation and iteration accounting.  Its ``x``, ``fun``,
 ``nfev``, ``nit`` and ``status`` therefore have the same bits as SciPy's,
 while an iteration costs a few list operations instead of some twenty
-NumPy calls on tiny arrays.  The equilibrium polish runs in four (or
-three) dimensions, where that per-call overhead was nearly all of its
-cost.
+NumPy calls on tiny arrays.  The equilibrium polish runs in three
+dimensions, where that per-call overhead was nearly all of its cost.
 """
 
 from __future__ import annotations

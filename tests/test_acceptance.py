@@ -220,13 +220,13 @@ def test_criterion_8_cyclic_beats_stationary():
 REPRODUCE_SHA256 = {
     "T3.csv": "7013fc1a9c668f71a659466955615d4d796054e1edb400a9a6b8ce37cac5b38e",
     "T3_manifest.json":
-        "bf98ee1efd3fd432f989c7d88287a8d43bf715fe36ddb6310d5d50641f86bee7",
+        "b24551b3395b374844446b604d0449867f996de1e7ce764e035856a27d2063b4",
     "T7.csv": "b2e9c70bc62ed429e6bf619648e264cc6a302c7957a7edc2401fbe1de40d5fbf",
     "T7_manifest.json":
-        "5aa46177978410dc8927c7d6fa777cf0b311cdb2f28df7d95d858cf1649c239f",
+        "2db5f97e0c001d31605f7a698962ba79582b2c0d64fd8dc54f26aecb54b0e9d7",
     "T8.csv": "e7f901ce76677052c17d5d93a2be4dec2b0f6f757e3ece6df0f54b8672f6bb0b",
     "T8_manifest.json":
-        "3f838fc4fcefbd5be6f215138085583914187c70d9b7201adaa0a0e5f8e7050c",
+        "bb1d9cce58ac037b1e6620a2f2abeda802327a7c3bff8dd15200dafe84ffa60e",
 }
 
 

@@ -118,7 +118,22 @@ class TestSolveM2:
         # The grid's profits overflow and are dropped on the way to exit
         # 3; no NumPy RuntimeWarning is emitted, so none prints to stderr.
         cfg = write_config(tmp_path, market={"r": 1e306},
-                           search={"n_time": 6, "n_fee": 3, "top_n": 2})
+                           search={"n_time": 6, "top_n": 2})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
+        assert code == 3 and out == ""
+        assert "polish produced no feasible point" in err
+        assert not [w for w in caught if issubclass(w.category,
+                                                     RuntimeWarning)]
+
+    def test_overflowing_logarithmic_fee_exits_3(self, tmp_path, capsys):
+        # delta M (r - hT/2) + b overflows to inf: the logarithmic fee's
+        # Newton root is unbounded, so F*(T) is f_min, never NaN, and the
+        # overflowing profits end in exit 3.
+        cfg = write_config(tmp_path, market={"r": 1e306, "M": 1e6},
+                           fee_model={"family": "logarithmic", "a": 20,
+                                      "b": 101})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
@@ -312,11 +327,12 @@ class TestConfig:
         assert "market.f_max" in err
 
     def test_oversized_search_grid_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, search={"n_time": 400})
-        code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
-        assert code == 2
-        assert out == ""
-        assert "search" in err and "budget" in err
+        for n_time in (129, 400):
+            cfg = write_config(tmp_path, search={"n_time": n_time})
+            code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("config error: search: ") and "budget" in err
 
     def test_bad_schema_version(self):
         with pytest.raises(ConfigError):
@@ -485,12 +501,11 @@ _NONNEGATIVE = st.one_of(
     st.floats(0, 1e4))
 #: Search sections small enough that a solve takes milliseconds.
 _SEARCHES = st.fixed_dictionaries({
-    "n_time": st.integers(2, 6), "n_fee": st.integers(1, 3),
-    "top_n": st.integers(1, 3)}, optional={"polish_tol": _NONNEGATIVE})
+    "n_time": st.integers(2, 6), "top_n": st.integers(1, 3)},
+    optional={"polish_tol": _NONNEGATIVE})
 #: Search sections small enough that a whole table takes about 80 ms.
 _TABLE_SEARCHES = st.fixed_dictionaries({
-    "n_time": st.integers(2, 4), "n_fee": st.integers(1, 3),
-    "top_n": st.integers(1, 3)})
+    "n_time": st.integers(2, 4), "top_n": st.integers(1, 3)})
 #: Documents that mostly parse, so that most draws reach the solver.
 _SOLVABLE = st.fixed_dictionaries({
     "market": st.dictionaries(st.sampled_from(_MARKET_KEYS), _NONNEGATIVE,

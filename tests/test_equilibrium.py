@@ -11,7 +11,7 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     FeeRegime, MarketParams, RecoveryClass, RegimeViolation,
                     SignalKind, SignalSpec,
                     EquilibriumProblem, UnsupportedSignal, check_structure,
-                    closed_form_t3, equilibrium_residual, interior_fee_for_t3,
+                    best_fee, closed_form_t3, equilibrium_residual,
                     profit_rate_with_fees, recoverability, respond, signal,
                     solve_equilibrium)
 from womops import dynamics, equilibrium
@@ -79,7 +79,7 @@ class TestSolve:
                               f_min=10, f_max=100)
         sol = solve_equilibrium(
             EquilibriumProblem(params, LIN, CustomerResponse(1), MDT),
-            SearchSpec(n_time=12, n_fee=6, top_n=3))
+            SearchSpec(n_time=12, top_n=3))
         assert (sol.policy.t3, sol.fee) == (2.0, 10.0)
         assert type(sol.policy.t3) is float and type(sol.fee) is float
 
@@ -122,6 +122,20 @@ class TestSolve:
                                                          abs=1e-6)
         assert check_structure(prob, sol).ok
 
+    def test_losing_premium_market_drives_t3_toward_zero(self):
+        # Members grow with the fee (a = 0, b < 0), but at long cycles a
+        # premium order loses money, and there is no regular demand: the
+        # best cycle is as long as the search allows, with t3 -> 0 and the
+        # profit tending to -K/cap.  A polish that runs into t3 = 0 has to
+        # turn back into the box, not end there and be dropped.
+        prob = problem(6.73, 1, K=3155.0, r=14.0, M=300.0, f_max=30.0,
+                       lambda_r=0.0, fee_model=FeeModel(FeeFamily.LINEAR, 0,
+                                                        -0.5, 5))
+        sol = solve_equilibrium(prob)
+        assert 0.0 < sol.policy.t3 < 1e-6
+        assert sol.profit == pytest.approx(-prob.params.K / search_cap(prob),
+                                           rel=1e-6)
+
     def test_insensitive_customers_capture_whole_market(self):
         sol = solve_equilibrium(problem(2.0, 0))
         assert sol.lambda_p == pytest.approx(450.0, abs=1e-6)
@@ -156,8 +170,60 @@ class TestSolve:
             lam = respond(prob.resp, LIN, fee, theta)
             want = profit_rate_with_fees(prob.params, LIN, pol, fee, lam)
             assert pol_profit == pytest.approx(want, rel=1e-12, abs=1e-9)
-            assert -_objective(prob)(t1, t2, t3, fee) == \
+            # The objective takes the fee at F*(T).
+            fee = best_fee(prob)(t1 + t2 + t3)
+            lam = respond(prob.resp, LIN, fee, theta)
+            want = profit_rate_with_fees(prob.params, LIN, pol, fee, lam)
+            assert -_objective(prob)(t1, t2, t3) == \
                 pytest.approx(want, rel=1e-12, abs=1e-9)
+
+
+def fee_values(prob, fees, T):
+    """N(F) (r - hT/2 + F/(delta M)): the fee-dependent profit factor."""
+    p, fm = prob.params, prob.fee_model
+    if fm.family is FeeFamily.LINEAR:
+        members = np.maximum(fm.a - fm.b * fees, 0.0)
+    else:
+        members = fm.a * np.log(np.maximum(fm.b - fees, 1.0))
+    return members * (p.r - p.h * T / 2.0 + fees / (fm.delta * p.M))
+
+
+class TestBestFee:
+    """F*(T) against a dense scan of the fee box."""
+
+    FAMILIES = [FeeModel(FeeFamily.LINEAR, 100, 1, 5),
+                FeeModel(FeeFamily.LINEAR, 300, 2, 5),
+                FeeModel(FeeFamily.LINEAR, 100, 0, 5),
+                FeeModel(FeeFamily.LINEAR, 0, 0, 5),
+                FeeModel(FeeFamily.LINEAR, 0, -0.5, 5),
+                FeeModel(FeeFamily.LINEAR, 50, -0.5, 5),
+                FeeModel(FeeFamily.LOGARITHMIC, 20, 101, 5),
+                FeeModel(FeeFamily.LOGARITHMIC, 0, 101, 5)]
+
+    @pytest.mark.parametrize("fee_model", FAMILIES,
+                             ids=lambda fm: f"{fm.family.value}-{fm.a}-{fm.b}")
+    @pytest.mark.parametrize("f_min, f_max", [(10.0, 100.0), (40.0, 40.0)])
+    def test_beats_a_dense_scan(self, fee_model, f_min, f_max):
+        # tau = 2 puts the search cap at 6, past T = 4.33 where the
+        # logarithmic family's A = delta M (r - hT/2) + b falls to 1.
+        prob = problem(2.0, 1, fee_model=fee_model, f_min=f_min, f_max=f_max)
+        fee_of = best_fee(prob)
+        fees = np.linspace(f_min, f_max, 10 ** 5)
+        for T in np.linspace(1e-3, search_cap(prob), 41).tolist():
+            fee = fee_of(T)
+            assert f_min <= fee <= f_max
+            scan = fee_values(prob, fees, T)
+            best = float(fee_values(prob, np.array([fee]), T)[0])
+            scale = max(1.0, float(np.max(np.abs(scan))))
+            assert best >= float(np.max(scan)) - 1e-9 * scale, T
+            if np.all(scan == scan[0]):
+                assert fee == f_min
+
+    @pytest.mark.parametrize("r, M", [(1e300, 30.0), (1e306, 1e6)])
+    def test_huge_logarithmic_root_is_f_min(self, r, M):
+        # A = 1.5e302 runs the Newton iteration on a huge root; A = 5e312
+        # overflows to inf.  Either way F* is f_min, never NaN.
+        assert best_fee(problem(2.0, 1, r=r, M=M, fee_model=LOG))(1.0) == 10.0
 
 
 class TestClosedForms:
@@ -186,7 +252,7 @@ class TestClosedForms:
         # M = 3 moves the joint stationary point inside the fee box.
         prob = problem(5.0, 1, M=3.0)
         t3 = closed_form_t3(prob, FeeRegime.INTERIOR)
-        fee = interior_fee_for_t3(prob, t3)
+        fee = best_fee(prob)(t3)
         assert t3 == pytest.approx(3.41655, abs=1e-4)
         assert fee == pytest.approx(41.2482, abs=1e-3)
         sol = solve_equilibrium(prob)
@@ -358,42 +424,42 @@ class TestLinearFamilyScaling:
 
 
 def reference_grid(prob, search):
-    """The whole candidate grid, flattened fee by fee, with its profits."""
+    """The whole profiled grid, flattened, with its profits.
+
+    Each point takes the fee F*(T) of its grid cycle length T.
+    """
     p = prob.params
     cap = search_cap(prob)
     t1g = np.linspace(0.0, cap, search.n_time)
     t3g = np.linspace(0.0, p.tau, search.n_time)[1:]
     Tg = np.linspace(0.0, cap, search.n_time)[1:]
-    Fg = (np.linspace(p.f_min, p.f_max, search.n_fee) if p.f_max > p.f_min
-          else np.array([p.f_min]))
     A, B, C = np.meshgrid(t1g, t3g, Tg, indexing="ij")
     box = C - A - B >= -1e-12
     P1, P3 = np.meshgrid(t1g, t3g, indexing="ij")
     plane = P1 + P3 <= cap + 1e-12
-    t1 = np.tile(np.concatenate([A[box], P1[plane]]), Fg.size)
-    t3 = np.tile(np.concatenate([B[box], P3[plane]]), Fg.size)
-    T = np.tile(np.concatenate([C[box], (P1 + P3)[plane]]), Fg.size)
+    t1 = np.concatenate([A[box], P1[plane]])
+    t3 = np.concatenate([B[box], P3[plane]])
+    T = np.concatenate([C[box], (P1 + P3)[plane]])
     t2 = np.maximum(T - t1 - t3, 0.0)
-    F = np.repeat(Fg, t1.size // Fg.size)
+    fee_of = best_fee(prob)
+    F = np.array([fee_of(length) for length in T.tolist()], dtype=float)
     return t1, t2, t3, F, substituted_profit(prob, t1, t2, t3, F)
 
 
 def reference_seeds(prob, search):
-    """Seeds of a full (profit, F, T, t1) lexsort over the flattened grid."""
+    """Seeds of a full (profit, F, T, t1) lexsort over the finite grid."""
     p = prob.params
     cap = search_cap(prob)
     t1, t2, t3, F, prof = reference_grid(prob, search)
+    finite = np.isfinite(prof)
+    t1, t2, t3, F, prof = (a[finite] for a in (t1, t2, t3, F, prof))
     dt = cap / (search.n_time - 1)
     d3 = p.tau / (search.n_time - 1)
-    df = max(p.f_max - p.f_min, 1.0) / max(search.n_fee - 1, 1)
     seeds = []
     for idx in np.lexsort((t1, t1 + t2 + t3, F, -prof)):
-        if not math.isfinite(prof[idx]):
-            break
-        cand = (float(t1[idx]), float(t2[idx]), float(t3[idx]), float(F[idx]))
+        cand = (float(t1[idx]), float(t2[idx]), float(t3[idx]))
         if not any(abs(cand[0] - s[0]) < dt and abs(cand[1] - s[1]) < dt
-                   and abs(cand[2] - s[2]) < d3
-                   and abs(cand[3] - s[3]) < df + 1e-12 for s in seeds):
+                   and abs(cand[2] - s[2]) < d3 for s in seeds):
             seeds.append(cand)
             if len(seeds) >= search.top_n:
                 break
@@ -401,21 +467,7 @@ def reference_seeds(prob, search):
 
 
 class TestStreamedSeedSelection:
-    """The pooled search picks exactly the seeds of a full sort."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """(k, pool size) of every candidate search the test makes."""
-        seen = []
-        grid = equilibrium._candidate_grid
-
-        def spy(prob, search, k):
-            out = grid(prob, search, k)
-            seen.append((k, out[-1].size))
-            return out
-
-        monkeypatch.setattr(equilibrium, "_candidate_grid", spy)
-        return seen
+    """Sorting the head of the grid picks exactly the seeds of a full sort."""
 
     @pytest.mark.parametrize("table, row", [("T3", 5), ("T4", 0), ("T5", 9),
                                             ("T6", 3)])
@@ -425,17 +477,12 @@ class TestStreamedSeedSelection:
         prob = build_problem(config, setup, *setup.rows[row])
         assert _seeds(prob, config.search) == \
             reference_seeds(prob, config.search)
-        # A pool as large as the grid holds every finite point, evaluated
-        # in chunks to the same bits as over the flattened grid.
+        # The grid holds every finite point, in grid order, to the same
+        # bits as the flattened reference.
         grid = reference_grid(prob, config.search)
-        pool = equilibrium._candidate_grid(prob, config.search,
-                                           grid[-1].size)
-        finite = np.isfinite(grid[-1])
-        want = np.stack(grid)[:, finite]
-        got = np.stack(pool)
-        assert got.shape == want.shape
-        assert (got[:, np.lexsort(got[:4])].tobytes()
-                == want[:, np.lexsort(want[:4])].tobytes())
+        want = np.stack(grid)[:, np.isfinite(grid[-1])]
+        got = np.stack(equilibrium._candidate_grid(prob, config.search))
+        assert got.tobytes() == want.tobytes()
 
     def test_seeded_random_problems(self):
         rng = np.random.default_rng(11)
@@ -450,7 +497,6 @@ class TestStreamedSeedSelection:
                            fee_model=(LIN, LOG)[rng.integers(2)],
                            spec=specs[rng.integers(3)])
             search = SearchSpec(n_time=int(rng.integers(3, 14)),
-                                n_fee=int(rng.integers(1, 9)),
                                 top_n=int(rng.integers(1, 12)))
             assert _seeds(prob, search) == reference_seeds(prob, search)
 
@@ -459,46 +505,47 @@ class TestStreamedSeedSelection:
         search = SearchSpec(n_time=20)
         assert _seeds(prob, search) == reference_seeds(prob, search)
 
-    def test_short_pool_is_doubled(self, pools, monkeypatch):
-        # Eight candidates per seed never ran short on small grids, so the
-        # pool here holds one per seed; top_n=1000 asks for more seeds than
-        # the grid's 694 distinct ones, so the pool grows until it holds
-        # every point.  That seed count is over MAX_SEEDS, so the budget is
-        # raised here as well.
-        monkeypatch.setattr(equilibrium, "_POOL_PER_SEED", 1)
-        monkeypatch.setattr(equilibrium, "MAX_SEEDS", 1000)
+    def test_short_head_continues_over_the_rest(self, monkeypatch):
+        # With one point per seed in the head, near-duplicates among the
+        # best points leave it short, so the rest is sorted and scanned.
+        monkeypatch.setattr(equilibrium, "_HEAD_PER_SEED", 1)
         prob = problem(2.0, 1)
-        for top_n, seeds in ((8, 8), (1000, 694)):
-            pools.clear()
-            search = SearchSpec(n_time=10, n_fee=6, top_n=top_n)
-            got = _seeds(prob, search)
-            assert got == reference_seeds(prob, search)
-            assert len(got) == seeds
-            assert len(pools) > 1
-            assert [k for k, _ in pools] == [top_n * 2 ** i
-                                             for i in range(len(pools))]
-        assert pools[-1][1] < pools[-1][0]
+        search = SearchSpec(n_time=10, top_n=8)
+        sorts = []
+        lexsort = np.lexsort
 
-    def test_ties_at_the_pool_edge(self, pools):
+        def spy(keys):
+            sorts.append(len(keys[0]))
+            return lexsort(keys)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(equilibrium.np, "lexsort", spy)
+            got = _seeds(prob, search)
+        assert got == reference_seeds(prob, search)
+        assert len(got) == 8 and len(sorts) == 2
+
+    def test_ties_at_the_head_edge(self):
         # With no regular demand and the fee pinned where the linear
         # family's member count is zero, the profit is -K/T for every
         # (t1, t3): the best points all tie, at and beyond the k-th.
         prob = problem(3.0, 1, f_min=100.0, f_max=100.0, lambda_r=0.0)
         search = SearchSpec(n_time=12, top_n=3)
         assert _seeds(prob, search) == reference_seeds(prob, search)
-        assert pools[0][1] > pools[0][0]
+        prof = reference_grid(prob, search)[-1]
+        assert (np.count_nonzero(prof == prof.max())
+                > equilibrium._HEAD_PER_SEED * search.top_n)
 
 
 class TestSearchBudget:
     def test_default_and_finer_grids_fit(self):
         SearchSpec()
-        SearchSpec(n_time=80)
+        SearchSpec(n_time=128)
+        assert 128 ** 2 * 127 <= MAX_GRID_POINTS
 
     def test_oversized_grid_rejected_before_allocation(self):
-        with pytest.raises(InvalidParams, match="budget"):
-            SearchSpec(n_time=400)
-        with pytest.raises(InvalidParams):
-            SearchSpec(n_time=40, n_fee=MAX_GRID_POINTS)
+        for n_time in (129, 400):
+            with pytest.raises(InvalidParams, match="budget"):
+                SearchSpec(n_time=n_time)
 
     def test_seed_count_capped(self):
         SearchSpec(top_n=MAX_SEEDS)

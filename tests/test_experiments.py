@@ -43,13 +43,13 @@ def t6_rows(config):
 TABLE_SHA256 = {
     "T4.csv": "4d5ee39567863b09974ab8620d1d5007e61cc4d86184b5cae9e74942b13d1438",
     "T4_manifest.json":
-        "14e52eb990d78eefa688aba86e9f76184ed888719bdf355e5bc7f8a760d3d9bf",
+        "5df2b0be41d8d6bda4982db5981a0f3fc45f6133ac05ec4bf3e2eea84f226c0b",
     "T5.csv": "9f5c72eb64ffb64b1f371c23030697e0bb7c4eb0ba929eeea873c233245d4ac2",
     "T5_manifest.json":
-        "1d8f3708ba59fdafaa83627cf98d172957db812fa5a82f66597a01df40b13e9e",
+        "81d92f4e1f45ec5676d1fb11eeb83d309a5fb0e643b5a45d3270d37f5ffe1f5f",
     "T6.csv": "2becab320713913e84bf3b64492f34870d18070030f526cf6f5c7b4de74291f7",
     "T6_manifest.json":
-        "3c208a9a956c54a6760c07e0de99426ee094017b57de983873d7afab594ef381",
+        "52b06073034d3724cb2f438cc019265813f1f5d0fd8d2e3d478a4b3005b2242f",
 }
 
 

@@ -116,12 +116,12 @@ class TestPaths:
         calls = record_polishes(monkeypatch)
         solve_equilibrium(problem(5.0, 1, f_min=40.0, f_max=40.0),
                           SearchSpec(n_time=20))
-        assert {(len(c[1]), c[3]) for c in calls} == {(3, (40.0,))}
+        assert {(len(c[1]), c[3]) for c in calls} == {(3, ())}
         assert_polishes_match_scipy(calls)
 
     def test_tied_values_are_ordered_by_numpy(self, monkeypatch):
-        # Priced out at F = f_max, the profit does not depend on the fee,
-        # so vertices that differ only in F tie.
+        # Priced out at F = f_max, the optimum sits on the t2 = 0 and
+        # t3 = tau bounds, where distinct vertices reach equal profits.
         argsorts = []
         argsort = np.argsort
 
@@ -134,22 +134,22 @@ class TestPaths:
             mp.setattr(neldermead.np, "argsort", spy)
             sol = solve_equilibrium(problem(5.0, 3))
         assert (sol.fee, sol.lambda_p) == (100.0, 0.0)
-        assert argsorts.count(5) > 100
+        assert argsorts.count(4) > 100
         assert_polishes_match_scipy(calls)
 
     def test_max_polish_evals_is_the_budget(self, monkeypatch):
         calls = record_polishes(monkeypatch)
         solve_equilibrium(problem(2.0, 1), SearchSpec(
-            n_time=12, n_fee=6, top_n=2, max_polish_evals=6))
+            n_time=12, top_n=2, max_polish_evals=6))
         assert {(c[4]["maxfev"], c[5].status) for c in calls} == {(6, 1)}
         assert_polishes_match_scipy(calls)
 
     @pytest.mark.parametrize("pinned", [False, True])
     def test_every_cut_of_the_evaluation_budget(self, pinned):
         # One polish cut after each of its evaluations: mid-reflection,
-        # mid-expansion, mid-contraction and mid-shrink.  The 4-D one is
-        # a T3 polish (216 evaluations, five shrinks); the 3-D one has
-        # the fee pinned and passed as an argument.
+        # mid-expansion, mid-contraction and mid-shrink.  One is a T3
+        # polish (191 evaluations, four shrinks), the other has the fee
+        # pinned (160 evaluations, four shrinks).
         if pinned:
             prob = problem(5.0, 1, f_min=40.0, f_max=40.0)
             search = SearchSpec(n_time=20)
@@ -159,34 +159,29 @@ class TestPaths:
             prob = build_problem(config, setup, *setup.rows[0])
             search = config.search
         cap = search_cap(prob)
-        p = prob.params
-        bounds = [(0.0, cap), (0.0, cap), (0.0, p.tau), (p.f_min, p.f_max)]
+        bounds = [(0.0, cap), (0.0, cap), (0.0, prob.params.tau)]
         fun = _objective(prob)
         x0 = _seeds(prob, search)[0]
-        args = ()
-        if pinned:
-            x0, bounds, args = x0[:3], bounds[:3], (p.f_min,)
-        full = neldermead.minimize(fun, x0, bounds, args, xatol=1e-9,
-                                   fatol=1e-8, maxfev=4000)
+        full = neldermead.minimize(fun, x0, bounds, xatol=1e-9, fatol=1e-8,
+                                   maxfev=4000)
         assert full.status == 0
         assert any(c != b for c, b in zip(full.x, x0))
         for maxfev in range(1, full.nfev + 1):
             options = dict(xatol=1e-9, fatol=1e-8, maxfev=maxfev)
-            assert_same_steps(
-                neldermead.minimize(fun, x0, bounds, args, **options),
-                scipy_polish(fun, x0, bounds, args, **options))
+            assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
+                              scipy_polish(fun, x0, bounds, **options))
 
     @pytest.mark.parametrize("maxfev", [1, 4000])
     @pytest.mark.parametrize("x0", [
-        (0.0, 0.0, 2.0, 100.0),     # t3 and F on their upper bounds
-        (0.0, -0.0, 1.0, 10.0),     # -0.0 clips to the 0.0 lower bound
-        (0.5, 0.3, 1.99, 99.9),     # 1.05 x steps past the upper bounds
-        (7.0, -1.0, 3.0, 5.0),      # outside the box in every coordinate
+        (0.0, 0.0, 2.0),            # t3 on its upper bound
+        (0.0, -0.0, 1.0),           # -0.0 clips to the 0.0 lower bound
+        (0.5, 0.3, 1.99),           # a 1.05 x step past the upper bound
+        (7.0, -1.0, 3.0),           # outside the box in every coordinate
     ])
     def test_seeds_on_and_beyond_the_bounds(self, x0, maxfev):
         prob = problem(2.0, 1)
         cap = search_cap(prob)
-        bounds = [(0.0, cap), (0.0, cap), (0.0, 2.0), (10.0, 100.0)]
+        bounds = [(0.0, cap), (0.0, cap), (0.0, 2.0)]
         fun = _objective(prob)
         options = dict(xatol=1e-9, fatol=1e-8, maxfev=maxfev)
         assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
@@ -226,9 +221,9 @@ class TestPaths:
         spec = SignalSpec(SignalKind.WEIGHTED, ((SignalKind.MDT, 0.5000000005),
                                                 (SignalKind.NPS, 0.5)))
         prob = problem(2.0, 1e13, spec=spec)
-        assert _objective(prob)(0.0, 0.0, 2.0, 10.0) == -1230.0
+        assert _objective(prob)(0.0, 0.0, 2.0) == -1230.0
         calls = record_polishes(monkeypatch)
-        sol = solve_equilibrium(prob, SearchSpec(n_time=12, n_fee=6, top_n=3))
+        sol = solve_equilibrium(prob, SearchSpec(n_time=12, top_n=3))
         assert (sol.policy.t1, sol.policy.t2, sol.policy.t3, sol.fee) == \
             (0.0, 0.0, 2.0, 10.0)
         assert sol.profit == pytest.approx(1230.0, rel=1e-12)
@@ -246,8 +241,7 @@ class TestPaths:
                         K=float(rng.uniform(500.0, 4000.0)),
                         r=float(rng.uniform(4.0, 48.0)),
                         fee_model=fee_model, spec=spec)
-                    solve_equilibrium(prob, SearchSpec(n_time=12, n_fee=6,
-                                                       top_n=3))
+                    solve_equilibrium(prob, SearchSpec(n_time=12, top_n=3))
         assert len(calls) == 36
         assert_polishes_match_scipy(calls)
 
