@@ -40,6 +40,7 @@ _SNAP = 5e-6          # polish results this close to a bound are snapped onto it
 _PROFIT_TIE = 1e-6    # profits closer than this are ties (smaller F, then T wins)
 _HEAD_PER_SEED = 8    # grid points sorted per requested seed before the rest
 _NEWTON_STEPS = 64    # cap on the logarithmic family's Newton iterations
+_MAX_POLISH_EVALS = 4000  # objective evaluations per Nelder-Mead polish
 
 #: Budget on the candidate grid: n_time^2 * (n_time - 1), the points of
 #: the full (t1, t3, T) box plus the t2 = 0 plane, before the T >= t1 + t3
@@ -61,7 +62,6 @@ class SearchSpec:
     n_time: int = 40
     top_n: int = 8
     polish_tol: float = 1e-8
-    max_polish_evals: int = 4000
 
     def __post_init__(self) -> None:
         if self.n_time < 2 or self.top_n < 1:
@@ -251,7 +251,9 @@ def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
     F = fees[which]
     prof = cycle_profit(p, c1[which] * response, F / (fm.delta * p.M),
                         t1, t3, T)
-    keep = np.isfinite(prof)
+    # The objective's box test: a point on the last T value can recompute
+    # T = t1 + t2 + t3 one rounding above the cap.
+    keep = np.isfinite(prof) & (T <= cap)
     return t1[keep], t2[keep], t3[keep], F[keep], prof[keep]
 
 
@@ -346,7 +348,7 @@ def solve_equilibrium(problem: EquilibriumProblem,
     for seed in seeds:
         raw = minimize(neg_profit, seed, bounds, xatol=1e-9,
                        fatol=search.polish_tol,
-                       maxfev=search.max_polish_evals).x
+                       maxfev=_MAX_POLISH_EVALS).x
         consider(raw)
         snapped = (_snap(raw[0], 0.0), _snap(raw[1], 0.0), _snap(raw[2], p.tau))
         if snapped != raw:
@@ -439,6 +441,9 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
     if fm.family is not FeeFamily.LINEAR:
         raise UnsupportedSignal("interior-fee closed form requires the linear family")
     a, b, delta, M, h = fm.a, fm.b, fm.delta, p.M, p.h
+    if b <= 0:
+        raise RegimeViolation(
+            "with b <= 0 the best fee is a bound; a boundary regime applies")
     G = a + b * delta * M * p.r
     C = 16.0 * b ** 3 * delta ** 2 * M ** 3 * h ** 2 * p.K * p.tau
     roots = np.roots([3.0, -8.0 * G, 4.0 * G * G, 0.0, C])

@@ -15,7 +15,6 @@ import enum
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import __version__ as _version
@@ -27,8 +26,8 @@ from .equilibrium import (EquilibriumProblem, SearchSpec, recoverability,
 from .myopic import solve_policy
 from .reference import TABLE_ROWS, TRACES
 
-#: Membership-duration labels; "lifetime" approximates an unbounded horizon.
-MEMBERSHIP_DURATIONS = {"monthly": 30.0, "lifetime": 1e6}
+#: Membership duration M of each label a :class:`TableSetup` may name.
+MEMBERSHIP_DURATIONS = {"monthly": 30.0}
 
 #: The market every benchmark table and trace shares: holding cost h,
 #: regular demand lambda_r, each fee family's (a, b) and the fee bounds.
@@ -120,17 +119,6 @@ def _table_setup(table: TableId) -> TableSetup:
     return TableSetup(sig, family, 5.0, "monthly", rows)
 
 
-def worker_count() -> int:
-    """Bounded worker pool size; WOMOPS_THREADS overrides the default."""
-    env = os.environ.get("WOMOPS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
-
-
 def build_problem(config: ExperimentConfig, setup: TableSetup, tau: float,
                   c2: float, K: float, r: float) -> EquilibriumProblem:
     """One row's problem in the :data:`BENCHMARK_MARKET` (not ``config``)."""
@@ -162,8 +150,7 @@ def run_table(config: ExperimentConfig, table: TableId) -> list[ResultRow]:
             F=sol.fee, lambda_p=sol.lambda_p, profit=sol.profit,
             no_wom_decision=rec.label, branch=sol.branch.value)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(solve_row, setup.rows))
+    return [solve_row(key) for key in setup.rows]
 
 
 #: Trace setups: (tau, c2, fee) under the T3 market with the MDT signal.

@@ -77,9 +77,9 @@ def _order(sim, fsim):
     return [sim[i] for i in idx], f
 
 
-def minimize(fun, x0, bounds, args=(), *, xatol: float, fatol: float,
+def minimize(fun, x0, bounds, *, xatol: float, fatol: float,
              maxfev: int) -> PolishResult:
-    """Minimize ``fun(*x, *args)`` over the box ``bounds`` from ``x0``.
+    """Minimize ``fun(*x)`` over the box ``bounds`` from ``x0``.
 
     ``bounds`` holds one finite ``(low, high)`` pair per coordinate.  The
     search stops when every vertex lies within ``xatol`` of the best one
@@ -98,7 +98,7 @@ def minimize(fun, x0, bounds, args=(), *, xatol: float, fatol: float,
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return fun(*x, *args)
+        return fun(*x)
 
     x0 = _clip(x0, lo, hi)
     sim = [x0]

@@ -220,13 +220,13 @@ def test_criterion_8_cyclic_beats_stationary():
 REPRODUCE_SHA256 = {
     "T3.csv": "7013fc1a9c668f71a659466955615d4d796054e1edb400a9a6b8ce37cac5b38e",
     "T3_manifest.json":
-        "b24551b3395b374844446b604d0449867f996de1e7ce764e035856a27d2063b4",
+        "d478ff66fe94dfeed4e02cc8c678bdf89d803f7b2aab934ec279b186b43b6ac1",
     "T7.csv": "b2e9c70bc62ed429e6bf619648e264cc6a302c7957a7edc2401fbe1de40d5fbf",
     "T7_manifest.json":
-        "2db5f97e0c001d31605f7a698962ba79582b2c0d64fd8dc54f26aecb54b0e9d7",
+        "3cdcebcb1c9040377b1d60f161a48a2b4faff765e1c64aa49ffac0b6abdba5fa",
     "T8.csv": "e7f901ce76677052c17d5d93a2be4dec2b0f6f757e3ece6df0f54b8672f6bb0b",
     "T8_manifest.json":
-        "bb1d9cce58ac037b1e6620a2f2abeda802327a7c3bff8dd15200dafe84ffa60e",
+        "85f59fe5c1e2ce989197d4f5a64b4995d21c882d1a2f70e75fae5597135ab0b7",
 }
 
 

@@ -113,6 +113,18 @@ class TestSolveM2:
         assert doc["fee"] == 10.0
         assert doc["branch"] == "numeric-boundary"
 
+    def test_no_demand_stretches_the_cycle_to_the_cap(self, tmp_path, capsys):
+        # No regular demand and N = 0: the profit -K/T is best at T on the
+        # search cap, 3 tau here, where every grid seed then lies.
+        tau = 6.058552205701222
+        cfg = write_config(tmp_path, market={"lambda_r": 0, "tau": tau},
+                           fee_model={"family": "logarithmic", "a": 0,
+                                      "b": 101})
+        code, out, _ = run_cli(["solve-m2", "-c", cfg], capsys)
+        assert code == 0
+        assert json.loads(out)["profit"] == pytest.approx(-2000.0 / (3 * tau),
+                                                          rel=1e-9)
+
     def test_overflowing_grid_exits_3_without_warnings(self, tmp_path,
                                                        capsys):
         # The grid's profits overflow and are dropped on the way to exit

@@ -264,6 +264,14 @@ class TestClosedForms:
         with pytest.raises(RegimeViolation):
             closed_form_t3(problem(5.0, 1), FeeRegime.INTERIOR)
 
+    @pytest.mark.parametrize("b", [0.0, -0.5])
+    def test_interior_fee_without_a_quadratic_in_the_fee(self, b):
+        # With b <= 0 the best fee is always a bound.
+        fee_model = FeeModel(FeeFamily.LINEAR, 100, b, 5)
+        with pytest.raises(RegimeViolation):
+            closed_form_t3(problem(5.0, 1, fee_model=fee_model),
+                           FeeRegime.INTERIOR)
+
     def test_unsupported_inputs(self):
         with pytest.raises(UnsupportedSignal):
             closed_form_t3(problem(5.0, 1, spec=NPS), FeeRegime.BOUNDARY, fee=10.0)
@@ -426,7 +434,8 @@ class TestLinearFamilyScaling:
 def reference_grid(prob, search):
     """The whole profiled grid, flattened, with its profits.
 
-    Each point takes the fee F*(T) of its grid cycle length T.
+    Each point takes the fee F*(T) of its grid cycle length T.  A point
+    whose t1 + t2 + t3 rounds above the search cap is outside the box.
     """
     p = prob.params
     cap = search_cap(prob)
@@ -441,6 +450,8 @@ def reference_grid(prob, search):
     t3 = np.concatenate([B[box], P3[plane]])
     T = np.concatenate([C[box], (P1 + P3)[plane]])
     t2 = np.maximum(T - t1 - t3, 0.0)
+    inside = t1 + t2 + t3 <= cap
+    t1, t2, t3, T = t1[inside], t2[inside], t3[inside], T[inside]
     fee_of = best_fee(prob)
     F = np.array([fee_of(length) for length in T.tolist()], dtype=float)
     return t1, t2, t3, F, substituted_profit(prob, t1, t2, t3, F)
@@ -534,6 +545,31 @@ class TestStreamedSeedSelection:
         prof = reference_grid(prob, search)[-1]
         assert (np.count_nonzero(prof == prof.max())
                 > equilibrium._HEAD_PER_SEED * search.top_n)
+
+
+#: No demand at all (lambda_r = 0, N = 0): the profit -K/T is best on the
+#: grid's last T value, T = cap.
+NO_DEMAND = problem(6.058552205701222, 1, lambda_r=0.0,
+                    fee_model=FeeModel(FeeFamily.LOGARITHMIC, 0, 101, 5))
+
+TABLE_ROW_PROBLEMS = [
+    pytest.param(build_problem(ExperimentConfig(), setup, *key),
+                 id=f"{table.value}-{i}")
+    for table in TableId for setup in [_table_setup(table)]
+    for i, key in enumerate(setup.rows)]
+
+
+class TestGridInsideTheBox:
+    """Every grid point is a cycle the objective accepts."""
+
+    @pytest.mark.parametrize("prob", [
+        *TABLE_ROW_PROBLEMS, pytest.param(NO_DEMAND, id="no-demand")])
+    def test_grid_points_are_finite_under_the_objective(self, prob):
+        neg_profit = _objective(prob)
+        t1, t2, t3, _, _ = equilibrium._candidate_grid(prob, SearchSpec())
+        assert t1.size
+        values = list(map(neg_profit, t1.tolist(), t2.tolist(), t3.tolist()))
+        assert all(map(math.isfinite, values))
 
 
 class TestSearchBudget:

@@ -40,7 +40,7 @@ def problem(tau, c2, K=2000.0, r=8.0, fee_model=LIN, spec=MDT,
     return EquilibriumProblem(params, fee_model, CustomerResponse(c2), spec)
 
 
-def scipy_polish(fun, x0, bounds, args=(), **options):
+def scipy_polish(fun, x0, bounds, **options):
     """SciPy's bounded Nelder-Mead on the same objective.
 
     SciPy hands the objective a float64 array, so the profit is computed
@@ -52,8 +52,8 @@ def scipy_polish(fun, x0, bounds, args=(), **options):
     with warnings.catch_warnings():
         # A seed outside the box is clipped, with a warning.
         warnings.simplefilter("ignore", OptimizeWarning)
-        return scipy_minimize(lambda y, *a: fun(*y, *a), list(x0),
-                              args=args, method="Nelder-Mead", bounds=bounds,
+        return scipy_minimize(lambda y: fun(*y), list(x0),
+                              method="Nelder-Mead", bounds=bounds,
                               options=options)
 
 
@@ -65,12 +65,12 @@ def assert_same_steps(got, want):
 
 
 def record_polishes(monkeypatch) -> list[tuple]:
-    """(fun, x0, bounds, args, options, result) of every polish made."""
+    """(fun, x0, bounds, options, result) of every polish made."""
     calls = []
 
-    def spy(fun, x0, bounds, args=(), **options):
-        res = neldermead.minimize(fun, x0, bounds, args, **options)
-        calls.append((fun, x0, bounds, args, options, res))
+    def spy(fun, x0, bounds, **options):
+        res = neldermead.minimize(fun, x0, bounds, **options)
+        calls.append((fun, x0, bounds, options, res))
         return res
 
     monkeypatch.setattr(equilibrium, "minimize", spy)
@@ -79,8 +79,8 @@ def record_polishes(monkeypatch) -> list[tuple]:
 
 def assert_polishes_match_scipy(calls):
     assert calls
-    for fun, x0, bounds, args, options, res in calls:
-        assert_same_steps(res, scipy_polish(fun, x0, bounds, args, **options))
+    for fun, x0, bounds, options, res in calls:
+        assert_same_steps(res, scipy_polish(fun, x0, bounds, **options))
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ class TestPaths:
         calls = record_polishes(monkeypatch)
         solve_equilibrium(problem(5.0, 1, f_min=40.0, f_max=40.0),
                           SearchSpec(n_time=20))
-        assert {(len(c[1]), c[3]) for c in calls} == {(3, ())}
+        assert {len(c[1]) for c in calls} == {3}
         assert_polishes_match_scipy(calls)
 
     def test_tied_values_are_ordered_by_numpy(self, monkeypatch):
@@ -138,10 +138,10 @@ class TestPaths:
         assert_polishes_match_scipy(calls)
 
     def test_max_polish_evals_is_the_budget(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_MAX_POLISH_EVALS", 6)
         calls = record_polishes(monkeypatch)
-        solve_equilibrium(problem(2.0, 1), SearchSpec(
-            n_time=12, top_n=2, max_polish_evals=6))
-        assert {(c[4]["maxfev"], c[5].status) for c in calls} == {(6, 1)}
+        solve_equilibrium(problem(2.0, 1), SearchSpec(n_time=12, top_n=2))
+        assert {(c[3]["maxfev"], c[4].status) for c in calls} == {(6, 1)}
         assert_polishes_match_scipy(calls)
 
     @pytest.mark.parametrize("pinned", [False, True])
