@@ -7,6 +7,7 @@ edge cases of the simplex (bounds, zero coordinates, ties, budgets).
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning
 from scipy.optimize import minimize as scipy_minimize
 
@@ -49,8 +52,9 @@ def scipy_polish(fun, x0, bounds, **options):
     it then.
     """
     options = dict(options, maxiter=options["maxfev"])
-    with warnings.catch_warnings():
-        # A seed outside the box is clipped, with a warning.
+    # A seed outside the box is clipped, with a warning, and a simplex whose
+    # best value is inf takes inf - inf in SciPy's convergence test.
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("ignore", OptimizeWarning)
         return scipy_minimize(lambda y: fun(*y), list(x0),
                               method="Nelder-Mead", bounds=bounds,
@@ -146,30 +150,36 @@ class TestPaths:
 
     @pytest.mark.parametrize("pinned", [False, True])
     def test_every_cut_of_the_evaluation_budget(self, pinned):
-        # One polish cut after each of its evaluations: mid-reflection,
-        # mid-expansion, mid-contraction and mid-shrink.  One is a T3
-        # polish (191 evaluations, four shrinks), the other has the fee
-        # pinned (160 evaluations, four shrinks).
+        # Polishes cut after each of their evaluations: mid-reflection,
+        # mid-expansion, mid-contraction and mid-shrink.  Unpinned, the
+        # first T3 row's first polish (191 evaluations, four shrinks) and
+        # the first T6 row's (191 evaluations, seven shrinks, 20 orders
+        # taken from np.argsort on tied or NaN values); pinned, a fee
+        # pinned at 40 (160 evaluations, four shrinks).
         if pinned:
             prob = problem(5.0, 1, f_min=40.0, f_max=40.0)
-            search = SearchSpec(n_time=20)
+            cases = [(prob, SearchSpec(n_time=20))]
         else:
             config = ExperimentConfig()
-            setup = _table_setup(TableId.T3)
-            prob = build_problem(config, setup, *setup.rows[0])
-            search = config.search
-        cap = search_cap(prob)
-        bounds = [(0.0, cap), (0.0, cap), (0.0, prob.params.tau)]
-        fun = _objective(prob)
-        x0 = _seeds(prob, search)[0]
-        full = neldermead.minimize(fun, x0, bounds, xatol=1e-9, fatol=1e-8,
-                                   maxfev=4000)
-        assert full.status == 0
-        assert any(c != b for c, b in zip(full.x, x0))
-        for maxfev in range(1, full.nfev + 1):
-            options = dict(xatol=1e-9, fatol=1e-8, maxfev=maxfev)
-            assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
-                              scipy_polish(fun, x0, bounds, **options))
+            cases = []
+            for table in (TableId.T3, TableId.T6):
+                setup = _table_setup(table)
+                cases.append((build_problem(config, setup, *setup.rows[0]),
+                              config.search))
+        for prob, search in cases:
+            cap = search_cap(prob)
+            bounds = [(0.0, cap), (0.0, cap), (0.0, prob.params.tau)]
+            fun = _objective(prob)
+            x0 = _seeds(prob, search)[0]
+            full = neldermead.minimize(fun, x0, bounds, xatol=1e-9,
+                                       fatol=1e-8, maxfev=4000)
+            assert full.status == 0
+            assert any(c != b for c, b in zip(full.x, x0))
+            for maxfev in range(1, full.nfev + 1):
+                options = dict(xatol=1e-9, fatol=1e-8, maxfev=maxfev)
+                assert_same_steps(
+                    neldermead.minimize(fun, x0, bounds, **options),
+                    scipy_polish(fun, x0, bounds, **options))
 
     @pytest.mark.parametrize("maxfev", [1, 4000])
     @pytest.mark.parametrize("x0", [
@@ -203,16 +213,22 @@ class TestPaths:
     def test_objective_blind_to_coordinates(self):
         # Only the first coordinate matters, so vertices tie from the
         # initial simplex on; cut the budget after each of the first 60
-        # evaluations, and run to convergence (307 evaluations).
-        def fun(a, b, c, d):
+        # evaluations, and run to convergence (269 evaluations).
+        def fun(a, b, c):
             return abs(a - 0.3)
 
-        x0 = (1.0, 1.0, 0.0, 2.0)
-        bounds = [(0.0, 2.0)] * 4
+        x0 = (1.0, 0.0, 2.0)
+        bounds = [(0.0, 2.0)] * 3
         for maxfev in [*range(1, 61), 4000]:
             options = dict(xatol=1e-9, fatol=1e-8, maxfev=maxfev)
             assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
                               scipy_polish(fun, x0, bounds, **options))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_other_dimensions_are_rejected(self, n):
+        with pytest.raises(ValueError, match="three coordinates"):
+            neldermead.minimize(lambda *x: 0.0, (1.0,) * n, [(0.0, 2.0)] * n,
+                                xatol=1e-9, fatol=1e-8, maxfev=10)
 
     def test_overflowing_response(self, monkeypatch):
         # Weights may sum to 1 + 1e-9.  Unless the weighted theta is divided
@@ -244,6 +260,45 @@ class TestPaths:
                     solve_equilibrium(prob, SearchSpec(n_time=12, top_n=3))
         assert len(calls) == 36
         assert_polishes_match_scipy(calls)
+
+
+@st.composite
+def boxed_searches(draw):
+    """A 3-D objective with plateaus and an ``inf`` region, so that vertices
+    tie; a box; a seed inside, on or outside the box; and a budget."""
+    lows = [draw(st.floats(-2.0, 1.0)) for _ in range(3)]
+    bounds = [(low, low + draw(st.floats(0.1, 3.0))) for low in lows]
+    x0 = tuple(draw(st.one_of(st.floats(low, high),
+                              st.sampled_from([low, high, 0.0, -0.0]),
+                              st.floats(low - 2.0, high + 2.0)))
+               for low, high in bounds)
+    center = [draw(st.floats(low - 0.5, high + 0.5)) for low, high in bounds]
+    weights = [draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) for _ in range(3)]
+    step = draw(st.sampled_from([0.0, 0.01, 0.1, 1.0]))
+    wall = draw(st.sampled_from([None, 0, 1, 2]))
+    low, high = bounds[0 if wall is None else wall]
+    edge = draw(st.floats(low, high))
+
+    def fun(*x):
+        if wall is not None and x[wall] > edge:
+            return math.inf
+        value = 0.0
+        for v, c, w in zip(x, center, weights):
+            value += w * (v - c) * (v - c)
+        return math.floor(value / step) * step if step else value
+
+    options = dict(xatol=draw(st.sampled_from([1e-9, 1e-6, 1e-3])),
+                   fatol=draw(st.sampled_from([1e-8, 1e-4, 1e-2])),
+                   maxfev=draw(st.integers(1, 400)))
+    return fun, x0, bounds, options
+
+
+@settings(max_examples=250, deadline=None)
+@given(boxed_searches())
+def test_random_boxed_searches_match_scipy(search):
+    fun, x0, bounds, options = search
+    assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
+                      scipy_polish(fun, x0, bounds, **options))
 
 
 def test_import_leaves_scipy_out():
