@@ -5,8 +5,9 @@ Commands:
 * ``solve-m1 --lambda-p X``: closed-form policy for an observed demand.
 * ``solve-m2``: joint fee + policy optimization under stationary feedback.
 * ``simulate``: feedback-loop trace as CSV.
-* ``reproduce --table T3..T8``: regenerate a benchmark table or trace,
-  persist CSV + manifest, and diff against the embedded reference values.
+* ``reproduce --table T3..T8 [--out DIR]``: regenerate a benchmark table or
+  trace, persist CSV + manifest in ``DIR``, and diff against the embedded
+  reference values.  It reads no config document.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 solver error.
 Identical config and flags produce byte-identical outputs.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, potential_market)
 from .dynamics import MAX_SIM_ITERS, LongRunKind, simulate, trace_rows
-from .equilibrium import (EquilibriumProblem, EquilibriumSolution, SearchSpec,
+from .equilibrium import (EquilibriumProblem, EquilibriumSolution,
                           equilibrium_residual, solve_equilibrium)
 from .errors import ConfigError, NonFiniteResult, WomopsError
 from .experiments import (ExperimentConfig, TableId, TraceId, persist,
@@ -41,11 +42,7 @@ DEFAULT_CONFIG = {
     "response": {"c2": 1.0},
     "signal": {"kind": "MDT", "weights": []},
     "fee": 10.0,
-    "search": {},
-    "experiment": {"out_dir": "womops-out"},
 }
-
-_SEARCH_KEYS = {"n_time": int, "top_n": int, "polish_tol": float}
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,6 @@ class CliConfig:
     response: CustomerResponse
     signal: SignalSpec
     fee: float
-    search: SearchSpec
-    out_dir: str
 
 
 def _number(value, path: str) -> float:
@@ -73,17 +68,14 @@ def _number(value, path: str) -> float:
 
 
 def _require(mapping, path: str, key: str, kind):
-    """``mapping[key]`` as a float, an int or a str; null counts as missing."""
+    """``mapping[key]`` as a float or a str; null counts as missing."""
     where = f"{path}.{key}"
     value = mapping.get(key)
     if value is None:
         raise ConfigError(where, "missing required field")
     if kind is float:
         return _number(value, where)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(where, "must be an integer")
-    elif not isinstance(value, str):
+    if not isinstance(value, str):
         raise ConfigError(where, "must be a string")
     return value
 
@@ -140,9 +132,8 @@ def parse_config(data: dict) -> CliConfig:
         if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(key, "must be an object")
-            known = _SEARCH_KEYS if key == "search" else default
             for name in value:
-                if name not in known:
+                if name not in default:
                     raise ConfigError(f"{key}.{name}", "unknown field")
             value = {**default, **value}
         merged[key] = value
@@ -170,16 +161,7 @@ def parse_config(data: dict) -> CliConfig:
         raise ConfigError("fee", "must be >= 0")
     if not fee_model.in_domain(fee):
         raise ConfigError("fee", f"outside the {family.value} fee domain")
-
-    s = merged["search"]
-    # Only the keys the document gives: SearchSpec holds the defaults.
-    search = _build("search", SearchSpec,
-                    **{key: _require(s, "search", key, kind)
-                       for key, kind in _SEARCH_KEYS.items() if key in s})
-
-    out_dir = _require(merged["experiment"], "experiment", "out_dir", str)
-    return CliConfig(market, fee_model, response, signal_spec, fee, search,
-                     out_dir)
+    return CliConfig(market, fee_model, response, signal_spec, fee)
 
 
 def _reject_constant(name: str):
@@ -256,7 +238,7 @@ def _cmd_solve_m2(args, out) -> int:
                               f"{cfg.fee_model.family.value} fee domain")
     problem = EquilibriumProblem(cfg.market, cfg.fee_model, cfg.response,
                                  cfg.signal)
-    sol = solve_equilibrium(problem, cfg.search)
+    sol = solve_equilibrium(problem)
     _emit_json(solution_to_dict(problem, sol), out)
     return 0
 
@@ -278,7 +260,7 @@ def _cmd_simulate(args, out) -> int:
     if not all(math.isfinite(v) for row in trace_rows(trace) for v in row):
         raise NonFiniteResult("trace is not finite")
     text = trace_csv(trace)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -341,9 +323,7 @@ def _diff_trace(trace_name: str, trace) -> tuple[int, int, list[str]]:
 
 
 def _cmd_reproduce(args, out) -> int:
-    cfg = load_config(args.config)
-    experiment = ExperimentConfig(search=cfg.search,
-                                  out_dir=args.out or cfg.out_dir)
+    experiment = ExperimentConfig(out_dir=args.out)
     name = args.table
     if name in TableId.__members__:
         result = run_table(experiment, TableId[name])
@@ -355,8 +335,7 @@ def _cmd_reproduce(args, out) -> int:
         csv_path, manifest_path = write(result, experiment.out_dir, name,
                                         experiment)
     except OSError as exc:
-        where = "--out" if args.out else "experiment.out_dir"
-        raise ConfigError(where, f"cannot write results: {exc}") from None
+        raise ConfigError("--out", f"cannot write results: {exc}") from None
     matched, total, notes = diff(name, result)
     out.write(f"{name}: {unit} matched {matched}/{total} within tolerance\n")
     if name in TraceId.__members__:
@@ -396,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p4 = sub.add_parser("reproduce", help="regenerate a benchmark table or trace")
     p4.add_argument("--table", required=True,
                     choices=[*TableId.__members__, *TraceId.__members__])
-    p4.add_argument("--out")
-    p4.add_argument("-c", "--config")
+    p4.add_argument("--out", default=ExperimentConfig.out_dir)
     p4.set_defaults(func=_cmd_reproduce)
     return parser
 

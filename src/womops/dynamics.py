@@ -40,24 +40,12 @@ class LongRunKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LongRunClass:
-    """Long-run classification: a limit value, or a (high, low) cycle pair."""
+    """Long-run classification.  ``values`` holds the limit of a converged
+    kind, the (high, low) pair of a cycle, and nothing when undetermined."""
 
     kind: LongRunKind
     values: tuple[float, ...]
     tol: float
-
-    @property
-    def limit(self) -> float:
-        if self.kind not in (LongRunKind.CONVERGED_TO_POTENTIAL,
-                             LongRunKind.CONVERGED_INTERIOR):
-            raise ValueError("limit only defined for converged classifications")
-        return self.values[0]
-
-    @property
-    def cycle(self) -> tuple[float, float]:
-        if self.kind is not LongRunKind.CYCLE2:
-            raise ValueError("cycle only defined for two-point cycles")
-        return (self.values[0], self.values[1])
 
 
 @dataclass(frozen=True)

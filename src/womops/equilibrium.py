@@ -41,6 +41,7 @@ _PROFIT_TIE = 1e-6    # profits closer than this are ties (smaller F, then T win
 _HEAD_PER_SEED = 8    # grid points sorted per requested seed before the rest
 _NEWTON_STEPS = 64    # cap on the logarithmic family's Newton iterations
 _MAX_POLISH_EVALS = 4000  # objective evaluations per Nelder-Mead polish
+_POLISH_FATOL = 1e-8      # Nelder-Mead's tolerance on the simplex's profits
 
 #: Budget on the candidate grid: n_time^2 * (n_time - 1), the points of
 #: the full (t1, t3, T) box plus the t2 = 0 plane, before the T >= t1 + t3
@@ -57,17 +58,14 @@ MAX_SEEDS = 256
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Deterministic search settings: grid density, seed count, polish tolerance."""
+    """Deterministic search settings: grid density and seed count."""
 
     n_time: int = 40
     top_n: int = 8
-    polish_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.n_time < 2 or self.top_n < 1:
             raise InvalidParams("grid resolutions must be positive")
-        if self.polish_tol <= 0:
-            raise InvalidParams("polish_tol must be > 0")
         if self.top_n > MAX_SEEDS:
             raise InvalidParams(
                 f"top_n={self.top_n} is over the budget of {MAX_SEEDS} seeds")
@@ -347,8 +345,7 @@ def solve_equilibrium(problem: EquilibriumProblem,
     bounds = [(0.0, cap), (0.0, cap), (0.0, p.tau)]
     for seed in seeds:
         raw = minimize(neg_profit, seed, bounds, xatol=1e-9,
-                       fatol=search.polish_tol,
-                       maxfev=_MAX_POLISH_EVALS).x
+                       fatol=_POLISH_FATOL, maxfev=_MAX_POLISH_EVALS).x
         consider(raw)
         snapped = (_snap(raw[0], 0.0), _snap(raw[1], 0.0), _snap(raw[2], p.tau))
         if snapped != raw:

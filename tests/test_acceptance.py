@@ -85,7 +85,7 @@ def test_criterion_2_long_run_regimes():
         trace3 = simulate(p, LIN, CustomerResponse(3), MDT, 10,
                           seed_lambda_p=450.0, max_iters=50, tol=1e-4)
         assert trace3.classification.kind is LongRunKind.CYCLE2
-        high, low = trace3.classification.cycle
+        high, low = trace3.classification.values
         assert abs(high - 450.00) <= 0.02
         assert abs(low - 186.34) <= 0.02
         # (c) potential under the demand threshold is reached in one step.
@@ -220,13 +220,13 @@ def test_criterion_8_cyclic_beats_stationary():
 REPRODUCE_SHA256 = {
     "T3.csv": "7013fc1a9c668f71a659466955615d4d796054e1edb400a9a6b8ce37cac5b38e",
     "T3_manifest.json":
-        "d478ff66fe94dfeed4e02cc8c678bdf89d803f7b2aab934ec279b186b43b6ac1",
+        "1eb4ce39df62e901cbecb7a06d2bad0ce6a014c10c8920c9a24941f5eaee3968",
     "T7.csv": "b2e9c70bc62ed429e6bf619648e264cc6a302c7957a7edc2401fbe1de40d5fbf",
     "T7_manifest.json":
-        "3cdcebcb1c9040377b1d60f161a48a2b4faff765e1c64aa49ffac0b6abdba5fa",
+        "e4d367931f19b730148dc63fba8c834f854a1a5067ec1285164a89b70f202f7f",
     "T8.csv": "e7f901ce76677052c17d5d93a2be4dec2b0f6f757e3ece6df0f54b8672f6bb0b",
     "T8_manifest.json":
-        "85f59fe5c1e2ce989197d4f5a64b4995d21c882d1a2f70e75fae5597135ab0b7",
+        "aa02c031a9bfbe5ce2f9466fa5b78521266e12f1eb5d419098c114e54c468ab1",
 }
 
 

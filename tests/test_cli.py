@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from womops import dynamics
-from womops.cli import _diff_trace, load_config, main, parse_config
+from womops.cli import (DEFAULT_CONFIG, _diff_trace, load_config, main,
+                         parse_config)
 from womops.dynamics import MAX_SIM_ITERS
 from womops.errors import ConfigError
 from womops.experiments import ExperimentConfig, TraceId, run_trace
@@ -129,8 +130,7 @@ class TestSolveM2:
                                                        capsys):
         # The grid's profits overflow and are dropped on the way to exit
         # 3; no NumPy RuntimeWarning is emitted, so none prints to stderr.
-        cfg = write_config(tmp_path, market={"r": 1e306},
-                           search={"n_time": 6, "top_n": 2})
+        cfg = write_config(tmp_path, market={"r": 1e306})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
@@ -250,6 +250,15 @@ class TestReproduce:
         code, _, err = run_cli(["reproduce", "--table", "T99"], capsys)
         assert code == 2
 
+    def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
+        # reproduce reads no config document: its one setting is --out.
+        cfg = write_config(tmp_path)
+        code, out, err = run_cli(["reproduce", "--table", "T7", "-c", cfg,
+                                  "--out", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: -c" in err
+        assert not (tmp_path / "out").exists()
+
     def test_trace_miss_names_its_tolerance(self):
         trace = run_trace(ExperimentConfig(), TraceId.T7)
         moved = dataclasses.replace(trace.points[3],
@@ -265,12 +274,19 @@ class TestReproduce:
 class TestOutputPaths:
     """An output location that cannot be written exits 2 at its name."""
 
-    def test_empty_out_dir(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, experiment={"out_dir": ""})
-        code, out, err = run_cli(["reproduce", "--table", "T7", "-c", cfg],
+    def test_empty_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["reproduce", "--table", "T7", "--out", ""],
                                  capsys)
         assert (code, out) == (2, "")
-        assert err.startswith("config error: experiment.out_dir: ")
+        assert err.startswith("config error: --out: ")
+        assert os.listdir(tmp_path) == []
+
+    def test_simulate_empty_out(self, capsys):
+        code, out, err = run_cli(["simulate", "--iters", "3", "--out", ""],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: --out: ")
 
     @pytest.mark.parametrize("table, under", [("T3", False), ("T7", True)])
     def test_out_names_a_file(self, tmp_path, capsys, table, under):
@@ -338,14 +354,6 @@ class TestConfig:
         assert (code, out) == (2, "")
         assert "market.f_max" in err
 
-    def test_oversized_search_grid_exits_2(self, tmp_path, capsys):
-        for n_time in (129, 400):
-            cfg = write_config(tmp_path, search={"n_time": n_time})
-            code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
-            assert code == 2
-            assert out == ""
-            assert err.startswith("config error: search: ") and "budget" in err
-
     def test_bad_schema_version(self):
         with pytest.raises(ConfigError):
             parse_config({"schema": 99})
@@ -395,20 +403,25 @@ class TestErrorPaths:
          "signal.weights[0]"),
         ({"fee": 200}, "fee"),
         ({"fee": "10"}, "fee"),
-        ({"search": {"n_time": 2.5}}, "search.n_time"),
-        ({"search": {"n_time": 1}}, "search"),
-        ({"search": {"n_fee": "30"}}, "search.n_fee"),
-        ({"search": {"top_n": 0}}, "search"),
-        ({"search": {"top_n": None}}, "search.top_n"),
-        ({"search": {"polish_tol": "tight"}}, "search.polish_tol"),
-        ({"search": {"polish_tol": 0}}, "search"),
-        ({"experiment": {"out_dir": 3}}, "experiment.out_dir"),
-        ({"experiment": {"out_dir": None}}, "experiment.out_dir"),
+        # Rows keep their places, so each row's test id stays stable.
+        # `search` and `experiment` are not in the schema, whatever they hold.
+        ({"market": {"tau": 0}}, "market"),
+        ({"search": {}}, "search"),
+        ({"signal": {"kind": "weighted", "weights": 3}}, "signal.weights"),
+        ({"search": {"n_time": 40, "top_n": 8}}, "search"),
+        ({"signal": {"kind": "weighted", "weights": [["weighted", 1.0]]}},
+         "signal.weights"),
+        ({"signal": {"kind": "weighted",
+                     "weights": [["MDT", 1.5], ["NPS", -0.5]]}},
+         "signal.weights"),
+        ({"search": None}, "search"),
+        ({"experiment": {"out_dir": "womops-out"}}, "experiment"),
+        ({"experiment": {}}, "experiment"),
         ({"fee": -5}, "fee"),
         ({"markett": {"r": 1}}, "markett"),
         ({"market": {"R": 1}}, "market.R"),
-        ({"search": {"n_tme": 3}}, "search.n_tme"),
-        ({"search": {"max_polish_evals": 5}}, "search.max_polish_evals"),
+        ({"fee": 10 ** 400}, "fee"),
+        ({"experiment": None}, "experiment"),
         ({"signal": {"kind": "MDT", "weights": [["NPS", 1.0]]}},
          "signal.weights"),
     ])
@@ -418,6 +431,9 @@ class TestErrorPaths:
                                  capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: {path}: ")
+        (section,) = doc
+        if section not in DEFAULT_CONFIG:
+            assert err == f"config error: {section}: unknown field\n"
 
     def test_negative_logarithmic_scale(self, tmp_path, capsys):
         cfg = write_config(tmp_path, fee_model={"family": "logarithmic",
@@ -433,11 +449,11 @@ class TestTotalParsing:
     """Every malformed input exits 2 naming its path, never a traceback."""
 
     @staticmethod
-    def config_error(tmp_path, capsys, text, argv=("solve-m1", "--lambda-p",
-                                                     "450")):
+    def config_error(tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_text(text)
-        code, out, err = run_cli([*argv, "-c", str(path)], capsys)
+        code, out, err = run_cli(["solve-m1", "--lambda-p", "450", "-c",
+                                  str(path)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("config error: ")
         return err[len("config error: "):]
@@ -461,19 +477,19 @@ class TestTotalParsing:
 
     @pytest.mark.parametrize("section,value", [
         ("response", 3), ("fee_model", []), ("signal", "MDT"),
-        ("experiment", None), ("market", [1])])
+        ("response", None), ("market", [1])])
     def test_section_that_is_not_an_object(self, tmp_path, capsys, section,
                                            value):
         err = self.config_error(tmp_path, capsys,
                                 json.dumps({section: value}))
         assert err.startswith(f"{section}: must be an object")
 
-    def test_too_many_seeds(self, tmp_path, capsys):
-        # Rejected while parsing; no solve starts.
-        err = self.config_error(tmp_path, capsys,
-                                json.dumps({"search": {"top_n": 1000000}}),
-                                argv=("solve-m2",))
-        assert err.startswith("search: ") and "budget" in err
+    @pytest.mark.parametrize("text, message", [
+        ("{", "invalid JSON"), ("[]", "config document must be a JSON object")])
+    def test_document_that_is_not_an_object(self, tmp_path, capsys, text,
+                                            message):
+        err = self.config_error(tmp_path, capsys, text)
+        assert err.startswith(f"$: {message}")
 
     def test_non_finite_result_exits_3_without_output(self, tmp_path, capsys):
         # Finite inputs whose profit overflows: the JSON would say Infinity.
@@ -511,13 +527,6 @@ _NONNEGATIVE = st.one_of(
     st.sampled_from([0, 0.5, 1, 2, 5, 10, 50, 100, 101, 2000, 1e-300, 1e6,
                      1e306]),
     st.floats(0, 1e4))
-#: Search sections small enough that a solve takes milliseconds.
-_SEARCHES = st.fixed_dictionaries({
-    "n_time": st.integers(2, 6), "top_n": st.integers(1, 3)},
-    optional={"polish_tol": _NONNEGATIVE})
-#: Search sections small enough that a whole table takes about 80 ms.
-_TABLE_SEARCHES = st.fixed_dictionaries({
-    "n_time": st.integers(2, 4), "top_n": st.integers(1, 3)})
 #: Documents that mostly parse, so that most draws reach the solver.
 _SOLVABLE = st.fixed_dictionaries({
     "market": st.dictionaries(st.sampled_from(_MARKET_KEYS), _NONNEGATIVE,
@@ -544,17 +553,12 @@ class TestFuzzedConfig:
     """Every config document ends in exit 0, 2 or 3, never a traceback."""
 
     @staticmethod
-    def run(doc, argv, out_dir=None) -> tuple[int, str]:
-        """Run ``argv`` on ``doc``; with ``out_dir``, files written there
-        are output too, and their location is left out of the check."""
+    def run(argv, out_dir=None) -> tuple[int, str]:
+        """Run ``argv``; with ``out_dir``, files written there are output
+        too, and their location is left out of the check."""
         out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "config.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, allow_nan=False)
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = main([*argv, "-c", path])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
         assert code in (0, 2, 3), err.getvalue()
         if code == 0:
             texts = [out.getvalue()]
@@ -570,47 +574,40 @@ class TestFuzzedConfig:
             assert out.getvalue() == ""
         return code, err.getvalue()
 
+    def run_doc(self, doc, argv) -> tuple[int, str]:
+        """Run ``argv`` with ``doc`` as its config document."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, allow_nan=False)
+            return self.run([*argv, "-c", path])
+
     @settings(max_examples=300, deadline=None)
     @given(_DOCUMENTS, st.sampled_from(["0", "1e-9", "10", "450", "1e6",
                                         "1e306"]))
     def test_solve_m1(self, doc, lambda_p):
-        self.run(doc, ["solve-m1", "--lambda-p", lambda_p])
+        self.run_doc(doc, ["solve-m1", "--lambda-p", lambda_p])
 
     @settings(max_examples=300, deadline=None)
     @given(_DOCUMENTS, st.sampled_from([[], ["--seed-lambda", "0"],
                                         ["--seed-lambda", "100"]]))
     def test_simulate(self, doc, seed):
-        self.run(doc, ["simulate", "--iters", "5", *seed])
+        self.run_doc(doc, ["simulate", "--iters", "5", *seed])
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(_DOCUMENTS, _SOLVABLE), _SEARCHES)
-    def test_solve_m2(self, doc, search):
-        self.run({**doc, "search": search}, ["solve-m2"])
+    @given(st.one_of(_DOCUMENTS, _SOLVABLE))
+    def test_solve_m2(self, doc):
+        self.run_doc(doc, ["solve-m2"])
 
-    @settings(max_examples=100, deadline=None)
-    @given(_SEARCHES,
-           st.sampled_from([None, True, 3, [], {}, "", "out", "a/b"]),
-           st.sampled_from(["T7", "T8"]))
-    def test_reproduce_trace(self, search, out_dir, table):
-        # A string out_dir is placed inside a fresh temporary directory,
-        # so nothing is written anywhere else.
-        with tempfile.TemporaryDirectory() as tmp:
-            if isinstance(out_dir, str):
-                out_dir = os.path.join(tmp, out_dir)
-            doc = {"search": search, "experiment": {"out_dir": out_dir}}
-            code, _ = self.run(doc, ["reproduce", "--table", table],
-                               out_dir if isinstance(out_dir, str) else None)
-            if isinstance(out_dir, str) and code == 0:
-                assert sorted(os.listdir(out_dir)) == [
-                    f"{table}.csv", f"{table}_manifest.json"]
-
-    @settings(max_examples=30, deadline=None)
-    @given(_TABLE_SEARCHES, st.sampled_from(["T3", "T4", "T5", "T6"]))
-    def test_reproduce_table(self, search, table):
-        with tempfile.TemporaryDirectory() as tmp:
-            out_dir = os.path.join(tmp, "out")
-            doc = {"search": search, "experiment": {"out_dir": out_dir}}
-            code, _ = self.run(doc, ["reproduce", "--table", table], out_dir)
-            assert code == 0
-            assert sorted(os.listdir(out_dir)) == [
-                f"{table}.csv", f"{table}_manifest.json"]
+    def test_reproduce_trace(self):
+        # Each --out lies inside a fresh temporary directory, so nothing is
+        # written anywhere else; "" names that directory itself.
+        for out_dir in ("", "out", "a/b"):
+            for table in ("T7", "T8"):
+                with tempfile.TemporaryDirectory() as tmp:
+                    target = os.path.join(tmp, out_dir)
+                    code, _ = self.run(["reproduce", "--table", table,
+                                        "--out", target], target)
+                    assert code == 0
+                    assert sorted(os.listdir(target)) == [
+                        f"{table}.csv", f"{table}_manifest.json"]

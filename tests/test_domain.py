@@ -64,6 +64,10 @@ class TestSignal:
         with pytest.raises(InvalidPolicy):
             ShipmentPolicy(0, 0, 0)
 
+    def test_negative_phase_rejected_at_construction(self):
+        with pytest.raises(InvalidPolicy, match="nonnegative"):
+            ShipmentPolicy(-1, 0, 1)
+
     def test_mdt_beyond_declared_rejected(self):
         with pytest.raises(InvalidPolicy):
             signal(MDT, ShipmentPolicy(0, 0, 3.0), 2.0)
@@ -264,11 +268,24 @@ class TestValidation:
             MarketParams(r=0, K=1, h=1, tau=1, lambda_r=0, M=1, f_min=0, f_max=1)
         with pytest.raises(InvalidParams):
             MarketParams(r=1, K=1, h=1, tau=1, lambda_r=0, M=1, f_min=5, f_max=1)
+        with pytest.raises(InvalidParams, match="tau"):
+            MarketParams(r=1, K=1, h=1, tau=0, lambda_r=0, M=1, f_min=0, f_max=1)
 
     def test_weighted_signal_weights_must_sum_to_one(self):
         with pytest.raises(InvalidParams):
             SignalSpec(SignalKind.WEIGHTED, ((SignalKind.MDT, 0.5),
                                              (SignalKind.NPS, 0.6)))
+
+    @pytest.mark.parametrize("weights, message", [
+        (((SignalKind.WEIGHTED, 1.0),), "elementary"),
+        (((SignalKind.MDT, 1.5), (SignalKind.NPS, -0.5)), "nonnegative")])
+    def test_weighted_signal_components(self, weights, message):
+        with pytest.raises(InvalidParams, match=message):
+            SignalSpec(SignalKind.WEIGHTED, weights)
+
+    def test_negative_demand_has_no_profit_rate(self):
+        with pytest.raises(InvalidParams, match="lambda_p"):
+            profit_rate(PARAMS, ShipmentPolicy(0, 0, 1), -1.0)
 
     def test_negative_sensitivity_rejected(self):
         with pytest.raises(InvalidParams):

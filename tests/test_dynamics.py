@@ -57,7 +57,7 @@ class TestSimulate:
         trace = simulate(params(), LIN, CustomerResponse(1), MDT, 10,
                          seed_lambda_p=450.0, max_iters=40, tol=1e-2)
         assert trace.classification.kind is LongRunKind.CONVERGED_INTERIOR
-        assert trace.classification.limit == pytest.approx(370.00, abs=0.1)
+        assert trace.classification.values == (pytest.approx(370.00, abs=0.1),)
 
     def test_cycling_reference_trace(self):
         trace = simulate(params(), LIN, CustomerResponse(3), MDT, 10,
@@ -70,8 +70,8 @@ class TestSimulate:
             assert point.policy.t1 == pytest.approx(t1, abs=0.01)
         cls = trace.classification
         assert cls.kind is LongRunKind.CYCLE2
-        assert cls.cycle[0] == pytest.approx(450.00, abs=0.02)
-        assert cls.cycle[1] == pytest.approx(186.34, abs=0.02)
+        assert cls.values == (pytest.approx(450.00, abs=0.02),
+                              pytest.approx(186.34, abs=0.02))
 
     @pytest.mark.parametrize("c2, max_iters, kind", [
         (3, 10, LongRunKind.CYCLE2),
@@ -83,12 +83,10 @@ class TestSimulate:
                          seed_lambda_p=450.0, max_iters=max_iters, tol=1e-2)
         cls = trace.classification
         assert cls.kind is kind
-        if kind is LongRunKind.CYCLE2:
-            assert trace.settled == cls.cycle
-        elif kind is LongRunKind.UNDETERMINED:
+        if kind is LongRunKind.UNDETERMINED:
             assert trace.settled == (trace.points[-1].lambda_p,)
         else:
-            assert trace.settled == (cls.limit,)
+            assert trace.settled == cls.values
 
     def test_small_market_converges_in_one_step(self):
         p = params(tau=1.0)
@@ -96,7 +94,7 @@ class TestSimulate:
                          seed_lambda_p=100.0, max_iters=50, tol=1e-4)
         assert trace.points[1].lambda_p == 450.0
         assert trace.classification.kind is LongRunKind.CONVERGED_TO_POTENTIAL
-        assert trace.classification.limit == 450.0
+        assert trace.classification.values == (450.0,)
 
     @given(st.floats(0, 450))
     @settings(max_examples=25, deadline=None)
@@ -117,7 +115,8 @@ class TestSimulate:
 
     def test_error_monotone_once_past_threshold(self):
         p = params()
-        limit = predict_long_run(p, LIN, CustomerResponse(1), MDT, 10).limit
+        (limit,) = predict_long_run(p, LIN, CustomerResponse(1), MDT,
+                                    10).values
         trace = simulate(p, LIN, CustomerResponse(1), MDT, 10,
                          seed_lambda_p=450.0, max_iters=30, tol=1e-9,
                          min_iters=30)
@@ -127,7 +126,8 @@ class TestSimulate:
 
     def test_seed_at_fixed_point_is_constant(self):
         p = params()
-        limit = predict_long_run(p, LIN, CustomerResponse(1), MDT, 10).limit
+        (limit,) = predict_long_run(p, LIN, CustomerResponse(1), MDT,
+                                    10).values
         trace = simulate(p, LIN, CustomerResponse(1), MDT, 10,
                          seed_lambda_p=limit, max_iters=5, tol=1e-9,
                          min_iters=5)
@@ -149,6 +149,10 @@ class TestSimulate:
             simulate(params(), LIN, CustomerResponse(1), MDT, 10,
                      max_iters=MAX_SIM_ITERS + 1)
 
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(InvalidParams, match="tol"):
+            simulate(params(), LIN, CustomerResponse(1), MDT, 10, tol=-1)
+
     def test_default_seed_is_potential_market(self):
         trace = simulate(params(), LIN, CustomerResponse(1), MDT, 10,
                          max_iters=0)
@@ -165,15 +169,17 @@ class TestPrediction:
     def test_interior_limit_value(self):
         pred = predict_long_run(params(), LIN, CustomerResponse(1), MDT, 10)
         assert pred.kind is LongRunKind.CONVERGED_INTERIOR
-        assert pred.limit == pytest.approx(450 * (250 / 450) ** (1 / 3), rel=1e-12)
-        assert pred.limit == pytest.approx(370.00, abs=0.1)
+        (limit,) = pred.values
+        assert limit == pytest.approx(450 * (250 / 450) ** (1 / 3), rel=1e-12)
+        assert limit == pytest.approx(370.00, abs=0.1)
 
     def test_cycle_values(self):
         pred = predict_long_run(params(), LIN, CustomerResponse(3), MDT, 10)
         assert pred.kind is LongRunKind.CYCLE2
-        assert pred.cycle[0] == 450.0
-        assert pred.cycle[1] == pytest.approx(450 * (250 / 450) ** 1.5, rel=1e-12)
-        assert pred.cycle[1] == pytest.approx(186.34, abs=0.005)
+        high, low = pred.values
+        assert high == 450.0
+        assert low == pytest.approx(450 * (250 / 450) ** 1.5, rel=1e-12)
+        assert low == pytest.approx(186.34, abs=0.005)
 
     def test_threshold_boundary_reaches_potential(self):
         # c1 = 2K/(h tau^2) exactly: tau = sqrt(2K/(h c1)).
@@ -181,7 +187,7 @@ class TestPrediction:
         pred = predict_long_run(params(tau=tau), LIN, CustomerResponse(1),
                                 MDT, 10)
         assert pred.kind is LongRunKind.CONVERGED_TO_POTENTIAL
-        assert pred.limit == 450.0
+        assert pred.values == (450.0,)
 
     def test_insensitive_customers(self):
         pred = predict_long_run(params(), LIN, CustomerResponse(0), MDT, 10)

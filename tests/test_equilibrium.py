@@ -177,6 +177,11 @@ class TestSolve:
             assert -_objective(prob)(t1, t2, t3) == \
                 pytest.approx(want, rel=1e-12, abs=1e-9)
 
+    def test_fee_box_outside_the_family_domain_rejected(self):
+        # The logarithmic family is defined for F < b = 101 only.
+        with pytest.raises(InvalidParams, match="fee bound 150"):
+            problem(2.0, 1, fee_model=LOG, f_max=150.0)
+
 
 def fee_values(prob, fees, T):
     """N(F) (r - hT/2 + F/(delta M)): the fee-dependent profit factor."""
@@ -279,6 +284,10 @@ class TestClosedForms:
             closed_form_t3(problem(5.0, 3), FeeRegime.BOUNDARY, fee=10.0)
         with pytest.raises(UnsupportedSignal):
             closed_form_t3(problem(5.0, 1, fee_model=LOG), FeeRegime.INTERIOR)
+
+    def test_boundary_regime_needs_the_fee(self):
+        with pytest.raises(InvalidParams, match="pinned fee"):
+            closed_form_t3(problem(5.0, 1), FeeRegime.BOUNDARY)
 
     def test_priced_out_fee_has_no_interior_t3(self):
         with pytest.raises(RegimeViolation):
@@ -535,6 +544,15 @@ class TestStreamedSeedSelection:
         assert got == reference_seeds(prob, search)
         assert len(got) == 8 and len(sorts) == 2
 
+    def test_grid_with_fewer_distinct_seeds_than_asked(self):
+        # The whole two-point-per-axis grid holds fewer well-separated
+        # points than top_n, so both parts are scanned to the end.
+        prob = problem(2.0, 1)
+        search = SearchSpec(n_time=2, top_n=8)
+        got = _seeds(prob, search)
+        assert got == reference_seeds(prob, search)
+        assert 0 < len(got) < search.top_n
+
     def test_ties_at_the_head_edge(self):
         # With no regular demand and the fee pinned where the linear
         # family's member count is zero, the profit is -K/T for every
@@ -582,6 +600,11 @@ class TestSearchBudget:
         for n_time in (129, 400):
             with pytest.raises(InvalidParams, match="budget"):
                 SearchSpec(n_time=n_time)
+
+    def test_grid_and_seed_count_must_be_positive(self):
+        for kwargs in ({"n_time": 1}, {"top_n": 0}):
+            with pytest.raises(InvalidParams, match="positive"):
+                SearchSpec(**kwargs)
 
     def test_seed_count_capped(self):
         SearchSpec(top_n=MAX_SEEDS)

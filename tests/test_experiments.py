@@ -43,13 +43,13 @@ def t6_rows(config):
 TABLE_SHA256 = {
     "T4.csv": "4d5ee39567863b09974ab8620d1d5007e61cc4d86184b5cae9e74942b13d1438",
     "T4_manifest.json":
-        "09d7721f411b8732066261fd0fbc045c909050c78bc593bfaf5cd245134e1a78",
+        "426e02c1aab54196379f8ac10ec227340bddf451e22d38eaaa4e9b3f767b5fcd",
     "T5.csv": "9f5c72eb64ffb64b1f371c23030697e0bb7c4eb0ba929eeea873c233245d4ac2",
     "T5_manifest.json":
-        "1cb81420e1b4f9c67d0ac3bd735b22ea7f216fa29030771e4d2cf3d280fe3311",
+        "cef0596875c308fdd2c9fba4be5cffb4e9f4555ee31590038d0399f5b323f3a0",
     "T6.csv": "2becab320713913e84bf3b64492f34870d18070030f526cf6f5c7b4de74291f7",
     "T6_manifest.json":
-        "876b838241c4ac84d7b92f2d16f3494882afdd0a16e161c79eed7e442f038060",
+        "b9d0d5c3c2f02dcd080b63b245a25d801102dc9508e4bf19304cfa749245dde8",
 }
 
 

@@ -45,6 +45,14 @@ class TestCandidates:
         assert candidate(PolicyCase.III, params(), 450.0) is None  # t1 <= 0
         assert candidate(PolicyCase.IV, params(tau=5.0), 450.0) is None  # radicand < 0
 
+    def test_negative_demand_rejected(self):
+        with pytest.raises(InvalidParams, match="lambda_p"):
+            candidate(PolicyCase.I, params(), -1.0)
+        with pytest.raises(InvalidParams, match="lambda_p"):
+            solve_policy(params(), -1.0)
+        with pytest.raises(InvalidParams, match="lambda_p"):
+            grid_search_policy(params(), -1.0, GridSpec(step=0.01))
+
     def test_zero_demand_divides_by_zero_cases(self):
         with pytest.raises(InvalidParams):
             candidate(PolicyCase.II, params(), 0.0)
@@ -155,6 +163,8 @@ class TestOracle:
             grid_search_policy(params(), 450.0, GridSpec(step=0.0))
         with pytest.raises(InvalidGrid):
             grid_search_policy(params(), 450.0, GridSpec(step=0.01, t_max=0.5))
+        with pytest.raises(InvalidGrid, match="too coarse"):
+            grid_search_policy(params(), 450.0, GridSpec(step=100.0))
 
     def test_profit_matches_shared_evaluator(self):
         p = params()
