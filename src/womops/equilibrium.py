@@ -3,19 +3,23 @@
 Here the e-tailer knows how service signals drive premium demand and
 picks (t1, t3, T, F) so that the demand the policy *creates* is the
 demand it was built for: the stationarity constraint lambda_p =
-R(signal) is substituted into the objective.  For a fixed policy the
-best fee then depends on the cycle length alone (:func:`best_fee`), so
-the fee is profiled out and the problem reduces to a box-constrained
-search over (t1, t2, t3) with t2 = T - t1 - t3 >= 0.
+R(signal) is substituted into the objective.  Two of the four unknowns
+have closed forms given the others.  For a fixed policy the best fee
+depends on the cycle length alone (:func:`best_fee`).  For a fixed t1
+and T, t3 enters the profit only through the signal, which is affine in
+t3, and the regular revenue r lambda_r t3 / T, so the best t3 depends on
+T and the slack s = T - t1 alone (:func:`_phase3`).  Both are profiled
+out, and the problem reduces to a box-constrained search over (t1, s)
+with one scalar objective (:func:`_objective`).
 
-The landscape is neither convex nor concave, so the solver evaluates a
-dense deterministic coarse grid (augmented with the t2 = 0 plane, where
-most optima live) in one pass, keeps the best well-separated seeds and
-polishes each with a bounded Nelder-Mead (:mod:`womops.neldermead`).
-The grid size is capped by :data:`MAX_GRID_POINTS`.  For the linear-fee,
-unit-sensitivity, delivery-time-signal regime with t3 < tau the optimum
-also has closed forms (:func:`closed_form_t3`), used as independent
-cross-checks of the numeric path.
+The landscape is neither convex nor concave, so the solver evaluates
+that objective on a deterministic lattice of (t1, T) pairs, keeps the
+best points as seeds and polishes each with a bounded two-coordinate
+Nelder-Mead (:mod:`womops.neldermead`).  The lattice size is capped by
+:data:`MAX_GRID_POINTS`.  For the linear-fee, unit-sensitivity,
+delivery-time-signal regime with t3 < tau the optimum also has closed
+forms (:func:`closed_form_t3`), used as independent cross-checks of the
+numeric path.
 """
 
 from __future__ import annotations
@@ -29,30 +33,29 @@ import numpy as np
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, cycle_profit,
                      potential_market, profit_rate_with_fees, respond, signal,
-                     signal_formula, signal_value)
+                     signal_formula)
 from .dynamics import LongRunKind, simulate
 from .errors import (InfeasibleProblem, InvalidParams, RegimeViolation,
                      UnsupportedSignal)
 from .myopic import solve_policy
 from .neldermead import minimize
 
-_SNAP = 5e-6          # polish results this close to a bound are snapped onto it
+_SNAP = 5e-6          # polish results this close to t1 = 0 or s = tau snap onto it
 _PROFIT_TIE = 1e-6    # profits closer than this are ties (smaller F, then T wins)
-_HEAD_PER_SEED = 8    # grid points sorted per requested seed before the rest
 _NEWTON_STEPS = 64    # cap on the logarithmic family's Newton iterations
 _MAX_POLISH_EVALS = 4000  # objective evaluations per Nelder-Mead polish
 _POLISH_FATOL = 1e-8      # Nelder-Mead's tolerance on the simplex's profits
+#: The t3 -> 0+ end of Phase 3: the smallest positive float, so the cycle
+#: keeps a Phase 3 and its signal is the t3 = 0 limit to within rounding.
+_T3_FLOOR = 5e-324
 
-#: Budget on the candidate grid: n_time^2 * (n_time - 1), the points of
-#: the full (t1, t3, T) box plus the t2 = 0 plane, before the T >= t1 + t3
-#: cut.  The grid is evaluated in one pass, so the budget bounds its memory
-#: as well as its time: it admits n_time <= 128 (2.08 M points, about
-#: 125 MB at the peak).  The default n_time=40 counts 62,400 points.
-MAX_GRID_POINTS = 1 << 21
+#: Budget on the candidate grid: n_time (n_time - 1) / 2, the (t1, T)
+#: pairs with t1 < T on one shared axis, each one evaluation of the
+#: objective.  It admits n_time <= 128 (8,128 points); the default
+#: n_time=40 counts 780.
+MAX_GRID_POINTS = 1 << 13
 
-#: Budget on ``top_n``.  Seed selection compares every sorted grid point
-#: with every accepted seed, so its cost grows with the square of the
-#: seed count, and each seed adds a Nelder-Mead polish.
+#: Budget on ``top_n``: each seed adds a Nelder-Mead polish.
 MAX_SEEDS = 256
 
 
@@ -64,12 +67,16 @@ class SearchSpec:
     top_n: int = 8
 
     def __post_init__(self) -> None:
-        if self.n_time < 2 or self.top_n < 1:
-            raise InvalidParams("grid resolutions must be positive")
+        for name, least in (("n_time", 2), ("top_n", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # bool is no count
+                raise InvalidParams(
+                    f"{name} must be an integer of at least {least}, "
+                    f"got {value!r}")
         if self.top_n > MAX_SEEDS:
             raise InvalidParams(
                 f"top_n={self.top_n} is over the budget of {MAX_SEEDS} seeds")
-        points = self.n_time ** 2 * (self.n_time - 1)
+        points = self.n_time * (self.n_time - 1) // 2
         if points > MAX_GRID_POINTS:
             raise InvalidParams(
                 f"n_time={self.n_time} makes a grid of {points} points, "
@@ -177,16 +184,71 @@ def best_fee(problem: EquilibriumProblem):
     return fee_of
 
 
-def _objective(problem: EquilibriumProblem):
-    """Scalar objective ``(t1, t2, t3) -> -profit`` of one problem.
+def _phase3(problem: EquilibriumProblem):
+    """The best Phase-3 length ``(T, s, c1, fee_rate) -> t3`` on floats.
 
-    The fee-inclusive profit rate with lambda_p = R(theta) substituted and
-    the fee at F*(T) (:func:`best_fee`), negated for minimization; ``inf``
-    outside the box (a negative phase, no Phase 3, or a cycle longer than
-    the search cap).  A polish that runs into t3 = 0 therefore turns back
-    toward t3 > 0 instead of ending on a cycle no solution may have.  Built
-    once per problem, with the signal's formula and the constants bound as
-    locals.  Inside the box t3 <= tau, as the polish clips t3 to [0, tau].
+    T is the cycle length, s = T - t1 the slack, and c1 = c1(F) and
+    fee_rate = F/(delta M) belong to the cycle's fee.  With the premium
+    margin Q = c1 (r + fee_rate - hT/2), :func:`cycle_profit` depends on
+    t3 in (0, U], U = min(tau, s), only through theta^c2 Q + r lambda_r
+    t3 / T, and theta = beta + alpha t3 is affine in t3, alpha the MDT
+    weight over tau.  So t3 = U when Q >= 0, alpha = 0 or c2 = 0.
+    Otherwise, with c2 <= 1 that term is convex in t3 and the better end
+    wins: U, on a tie too, or t3 -> 0+, taken as :data:`_T3_FLOOR`.  With
+    c2 > 1 it is concave and t3 is the root of c2 alpha theta^(c2-1) Q +
+    r lambda_r / T = 0, clipped to [_T3_FLOOR, U].  This is the one copy
+    of the rule; the grid and the polish both reach it through
+    :func:`_objective`.
+    """
+    p, c2 = problem.params, problem.resp.c2
+    spec, tau = problem.signal_spec, p.tau
+    theta_of = signal_formula(spec)
+    # With t2 + t3 = 0 the NPS part is 0, and with t3 = tau = 1 the MDT
+    # part is 1, so the formula gives the MDT weight.
+    alpha = theta_of(spec, -1.0, 1.0, 1.0, 1.0) / tau
+    r, h, rl = p.r, p.h, p.r * p.lambda_r
+
+    if not (alpha > 0 and c2 > 0):
+        return lambda T, s, c1, fee_rate: s if s < tau else tau
+
+    def t3_of(T: float, s: float, c1: float, fee_rate: float) -> float:
+        U = s if s < tau else tau
+        Q = c1 * (r + fee_rate - h * T / 2.0)
+        if Q >= 0:
+            return U
+        theta_u = theta_of(spec, s - U, U, T, tau)
+        beta = theta_of(spec, s, 0.0, T, tau)
+        if c2 <= 1:
+            low = theta_u ** c2 * Q + rl * U / T < beta ** c2 * Q
+            return _T3_FLOOR if low else U
+        # The root lies below U exactly when the slope at U is negative.
+        # Then rl / scale < theta_u^(c2-1) <= 1, so neither the division
+        # nor the power can overflow.
+        scale = T * c2 * alpha * -Q
+        if not rl < theta_u ** (c2 - 1.0) * scale:
+            return U
+        t3 = ((rl / scale) ** (1.0 / (c2 - 1.0)) - beta) / alpha
+        if t3 > U:
+            return U
+        return t3 if t3 > _T3_FLOOR else _T3_FLOOR
+
+    return t3_of
+
+
+def _objective(problem: EquilibriumProblem):
+    """Scalar objective ``(t1, s) -> -profit`` of one problem.
+
+    The fee-inclusive profit rate with lambda_p = R(theta) substituted,
+    the cycle T = t1 + s, the fee at F*(T) (:func:`best_fee`) and t3 at
+    its best for (T, s) (:func:`_phase3`), negated for minimization;
+    ``inf`` outside the box (a negative phase or no slack for Phase 3).
+    A cycle longer than the search cap takes the profit at the cap with
+    the same t1: in the priced-out regime the profit otherwise climbs
+    forever toward the unattained stretched-cycle supremum, and the polish
+    can slide along the wall T = cap of its square box, where it would
+    stall if the far side were ``inf``.  F*(T) and N(F) are taken once per
+    evaluation.  Built once per problem, with the signal's formula and the
+    constants bound as locals.
     """
     p = problem.params
     cap = search_cap(problem)
@@ -194,106 +256,69 @@ def _objective(problem: EquilibriumProblem):
     spec, tau = problem.signal_spec, p.tau
     theta_of = signal_formula(spec)
     fee_of = best_fee(problem)
+    t3_of = _phase3(problem)
     members = fm.members
     delta, delta_M = fm.delta, fm.delta * p.M
     c2 = problem.resp.c2
 
-    def neg_profit(t1: float, t2: float, t3: float) -> float:
-        if t1 < 0 or t2 < 0 or t3 <= 0:
-            return math.inf
-        T = t1 + t2 + t3
-        # Cycles beyond the search cap are outside the box; in the priced-
-        # out regime the profit otherwise climbs forever toward the
-        # unattained stretched-cycle supremum.
+    def neg_profit(t1: float, s: float) -> float:
+        T = t1 + s
         if T > cap:
+            # Past the wall T = cap, the point at the wall.
+            s = cap - t1
+            T = t1 + s
+        if t1 < 0 or s <= 0:
             return math.inf
         fee = fee_of(T)
-        lam = members(fee) * delta * theta_of(spec, t2, t3, T, tau) ** c2
-        return -cycle_profit(p, lam, fee / delta_M, t1, t3, T)
+        c1 = members(fee) * delta
+        fee_rate = fee / delta_M
+        t3 = t3_of(T, s, c1, fee_rate)
+        lam = c1 * theta_of(spec, s - t3, t3, T, tau) ** c2
+        return -cycle_profit(p, lam, fee_rate, t1, t3, T)
 
     return neg_profit
 
 
 def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
-    """Every grid point (t1, t2, t3, F) with a finite profit, and the profits.
+    """Every grid point (t1, s, T, F) with a finite profit, and the profits.
 
-    The grid is the box over (t1, t3, T) with the cycle capped at the
-    search cap, plus the t2 = 0 plane T = t1 + t3 where the structural
-    results put most optima.  Each point takes the fee F*(T) of its grid
-    cycle length (:func:`best_fee`); the fee and N(F) are computed once per
-    distinct T, the rest in one vectorized pass.  Points keep grid order,
-    box first, the order in which the stable sort of :func:`_select_seeds`
-    breaks ties.
+    t1 and T run over one axis from 0 to the search cap, and the grid
+    holds each pair with t1 < T, so the slack s = T - t1 is positive.
+    Each profit is the objective's (:func:`_objective`); the fee F*(T) of
+    the sort key is taken once per T.
     """
-    p = problem.params
-    fm = problem.fee_model
-    cap = search_cap(problem)
+    neg_profit = _objective(problem)
     fee_of = best_fee(problem)
-    t1g = np.linspace(0.0, cap, search.n_time)
-    t3g = np.linspace(0.0, p.tau, search.n_time)[1:]
-    Tg = np.linspace(0.0, cap, search.n_time)[1:]
-    i, j, l = np.nonzero(Tg[None, None, :] - t1g[:, None, None]
-                         - t3g[None, :, None] >= -1e-12)
-    pi, pj = np.nonzero(t1g[:, None] + t3g[None, :] <= cap + 1e-12)
-    # The distinct cycle lengths: the T axis, then one per plane point.
-    lengths = np.concatenate([Tg, t1g[pi] + t3g[pj]])
-    fees = np.array([fee_of(T) for T in lengths.tolist()], dtype=float)
-    c1 = np.array([fm.members(fee) for fee in fees.tolist()]) * fm.delta
-    which = np.concatenate([l, Tg.size + np.arange(pi.size)])
-    t1 = np.concatenate([t1g[i], t1g[pi]])
-    t3 = np.concatenate([t3g[j], t3g[pj]])
-    t2 = np.maximum(lengths[which] - t1 - t3, 0.0)
-    T = t1 + t2 + t3
-    response = (signal_value(problem.signal_spec, t2, t3, T, p.tau)
-                ** problem.resp.c2)
-    F = fees[which]
-    prof = cycle_profit(p, c1[which] * response, F / (fm.delta * p.M),
-                        t1, t3, T)
-    # The objective's box test: a point on the last T value can recompute
-    # T = t1 + t2 + t3 one rounding above the cap.
-    keep = np.isfinite(prof) & (T <= cap)
-    return t1[keep], t2[keep], t3[keep], F[keep], prof[keep]
+    axis = np.linspace(0.0, search_cap(problem), search.n_time).tolist()
+    points = []
+    for j, T in enumerate(axis[1:], 1):
+        fee = fee_of(T)
+        for t1 in axis[:j]:
+            profit = -neg_profit(t1, T - t1)
+            if math.isfinite(profit):
+                points.append((t1, T - t1, T, fee, profit))
+    return tuple(np.array(points, dtype=float).reshape(-1, 5).T)
 
 
-def _select_seeds(t1f, t2f, t3f, Ff, prof, search: SearchSpec,
-                  cap: float, tau: float):
-    """Best candidates, skipping near-duplicates of already accepted seeds.
+def _select_seeds(t1, s, T, F, profit, search: SearchSpec):
+    """The ``top_n`` best grid points (t1, s), in (profit, F, T, t1) order.
 
-    Separation below one grid cell in every phase counts as a duplicate;
-    this keeps the polish seeds spread over distinct basins.  Fully
-    deterministic: candidates are visited in (profit, F, T, t1) order.
-    Only the points at or above the k-th best profit (ties kept), k a
-    few per seed, are sorted first: they are exactly the head of that
-    order.  The rest is sorted and scanned only if they run short.
+    Grid points are distinct lattice points, so no seed duplicates
+    another and no two share a sort key.
     """
-    Tf = t1f + t2f + t3f
-    dt = cap / (search.n_time - 1)
-    d3 = tau / (search.n_time - 1)
-    k = min(_HEAD_PER_SEED * search.top_n, prof.size)
-    head = prof >= -np.partition(-prof, k - 1)[k - 1]
-    seeds: list[tuple[float, float, float]] = []
-    for part in (head, ~head):
-        idx = np.flatnonzero(part)
-        for i in idx[np.lexsort((t1f[idx], Tf[idx], Ff[idx], -prof[idx]))]:
-            cand = (float(t1f[i]), float(t2f[i]), float(t3f[i]))
-            if not any(abs(cand[0] - s[0]) < dt and abs(cand[1] - s[1]) < dt
-                       and abs(cand[2] - s[2]) < d3 for s in seeds):
-                seeds.append(cand)
-                if len(seeds) >= search.top_n:
-                    return seeds
-    return seeds
+    order = np.lexsort((t1, T, F, -profit))[:search.top_n]
+    return list(zip(t1[order].tolist(), s[order].tolist()))
 
 
 def _seeds(problem: EquilibriumProblem, search: SearchSpec):
-    """Polish seeds (t1, t2, t3) from the whole profiled grid."""
-    # Extreme markets overflow on parts of the grid; the grid drops the
-    # non-finite profits that result.
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Polish seeds (t1, s) from the whole profiled grid."""
+    # An overflowing market can push the cap to inf, where the lattice
+    # would be NaN: then no cycle of the box can be evaluated.
+    if search_cap(problem) < math.inf:
         grid = _candidate_grid(problem, search)
-    if grid[-1].size == 0:
-        raise InfeasibleProblem("no feasible cycle in the search box")
-    return _select_seeds(*grid, search, search_cap(problem),
-                         problem.params.tau)
+        if grid[-1].size:
+            return _select_seeds(*grid, search)
+    raise InfeasibleProblem("no feasible cycle in the search box")
 
 
 def _better(a: tuple[float, ...], b: tuple[float, ...] | None) -> bool:
@@ -315,50 +340,63 @@ def solve_equilibrium(problem: EquilibriumProblem,
                       search: SearchSpec = SearchSpec()) -> EquilibriumSolution:
     """Best stationary (policy, fee) pair; deterministic for a fixed search.
 
-    Grid seeds are polished with Nelder-Mead on (t1, t2, t3) inside the
-    box, the fee at F*(T); the best polished point wins, with ties (within
-    1e-6 in profit) resolved toward the smaller fee, then the shorter
-    cycle.  Degenerate optima with lambda_p = 0 (premium service priced
-    out at F = f_max) are legitimate outputs.
+    Grid seeds are polished with Nelder-Mead on (t1, s) inside the box,
+    the fee at F*(T) and t3 at its best for (T, s); the best polished
+    point wins, with ties (within 1e-6 in profit) resolved toward the
+    smaller fee, then the shorter cycle.  Degenerate optima with
+    lambda_p = 0 (premium service priced out at F = f_max) are legitimate
+    outputs.
     """
     p = problem.params
     cap = search_cap(problem)
     seeds = _seeds(problem, search)
 
     best_key: tuple[float, float, float, float] | None = None
-    best_x: tuple[float, float, float] | None = None
+    best_x: tuple[float, float] | None = None
 
     neg_profit = _objective(problem)
     fee_of = best_fee(problem)
 
-    def consider(x: tuple[float, float, float]) -> None:
+    def consider(x: tuple[float, float]) -> None:
         nonlocal best_key, best_x
-        t1, t2, t3 = x
-        pi = -neg_profit(t1, t2, t3)
+        t1, s = x
+        if t1 + s > cap:
+            # The objective's point at the wall T = cap.
+            s = cap - t1
+            x = (t1, s)
+        pi = -neg_profit(t1, s)
         if not math.isfinite(pi):
             return
-        T = t1 + t2 + t3
+        T = t1 + s
         key = (pi, fee_of(T), T, t1)
         if _better(key, best_key):
             best_key, best_x = key, x
 
-    bounds = [(0.0, cap), (0.0, cap), (0.0, p.tau)]
+    bounds = [(0.0, cap), (0.0, cap)]
     for seed in seeds:
         raw = minimize(neg_profit, seed, bounds, xatol=1e-9,
                        fatol=_POLISH_FATOL, maxfev=_MAX_POLISH_EVALS).x
+        # s = tau is the kink where t3 = min(tau, s) stops growing.  The
+        # polish closes in on it without landing on it, so a snapped point
+        # wins a tie with its raw one.
+        snapped = (_snap(raw[0], 0.0), _snap(raw[1], p.tau))
+        if snapped != raw and (-neg_profit(*snapped)
+                               >= -neg_profit(*raw) - _PROFIT_TIE):
+            raw = snapped
         consider(raw)
-        snapped = (_snap(raw[0], 0.0), _snap(raw[1], 0.0), _snap(raw[2], p.tau))
-        if snapped != raw:
-            consider(snapped)
 
     if best_x is None:
         raise InfeasibleProblem("polish produced no feasible point")
 
     # Integer bounds reach the winner through the clip and the snap; the
     # solution holds floats whatever the types of the market's fields.
-    t1, t2, t3 = map(float, best_x)
+    t1, s = map(float, best_x)
     fee = float(best_key[1])
-    policy = ShipmentPolicy(t1, t2, t3)
+    T = t1 + s
+    fee_rate = fee / (problem.fee_model.delta * p.M)
+    t3 = float(_phase3(problem)(
+        T, s, potential_market(problem.fee_model, fee), fee_rate))
+    policy = ShipmentPolicy(t1, s - t3, t3)
     theta = signal(problem.signal_spec, policy, p.tau)
     lam = respond(problem.resp, problem.fee_model, fee, theta)
     profit = profit_rate_with_fees(p, problem.fee_model, policy, fee, lam)
@@ -456,7 +494,6 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
                                    + (a - b * fee) / (delta * M))
         return d_t3t3 * d_ff - d_t3f * d_t3f > 0
 
-    neg_profit = _objective(problem)
     fee_of = best_fee(problem)
     candidates = []
     for z in roots:
@@ -470,7 +507,11 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
             continue
         if not is_local_max(t3, fee_star):
             continue
-        candidates.append((-neg_profit(0.0, 0.0, t3), t3))
+        policy = ShipmentPolicy(0.0, 0.0, t3)
+        lam = respond(problem.resp, fm, fee_star,
+                      signal(problem.signal_spec, policy, p.tau))
+        candidates.append(
+            (profit_rate_with_fees(p, fm, policy, fee_star, lam), t3))
     if not candidates:
         raise RegimeViolation(
             "no admissible interior-fee maximum; a boundary regime applies")

@@ -19,7 +19,7 @@ from womops.cli import (DEFAULT_CONFIG, _diff_trace, load_config, main,
 from womops.dynamics import MAX_SIM_ITERS
 from womops.errors import ConfigError
 from womops.experiments import ExperimentConfig, TraceId, run_trace
-from womops.reference import TRACES
+from womops.reference import TABLE_ROWS, TRACES
 
 
 def run_cli(argv, capsys):
@@ -136,6 +136,19 @@ class TestSolveM2:
             code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
         assert code == 3 and out == ""
         assert "polish produced no feasible point" in err
+        assert not [w for w in caught if issubclass(w.category,
+                                                     RuntimeWarning)]
+
+    def test_unbounded_search_box_exits_3_without_warnings(self, tmp_path,
+                                                          capsys):
+        # 2K/(h lambda_r) overflows, so the search cap is inf and the
+        # lattice on [0, cap] would be NaN: exit 3 before it is built.
+        cfg = write_config(tmp_path, market={"K": 1e308, "r": 1e300})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
+        assert code == 3 and out == ""
+        assert "no feasible cycle in the search box" in err
         assert not [w for w in caught if issubclass(w.category,
                                                      RuntimeWarning)]
 
@@ -258,6 +271,25 @@ class TestReproduce:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: -c" in err
         assert not (tmp_path / "out").exists()
+
+    def test_table_miss_prints_its_notes(self, tmp_path, capsys,
+                                         monkeypatch):
+        # A reference row the solver misses on one field and on the
+        # decision: both notes reach stdout, under the summary line.
+        key = (1.0, 1.0, 2000.0, 8.0)
+        *fields, _ = TABLE_ROWS["T3"][key]
+        fields[4] += 1.0  # lambda_p 450.00 -> 451.00, tolerance 0.5
+        monkeypatch.setitem(TABLE_ROWS["T3"], key, (*fields, "Cycles"))
+        code, out, _ = run_cli(["reproduce", "--table", "T3",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "T3: rows matched 9/10 within tolerance",
+            "  row tau=1 c2=1 K=2000 r=8: lambda_p 450.0000 vs 451.00 "
+            "(tol 0.5); decision Opt-Eq vs Cycles"]
+        assert lines[2:] == [f"wrote {tmp_path / 'T3.csv'}",
+                             f"wrote {tmp_path / 'T3_manifest.json'}"]
 
     def test_trace_miss_names_its_tolerance(self):
         trace = run_trace(ExperimentConfig(), TraceId.T7)

@@ -193,8 +193,8 @@ def random_cycles(seed: int, n: int = 2000):
 
 
 class TestSharedFormulas:
-    """signal_value and cycle_profit serve floats (the polish, the scalar
-    API) and arrays (the candidate grid) with one body each."""
+    """signal_value and cycle_profit serve floats (every caller in the
+    package) and arrays (the tests' dense scans) with one body each."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=["MDT", "NPS", "weighted",
                                                   "weights-above-1",
@@ -212,7 +212,7 @@ class TestSharedFormulas:
 
     @pytest.mark.parametrize("c2", [0, 0.1, 0.5, 1, 1.7, 2, 3])
     def test_array_power_is_numpy_power(self, c2):
-        # The grid raises theta to c2 with ``**``; on arrays that is
+        # A dense scan raises theta to c2 with ``**``; on arrays that is
         # np.power bit for bit (Python floats use the C library's pow,
         # which can differ in the last bit).
         theta = signal_value(NPS, *random_cycles(6)[1:])

@@ -17,7 +17,8 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
 from womops import dynamics, equilibrium
 from womops.domain import cycle_profit, signal_value
 from womops.equilibrium import (MAX_GRID_POINTS, MAX_SEEDS, SearchSpec,
-                                _objective, _seeds, search_cap)
+                                _T3_FLOOR, _objective, _phase3, _seeds,
+                                search_cap)
 from womops.errors import InvalidParams
 from womops.experiments import (ExperimentConfig, TableId, _table_setup,
                                 build_problem)
@@ -170,12 +171,22 @@ class TestSolve:
             lam = respond(prob.resp, LIN, fee, theta)
             want = profit_rate_with_fees(prob.params, LIN, pol, fee, lam)
             assert pol_profit == pytest.approx(want, rel=1e-12, abs=1e-9)
-            # The objective takes the fee at F*(T).
-            fee = best_fee(prob)(t1 + t2 + t3)
+            # The objective takes the fee at F*(T) and t3 at its best for
+            # (T, s): the profit of that policy, and no less than this one.
+            s = t2 + t3
+            T = t1 + s
+            fee = best_fee(prob)(T)
+            best_t3 = _phase3(prob)(T, s, LIN.members(fee) * LIN.delta,
+                                    fee / (LIN.delta * prob.params.M))
+            best_pol = ShipmentPolicy(t1, s - best_t3, best_t3)
+            lam = respond(prob.resp, LIN, fee,
+                          signal(MDT, best_pol, prob.params.tau))
+            want = profit_rate_with_fees(prob.params, LIN, best_pol, fee, lam)
+            got = -_objective(prob)(t1, s)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
             lam = respond(prob.resp, LIN, fee, theta)
-            want = profit_rate_with_fees(prob.params, LIN, pol, fee, lam)
-            assert -_objective(prob)(t1, t2, t3) == \
-                pytest.approx(want, rel=1e-12, abs=1e-9)
+            assert got >= profit_rate_with_fees(prob.params, LIN, pol, fee,
+                                                lam) - 1e-9
 
     def test_fee_box_outside_the_family_domain_rejected(self):
         # The logarithmic family is defined for F < b = 101 only.
@@ -397,6 +408,131 @@ class TestMonotonicity:
         assert lam_back == pytest.approx(sol.lambda_p, rel=1e-9)
 
 
+W_MDT = SignalSpec(SignalKind.WEIGHTED,
+                   ((SignalKind.MDT, 0.6), (SignalKind.NPS, 0.4)))
+W_LOW = SignalSpec(SignalKind.WEIGHTED,
+                   ((SignalKind.MDT, 0.9), (SignalKind.NPS, 0.1)))
+
+
+class TestPhase3:
+    """The closed-form t3 against a dense scan of t3 at fixed (t1, T).
+
+    With f_max = 60 the linear family keeps 40 members at the cap of the
+    fee box, so past T = 4.2 the premium margin Q is negative; at T = 3
+    it is positive.  Each case names the end the rule must take: U =
+    min(tau, s), the t3 -> 0+ floor, or an interior root.
+    """
+
+    CASES = [
+        # NPS: theta ignores t3, so t3 = U whatever the sign of Q.
+        ("nps-q-positive", dict(tau=4.0, c2=1.0, spec=NPS), 0.5, 3.0, "U"),
+        ("nps-q-negative", dict(tau=4.0, c2=2.5, spec=NPS), 0.5, 7.0, "U"),
+        # MDT with Q >= 0, also priced out (Q = 0 at f_max = 100).
+        ("mdt-q-positive", dict(tau=4.0, c2=2.5), 0.5, 3.0, "U"),
+        ("mdt-q-zero", dict(tau=4.0, c2=2.5, f_max=100.0), 0.5, 7.0, "U"),
+        # MDT, Q < 0, c2 <= 1: the better end.
+        ("mdt-convex-floor", dict(tau=4.0, c2=0.5), 0.5, 7.0, "floor"),
+        ("mdt-convex-no-regulars", dict(tau=4.0, c2=0.5, lambda_r=0.0),
+         1.0, 10.0, "floor"),
+        ("mdt-linear-no-regulars", dict(tau=4.0, c2=1.0, lambda_r=0.0),
+         0.5, 7.0, "floor"),
+        ("mdt-convex-U", dict(tau=4.0, c2=0.5, lambda_r=400.0), 0.5, 7.0, "U"),
+        ("mdt-linear-U", dict(tau=4.0, c2=1.0, lambda_r=400.0), 0.5, 7.0, "U"),
+        # MDT, Q < 0, c2 > 1: the clipped root.
+        ("mdt-concave-root", dict(tau=4.0, c2=2.5), 0.5, 7.0, "interior"),
+        ("mdt-concave-few-regulars", dict(tau=4.0, c2=3.0, lambda_r=5.0),
+         1.0, 10.0, "interior"),
+        ("mdt-concave-U", dict(tau=4.0, c2=1.5, lambda_r=2000.0),
+         0.5, 7.0, "U"),
+        ("mdt-concave-no-regulars", dict(tau=4.0, c2=2.5, lambda_r=0.0),
+         0.5, 7.0, "floor"),
+        # Weighted: theta = beta + alpha t3 with beta > 0.
+        ("weighted-q-positive", dict(tau=4.0, c2=2.5, spec=W_MDT),
+         0.5, 3.0, "U"),
+        ("weighted-convex-floor", dict(tau=4.0, c2=0.5, spec=W_MDT),
+         0.5, 7.0, "floor"),
+        ("weighted-concave-floor", dict(tau=4.0, c2=2.5, spec=W_MDT),
+         0.5, 7.0, "floor"),
+        ("weighted-concave-root", dict(tau=4.0, c2=3.0, lambda_r=200.0,
+                                       spec=W_LOW), 0.5, 7.0, "interior"),
+        # c2 = 0: the response ignores theta.
+        ("insensitive", dict(tau=4.0, c2=0.0), 0.5, 7.0, "U"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, t1, T, end",
+                             [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_beats_a_dense_scan(self, kwargs, t1, T, end):
+        prob = problem(**{"f_max": 60.0, **kwargs})
+        p, fm = prob.params, prob.fee_model
+        fee = best_fee(prob)(T)
+        c1 = fm.members(fee) * fm.delta
+        fee_rate = fee / (fm.delta * p.M)
+        s = T - t1
+        U = min(p.tau, s)
+        t3 = _phase3(prob)(T, s, c1, fee_rate)
+        kind = ("U" if t3 == U else "floor" if t3 == _T3_FLOOR
+                else "interior" if 0.0 < t3 < U else "outside")
+        assert kind == end
+        scan = np.concatenate([np.geomspace(1e-300, U, 2001),
+                               np.linspace(0.0, U, 200001)[1:]])
+        profits = substituted_profit(prob, t1, s - scan, scan, fee)
+        best = float(substituted_profit(prob, t1, s - t3, t3, fee))
+        scale = max(1.0, float(np.max(np.abs(profits))))
+        assert best >= float(np.max(profits)) - 1e-12 * scale
+        if kind == "interior":
+            # The scan's best point is next to the root.
+            assert scan[int(np.argmax(profits))] == pytest.approx(t3, abs=1e-4)
+
+
+def random_weighted_problem(rng):
+    """A random weighted-signal market, losing premium markets included."""
+    w = float(rng.uniform(0.05, 0.95))
+    spec = SignalSpec(SignalKind.WEIGHTED,
+                      ((SignalKind.MDT, w), (SignalKind.NPS, 1.0 - w)))
+    fee_model = (LIN, LOG, FeeModel(FeeFamily.LINEAR, 0, -0.5, 5))[
+        rng.integers(3)]
+    return problem(tau=float(rng.uniform(0.5, 7.0)),
+                   c2=float(rng.uniform(0.0, 4.0)),
+                   K=float(rng.uniform(500.0, 4000.0)),
+                   r=float(rng.uniform(4.0, 48.0)),
+                   lambda_r=float(rng.choice([0.0, rng.uniform(1.0, 100.0)])),
+                   f_max=float(rng.uniform(20.0, 100.0)),
+                   fee_model=fee_model, spec=spec)
+
+
+def best_scanned_profit(prob, n=48):
+    """The best point of a dense (t1, T, t3) scan of the search box, with
+    the fee at F*(T) and t3 in (0, min(tau, T - t1)]."""
+    cap = search_cap(prob)
+    axis = np.linspace(0.0, cap, n)
+    fee_of = best_fee(prob)
+    fees = np.array([fee_of(x) for x in axis.tolist()], dtype=float)
+    t1, T, t3 = np.meshgrid(axis, axis, np.linspace(0.0, prob.params.tau, n)[1:],
+                            indexing="ij")
+    F = np.broadcast_to(fees[None, :, None], T.shape)
+    inside = t3 <= T - t1
+    t1, T, t3, F = t1[inside], T[inside], t3[inside], F[inside]
+    with np.errstate(over="ignore", invalid="ignore"):
+        profits = substituted_profit(prob, t1, T - t1 - t3, t3, F)
+    return float(np.max(profits[np.isfinite(profits)]))
+
+
+class TestWeightedProblems:
+    def test_never_below_a_dense_scan(self):
+        # The inner t3 is exact for every (t1, T), so on weighted problems
+        # too no point of the 3-D box may beat the solver's optimum.  A
+        # search over (t1, t2, t3) fell short of the scan on draws 17, 52,
+        # 64 and 113, all loss-making with c2 > 1.6, where its polish
+        # stopped short of the interior t3.
+        rng = np.random.default_rng(20261019)
+        for draw in range(150):
+            prob = random_weighted_problem(rng)
+            sol = solve_equilibrium(prob)
+            best = best_scanned_profit(prob)
+            assert sol.profit >= best - 1e-9 * max(1.0, abs(best)), draw
+
+
 def scaled_linear(prob, c):
     """``prob`` in money units c times larger: r, K, h and the fee bounds
     scale by c and the linear family's b by 1/c, so N(F) keeps its values
@@ -441,53 +577,31 @@ class TestLinearFamilyScaling:
 
 
 def reference_grid(prob, search):
-    """The whole profiled grid, flattened, with its profits.
-
-    Each point takes the fee F*(T) of its grid cycle length T.  A point
-    whose t1 + t2 + t3 rounds above the search cap is outside the box.
-    """
-    p = prob.params
-    cap = search_cap(prob)
-    t1g = np.linspace(0.0, cap, search.n_time)
-    t3g = np.linspace(0.0, p.tau, search.n_time)[1:]
-    Tg = np.linspace(0.0, cap, search.n_time)[1:]
-    A, B, C = np.meshgrid(t1g, t3g, Tg, indexing="ij")
-    box = C - A - B >= -1e-12
-    P1, P3 = np.meshgrid(t1g, t3g, indexing="ij")
-    plane = P1 + P3 <= cap + 1e-12
-    t1 = np.concatenate([A[box], P1[plane]])
-    t3 = np.concatenate([B[box], P3[plane]])
-    T = np.concatenate([C[box], (P1 + P3)[plane]])
-    t2 = np.maximum(T - t1 - t3, 0.0)
-    inside = t1 + t2 + t3 <= cap
-    t1, t2, t3, T = t1[inside], t2[inside], t3[inside], T[inside]
+    """The objective on every (t1, T) lattice pair with t1 < T, T-major,
+    as (t1, s, T, F*(T), profit) with s = T - t1."""
+    axis = np.linspace(0.0, search_cap(prob), search.n_time)
+    B, A = np.meshgrid(axis[1:], axis, indexing="ij")
+    pair = A < B
+    t1, T = A[pair], B[pair]
+    s = T - t1
     fee_of = best_fee(prob)
     F = np.array([fee_of(length) for length in T.tolist()], dtype=float)
-    return t1, t2, t3, F, substituted_profit(prob, t1, t2, t3, F)
+    neg_profit = _objective(prob)
+    prof = -np.array(list(map(neg_profit, t1.tolist(), s.tolist())))
+    return t1, s, T, F, prof
 
 
 def reference_seeds(prob, search):
-    """Seeds of a full (profit, F, T, t1) lexsort over the finite grid."""
-    p = prob.params
-    cap = search_cap(prob)
-    t1, t2, t3, F, prof = reference_grid(prob, search)
-    finite = np.isfinite(prof)
-    t1, t2, t3, F, prof = (a[finite] for a in (t1, t2, t3, F, prof))
-    dt = cap / (search.n_time - 1)
-    d3 = p.tau / (search.n_time - 1)
-    seeds = []
-    for idx in np.lexsort((t1, t1 + t2 + t3, F, -prof)):
-        cand = (float(t1[idx]), float(t2[idx]), float(t3[idx]))
-        if not any(abs(cand[0] - s[0]) < dt and abs(cand[1] - s[1]) < dt
-                   and abs(cand[2] - s[2]) < d3 for s in seeds):
-            seeds.append(cand)
-            if len(seeds) >= search.top_n:
-                break
-    return seeds
+    """The first top_n points of the finite grid in (profit, F, T, t1)
+    order, by Python's stable sort, so full ties keep grid order."""
+    t1, s, T, F, prof = reference_grid(prob, search)
+    finite = np.flatnonzero(np.isfinite(prof)).tolist()
+    order = sorted(finite, key=lambda k: (-prof[k], F[k], T[k], t1[k]))
+    return [(float(t1[k]), float(s[k])) for k in order[:search.top_n]]
 
 
 class TestStreamedSeedSelection:
-    """Sorting the head of the grid picks exactly the seeds of a full sort."""
+    """Seed selection picks exactly the seeds of a full sort of the grid."""
 
     @pytest.mark.parametrize("table, row", [("T3", 5), ("T4", 0), ("T5", 9),
                                             ("T6", 3)])
@@ -525,44 +639,26 @@ class TestStreamedSeedSelection:
         search = SearchSpec(n_time=20)
         assert _seeds(prob, search) == reference_seeds(prob, search)
 
-    def test_short_head_continues_over_the_rest(self, monkeypatch):
-        # With one point per seed in the head, near-duplicates among the
-        # best points leave it short, so the rest is sorted and scanned.
-        monkeypatch.setattr(equilibrium, "_HEAD_PER_SEED", 1)
-        prob = problem(2.0, 1)
-        search = SearchSpec(n_time=10, top_n=8)
-        sorts = []
-        lexsort = np.lexsort
-
-        def spy(keys):
-            sorts.append(len(keys[0]))
-            return lexsort(keys)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(equilibrium.np, "lexsort", spy)
-            got = _seeds(prob, search)
-        assert got == reference_seeds(prob, search)
-        assert len(got) == 8 and len(sorts) == 2
-
     def test_grid_with_fewer_distinct_seeds_than_asked(self):
-        # The whole two-point-per-axis grid holds fewer well-separated
-        # points than top_n, so both parts are scanned to the end.
+        # The two-point axis makes a one-point grid, (t1, T) = (0, cap).
         prob = problem(2.0, 1)
         search = SearchSpec(n_time=2, top_n=8)
         got = _seeds(prob, search)
         assert got == reference_seeds(prob, search)
-        assert 0 < len(got) < search.top_n
+        assert got == [(0.0, search_cap(prob))]
 
     def test_ties_at_the_head_edge(self):
         # With no regular demand and the fee pinned where the linear
-        # family's member count is zero, the profit is -K/T for every
-        # (t1, t3): the best points all tie, at and beyond the k-th.
+        # family's member count is zero, the profit is -K/T for every t1:
+        # the best points all tie, at T = cap, and the smallest t1 win.
         prob = problem(3.0, 1, f_min=100.0, f_max=100.0, lambda_r=0.0)
         search = SearchSpec(n_time=12, top_n=3)
-        assert _seeds(prob, search) == reference_seeds(prob, search)
-        prof = reference_grid(prob, search)[-1]
-        assert (np.count_nonzero(prof == prof.max())
-                > equilibrium._HEAD_PER_SEED * search.top_n)
+        got = _seeds(prob, search)
+        assert got == reference_seeds(prob, search)
+        t1, _, T, _, prof = reference_grid(prob, search)
+        cap = search_cap(prob)
+        assert np.count_nonzero(prof == prof.max()) == search.n_time - 1
+        assert [seed[0] for seed in got] == t1[T == cap][:3].tolist()
 
 
 #: No demand at all (lambda_r = 0, N = 0): the profit -K/T is best on the
@@ -578,23 +674,25 @@ TABLE_ROW_PROBLEMS = [
 
 
 class TestGridInsideTheBox:
-    """Every grid point is a cycle the objective accepts."""
+    """Every grid point is a cycle the objective accepts, at its profit."""
 
     @pytest.mark.parametrize("prob", [
         *TABLE_ROW_PROBLEMS, pytest.param(NO_DEMAND, id="no-demand")])
     def test_grid_points_are_finite_under_the_objective(self, prob):
         neg_profit = _objective(prob)
-        t1, t2, t3, _, _ = equilibrium._candidate_grid(prob, SearchSpec())
-        assert t1.size
-        values = list(map(neg_profit, t1.tolist(), t2.tolist(), t3.tolist()))
+        t1, s, _, _, prof = equilibrium._candidate_grid(prob, SearchSpec())
+        # All 780 lattice pairs are in the box, at the objective's profit.
+        assert t1.size == 40 * 39 // 2
+        values = list(map(neg_profit, t1.tolist(), s.tolist()))
         assert all(map(math.isfinite, values))
+        assert [-v for v in values] == prof.tolist()
 
 
 class TestSearchBudget:
     def test_default_and_finer_grids_fit(self):
         SearchSpec()
         SearchSpec(n_time=128)
-        assert 128 ** 2 * 127 <= MAX_GRID_POINTS
+        assert 128 * 127 // 2 <= MAX_GRID_POINTS < 129 * 128 // 2
 
     def test_oversized_grid_rejected_before_allocation(self):
         for n_time in (129, 400):
@@ -603,8 +701,19 @@ class TestSearchBudget:
 
     def test_grid_and_seed_count_must_be_positive(self):
         for kwargs in ({"n_time": 1}, {"top_n": 0}):
-            with pytest.raises(InvalidParams, match="positive"):
+            field = next(iter(kwargs))
+            with pytest.raises(InvalidParams, match=f"^{field} must be"):
                 SearchSpec(**kwargs)
+
+    @pytest.mark.parametrize("field", ["n_time", "top_n"])
+    @pytest.mark.parametrize("value", [10.5, 2.0, float("nan"), float("inf"),
+                                       True, "8", None, np.int64(8)])
+    def test_counts_must_be_integers(self, field, value):
+        # A float, even a whole one, would reach np.linspace or the seed
+        # slice and fail there with a TypeError; a NumPy integer would
+        # fail in the manifest's json.dumps.
+        with pytest.raises(InvalidParams, match=f"^{field} must be an integer"):
+            SearchSpec(**{field: value})
 
     def test_seed_count_capped(self):
         SearchSpec(top_n=MAX_SEEDS)

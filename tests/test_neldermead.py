@@ -116,16 +116,18 @@ class TestTablePolishes:
 
 
 class TestPaths:
-    def test_pinned_fee_polishes_three_coordinates(self, monkeypatch):
+    def test_pinned_fee_polishes_two_coordinates(self, monkeypatch):
         calls = record_polishes(monkeypatch)
         solve_equilibrium(problem(5.0, 1, f_min=40.0, f_max=40.0),
                           SearchSpec(n_time=20))
-        assert {len(c[1]) for c in calls} == {3}
+        assert {len(c[1]) for c in calls} == {2}
         assert_polishes_match_scipy(calls)
 
     def test_tied_values_are_ordered_by_numpy(self, monkeypatch):
-        # Priced out at F = f_max, the optimum sits on the t2 = 0 and
-        # t3 = tau bounds, where distinct vertices reach equal profits.
+        # Priced out at F = f_max with every cycle losing money, the
+        # optimum sits on the wall T = cap.  Past the wall every s takes
+        # the wall's profit at its t1, so distinct vertices reach equal
+        # profits.
         argsorts = []
         argsort = np.argsort
 
@@ -136,9 +138,11 @@ class TestPaths:
         calls = record_polishes(monkeypatch)
         with monkeypatch.context() as mp:
             mp.setattr(neldermead.np, "argsort", spy)
-            sol = solve_equilibrium(problem(5.0, 3))
+            sol = solve_equilibrium(problem(7.0, 1, K=4000.0))
         assert (sol.fee, sol.lambda_p) == (100.0, 0.0)
-        assert argsorts.count(4) > 100
+        assert sol.policy.cycle_length == pytest.approx(
+            search_cap(problem(7.0, 1, K=4000.0)), abs=1e-6)
+        assert argsorts.count(3) > 200
         assert_polishes_match_scipy(calls)
 
     def test_max_polish_evals_is_the_budget(self, monkeypatch):
@@ -152,10 +156,10 @@ class TestPaths:
     def test_every_cut_of_the_evaluation_budget(self, pinned):
         # Polishes cut after each of their evaluations: mid-reflection,
         # mid-expansion, mid-contraction and mid-shrink.  Unpinned, the
-        # first T3 row's first polish (191 evaluations, four shrinks) and
-        # the first T6 row's (191 evaluations, seven shrinks, 20 orders
-        # taken from np.argsort on tied or NaN values); pinned, a fee
-        # pinned at 40 (160 evaluations, four shrinks).
+        # first T3 row's first polish (202 evaluations, into the kink at
+        # s = tau) and the first T6 row's (128 evaluations, five shrinks,
+        # 8 orders taken from np.argsort on tied or NaN values); pinned, a
+        # fee pinned at 40 (88 evaluations, five shrinks).
         if pinned:
             prob = problem(5.0, 1, f_min=40.0, f_max=40.0)
             cases = [(prob, SearchSpec(n_time=20))]
@@ -168,7 +172,7 @@ class TestPaths:
                               config.search))
         for prob, search in cases:
             cap = search_cap(prob)
-            bounds = [(0.0, cap), (0.0, cap), (0.0, prob.params.tau)]
+            bounds = [(0.0, cap), (0.0, cap)]
             fun = _objective(prob)
             x0 = _seeds(prob, search)[0]
             full = neldermead.minimize(fun, x0, bounds, xatol=1e-9,
@@ -183,15 +187,16 @@ class TestPaths:
 
     @pytest.mark.parametrize("maxfev", [1, 4000])
     @pytest.mark.parametrize("x0", [
-        (0.0, 0.0, 2.0),            # t3 on its upper bound
-        (0.0, -0.0, 1.0),           # -0.0 clips to the 0.0 lower bound
-        (0.5, 0.3, 1.99),           # a 1.05 x step past the upper bound
-        (7.0, -1.0, 3.0),           # outside the box in every coordinate
+        (0.0, 2.0),                 # s on its upper bound
+        (-0.0, 1.0),                # -0.0 clips to the 0.0 lower bound
+        (0.3, 1.99),                # a 1.05 x step past the upper bound
+        (20.0, -1.0),               # outside the box in every coordinate
     ])
     def test_seeds_on_and_beyond_the_bounds(self, x0, maxfev):
+        # s is boxed at tau = 2 here, where t3 = min(tau, s) stops growing.
         prob = problem(2.0, 1)
         cap = search_cap(prob)
-        bounds = [(0.0, cap), (0.0, cap), (0.0, 2.0)]
+        bounds = [(0.0, cap), (0.0, 2.0)]
         fun = _objective(prob)
         options = dict(xatol=1e-9, fatol=1e-8, maxfev=maxfev)
         assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
@@ -201,11 +206,11 @@ class TestPaths:
     def test_signed_zero_bounds(self, maxfev):
         # np.clip keeps a coordinate only when strictly inside, so 0.0
         # clips to a -0.0 lower bound and -0.0 to a 0.0 upper bound.
-        def fun(x, y, z):
-            return (x + 0.3) ** 2 + (y - 0.2) ** 2 + z * z
+        def fun(x, y):
+            return (x + 0.3) ** 2 + (y - 0.2) ** 2
 
-        x0 = (-0.0, 0.0, -0.0)
-        bounds = [(-1.0, 0.0), (-0.0, 1.0), (-1.0, 1.0)]
+        x0 = (-0.0, 0.0)
+        bounds = [(-1.0, 0.0), (-0.0, 1.0)]
         options = dict(xatol=1e-9, fatol=1e-12, maxfev=maxfev)
         assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
                           scipy_polish(fun, x0, bounds, **options))
@@ -213,20 +218,20 @@ class TestPaths:
     def test_objective_blind_to_coordinates(self):
         # Only the first coordinate matters, so vertices tie from the
         # initial simplex on; cut the budget after each of the first 60
-        # evaluations, and run to convergence (269 evaluations).
-        def fun(a, b, c):
+        # evaluations, and run to convergence (224 evaluations).
+        def fun(a, b):
             return abs(a - 0.3)
 
-        x0 = (1.0, 0.0, 2.0)
-        bounds = [(0.0, 2.0)] * 3
+        x0 = (1.0, 2.0)
+        bounds = [(0.0, 2.0)] * 2
         for maxfev in [*range(1, 61), 4000]:
             options = dict(xatol=1e-9, fatol=1e-8, maxfev=maxfev)
             assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
                               scipy_polish(fun, x0, bounds, **options))
 
-    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("n", [1, 3, 4])
     def test_other_dimensions_are_rejected(self, n):
-        with pytest.raises(ValueError, match="three coordinates"):
+        with pytest.raises(ValueError, match="two coordinates"):
             neldermead.minimize(lambda *x: 0.0, (1.0,) * n, [(0.0, 2.0)] * n,
                                 xatol=1e-9, fatol=1e-8, maxfev=10)
 
@@ -237,7 +242,7 @@ class TestPaths:
         spec = SignalSpec(SignalKind.WEIGHTED, ((SignalKind.MDT, 0.5000000005),
                                                 (SignalKind.NPS, 0.5)))
         prob = problem(2.0, 1e13, spec=spec)
-        assert _objective(prob)(0.0, 0.0, 2.0) == -1230.0
+        assert _objective(prob)(0.0, 2.0) == -1230.0
         calls = record_polishes(monkeypatch)
         sol = solve_equilibrium(prob, SearchSpec(n_time=12, top_n=3))
         assert (sol.policy.t1, sol.policy.t2, sol.policy.t3, sol.fee) == \
@@ -264,18 +269,18 @@ class TestPaths:
 
 @st.composite
 def boxed_searches(draw):
-    """A 3-D objective with plateaus and an ``inf`` region, so that vertices
+    """A 2-D objective with plateaus and an ``inf`` region, so that vertices
     tie; a box; a seed inside, on or outside the box; and a budget."""
-    lows = [draw(st.floats(-2.0, 1.0)) for _ in range(3)]
+    lows = [draw(st.floats(-2.0, 1.0)) for _ in range(2)]
     bounds = [(low, low + draw(st.floats(0.1, 3.0))) for low in lows]
     x0 = tuple(draw(st.one_of(st.floats(low, high),
                               st.sampled_from([low, high, 0.0, -0.0]),
                               st.floats(low - 2.0, high + 2.0)))
                for low, high in bounds)
     center = [draw(st.floats(low - 0.5, high + 0.5)) for low, high in bounds]
-    weights = [draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) for _ in range(3)]
+    weights = [draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) for _ in range(2)]
     step = draw(st.sampled_from([0.0, 0.01, 0.1, 1.0]))
-    wall = draw(st.sampled_from([None, 0, 1, 2]))
+    wall = draw(st.sampled_from([None, 0, 1]))
     low, high = bounds[0 if wall is None else wall]
     edge = draw(st.floats(low, high))
 
