@@ -43,6 +43,10 @@ from .neldermead import minimize
 _SNAP = 5e-6          # polish results this close to t1 = 0 or s = tau snap onto it
 _PROFIT_TIE = 1e-6    # profits closer than this are ties (smaller F, then T wins)
 _NEWTON_STEPS = 64    # cap on the logarithmic family's Newton iterations
+#: Relative widening of the logarithmic family's bound-exit thresholds in
+#: :func:`best_fee`, far above Newton's few-ulp error.  The exit returns
+#: Newton's fee either way; a wider margin only sends more A to Newton.
+_BOUND_EXIT_MARGIN = 1e-9
 _MAX_POLISH_EVALS = 4000  # objective evaluations per Nelder-Mead polish
 _POLISH_FATOL = 1e-8      # Nelder-Mead's tolerance on the simplex's profits
 #: The t3 -> 0+ end of Phase 3: the smallest positive float, so the cycle
@@ -142,33 +146,50 @@ def best_fee(problem: EquilibriumProblem):
     f_min on a tie (as when a = b = 0; with a = 0 and b < 0, N = -bF > 0).
     The logarithmic family with a = 0 has N = 0 and takes f_min.  With
     a > 0, u = b - F and A = delta M (r - hT/2) + b, the product falls in u
-    when A <= 1 (F* = f_max) and otherwise peaks at the root of u (ln u +
-    1) = A, found by Newton from u = A and clipped.
+    when A <= 1 (F* = f_max) and otherwise peaks at the root of g(u) =
+    u (ln u + 1) = A, found by Newton from u = A and clipped.  g increases,
+    so the clip decides F* without the root when A lies at or past
+    g(b - f_min) (F* = f_min) or at or short of g(b - f_max) (F* = f_max).
+    Those two thresholds are taken once per problem and widened by the
+    relative margin :data:`_BOUND_EXIT_MARGIN`, which Newton's last-ulp
+    error cannot cross, so the exit returns the bound the root would clip
+    to.  A threshold that overflows to inf exits for no finite A: A = inf
+    takes f_min, and every finite A beyond A <= 1 takes the Newton root.
     """
     p, fm = problem.params, problem.fee_model
     lo, hi = p.f_min, p.f_max
+    b = fm.b
     delta_M = fm.delta * p.M
-
-    def clip(fee: float) -> float:
-        return min(max(fee, lo), hi)
 
     if hi <= lo or fm.family is FeeFamily.LOGARITHMIC and fm.a == 0:
         return lambda T: lo
-    if fm.family is FeeFamily.LINEAR and fm.b > 0:
-        base = (fm.a - fm.b * delta_M * p.r) / (2.0 * fm.b)
+    if fm.family is FeeFamily.LINEAR and b > 0:
+        base = (fm.a - b * delta_M * p.r) / (2.0 * b)
         slope = delta_M * p.h / 4.0
-        return lambda T: clip(base + slope * T)
+
+        def clipped(T: float) -> float:
+            fee = base + slope * T
+            return lo if fee < lo else hi if fee > hi else fee
+
+        return clipped
     if fm.family is FeeFamily.LINEAR:
         def value(fee: float, T: float) -> float:
             return fm.members(fee) * (p.r - p.h * T / 2.0 + fee / delta_M)
 
         return lambda T: hi if value(hi, T) > value(lo, T) else lo
 
+    def g(u: float) -> float:
+        return u * (math.log(u) + 1.0)
+
+    to_hi = g(b - hi) * (1.0 - _BOUND_EXIT_MARGIN)
+    to_hi = max(1.0, to_hi) if to_hi < math.inf else 1.0
+    to_lo = g(b - lo) * (1.0 + _BOUND_EXIT_MARGIN)
+
     def fee_of(T: float) -> float:
-        A = delta_M * (p.r - p.h * T / 2.0) + fm.b
-        if not A > 1.0:
+        A = delta_M * (p.r - p.h * T / 2.0) + b
+        if not A > to_hi:
             return hi
-        if A == math.inf:
+        if A >= to_lo:
             return lo
         # u (ln u + 1) is convex and increasing: Newton from above descends
         # onto the root.  The step is split so that u + A cannot overflow.
@@ -179,9 +200,39 @@ def best_fee(problem: EquilibriumProblem):
             if not nxt < u:
                 break
             u = nxt
-        return clip(fm.b - u)
+        fee = b - u
+        return lo if fee < lo else hi if fee > hi else fee
 
     return fee_of
+
+
+def _fee_terms(problem: EquilibriumProblem):
+    """``T -> (F, c1, fee_rate)``: the best fee, c1(F) and F/(delta M).
+
+    F is :func:`best_fee`'s.  Most cycle lengths the solver visits take a
+    fee bound, so the triple at each bound is taken once per problem and
+    handed out whenever F*(T) equals that bound; only an interior fee
+    takes N(F) and the division per call.
+    """
+    p, fm = problem.params, problem.fee_model
+    lo, hi = p.f_min, p.f_max
+    fee_of = best_fee(problem)
+    members, delta, delta_M = fm.members, fm.delta, fm.delta * p.M
+
+    def terms(fee: float) -> tuple[float, float, float]:
+        return fee, members(fee) * delta, fee / delta_M
+
+    at_lo, at_hi = terms(lo), terms(hi)
+
+    def fee_terms(T: float) -> tuple[float, float, float]:
+        fee = fee_of(T)
+        if fee == lo:
+            return at_lo
+        if fee == hi:
+            return at_hi
+        return terms(fee)
+
+    return fee_terms
 
 
 def _phase3(problem: EquilibriumProblem):
@@ -246,19 +297,17 @@ def _objective(problem: EquilibriumProblem):
     the same t1: in the priced-out regime the profit otherwise climbs
     forever toward the unattained stretched-cycle supremum, and the polish
     can slide along the wall T = cap of its square box, where it would
-    stall if the far side were ``inf``.  F*(T) and N(F) are taken once per
-    evaluation.  Built once per problem, with the signal's formula and the
-    constants bound as locals.
+    stall if the far side were ``inf``.  The fee, c1(F) and F/(delta M)
+    come from :func:`_fee_terms` once per evaluation; it holds them for
+    the two fee bounds.  Built once per problem, with the signal's formula
+    and the constants bound as locals.
     """
     p = problem.params
     cap = search_cap(problem)
-    fm = problem.fee_model
     spec, tau = problem.signal_spec, p.tau
     theta_of = signal_formula(spec)
-    fee_of = best_fee(problem)
+    fee_terms = _fee_terms(problem)
     t3_of = _phase3(problem)
-    members = fm.members
-    delta, delta_M = fm.delta, fm.delta * p.M
     c2 = problem.resp.c2
 
     def neg_profit(t1: float, s: float) -> float:
@@ -269,9 +318,7 @@ def _objective(problem: EquilibriumProblem):
             T = t1 + s
         if t1 < 0 or s <= 0:
             return math.inf
-        fee = fee_of(T)
-        c1 = members(fee) * delta
-        fee_rate = fee / delta_M
+        _, c1, fee_rate = fee_terms(T)
         t3 = t3_of(T, s, c1, fee_rate)
         lam = c1 * theta_of(spec, s - t3, t3, T, tau) ** c2
         return -cycle_profit(p, lam, fee_rate, t1, t3, T)
@@ -355,7 +402,7 @@ def solve_equilibrium(problem: EquilibriumProblem,
     best_x: tuple[float, float] | None = None
 
     neg_profit = _objective(problem)
-    fee_of = best_fee(problem)
+    fee_terms = _fee_terms(problem)
 
     def consider(x: tuple[float, float]) -> None:
         nonlocal best_key, best_x
@@ -368,7 +415,7 @@ def solve_equilibrium(problem: EquilibriumProblem,
         if not math.isfinite(pi):
             return
         T = t1 + s
-        key = (pi, fee_of(T), T, t1)
+        key = (pi, fee_terms(T)[0], T, t1)
         if _better(key, best_key):
             best_key, best_x = key, x
 
@@ -391,11 +438,10 @@ def solve_equilibrium(problem: EquilibriumProblem,
     # Integer bounds reach the winner through the clip and the snap; the
     # solution holds floats whatever the types of the market's fields.
     t1, s = map(float, best_x)
-    fee = float(best_key[1])
     T = t1 + s
-    fee_rate = fee / (problem.fee_model.delta * p.M)
-    t3 = float(_phase3(problem)(
-        T, s, potential_market(problem.fee_model, fee), fee_rate))
+    fee, c1, fee_rate = fee_terms(T)
+    fee = float(fee)
+    t3 = float(_phase3(problem)(T, s, c1, fee_rate))
     policy = ShipmentPolicy(t1, s - t3, t3)
     theta = signal(problem.signal_spec, policy, p.tau)
     lam = respond(problem.resp, problem.fee_model, fee, theta)

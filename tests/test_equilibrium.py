@@ -235,6 +235,108 @@ class TestBestFee:
             if np.all(scan == scan[0]):
                 assert fee == f_min
 
+    def test_bound_exit_matches_newton(self):
+        # best_fee skips the Newton root when A is past a fee bound's
+        # threshold g(b - F) = (b - F)(ln(b - F) + 1).  On random problems,
+        # at T uniform over the box and at T where A is within a few ulps
+        # of either threshold, it must return the reference's fee exactly.
+        def newton_fee(prob, T):
+            p, fm = prob.params, prob.fee_model
+            A = fm.delta * p.M * (p.r - p.h * T / 2.0) + fm.b
+            if not A > 1.0:
+                return p.f_max
+            if A == math.inf:
+                return p.f_min
+            u = A
+            for _ in range(64):
+                slope = math.log(u) + 2.0
+                nxt = u / slope + A / slope
+                if not nxt < u:
+                    break
+                u = nxt
+            return min(max(fm.b - u, p.f_min), p.f_max)
+
+        def g(u):
+            return u * (math.log(u) + 1.0)
+
+        def draw(rng):
+            b = float(np.exp(rng.uniform(math.log(2.0), math.log(1e6))))
+            room = sorted(np.exp(rng.uniform(0.0, math.log(b), 2)).tolist())
+            if room[0] == room[1]:
+                room[1] = room[0] + 1.0
+            # f_max = b - 1 in a fifth of the draws, where A <= 1 exits too.
+            f_max = b - (1.0 if rng.random() < 0.2 else room[0])
+            f_min = max(0.0, b - room[1])
+            fee_model = FeeModel(FeeFamily.LOGARITHMIC,
+                                 float(rng.uniform(0.1, 100.0)), b,
+                                 float(rng.uniform(0.5, 10.0)))
+            h, M = float(rng.uniform(0.5, 8.0)), float(rng.uniform(1.0, 60.0))
+            # r puts A = g(b - f_min) at a positive T.
+            T_lo = float(rng.uniform(0.1, 5.0))
+            r = (g(b - f_min) - b) / (fee_model.delta * M) + h * T_lo / 2.0
+            if not (r > 0 and f_min < f_max):
+                return None
+            params = MarketParams(r=r, K=2000.0, h=h, tau=2.0, lambda_r=50.0,
+                                  M=M, f_min=f_min, f_max=f_max)
+            return EquilibriumProblem(params, fee_model, CustomerResponse(1.0),
+                                      MDT)
+
+        def A_of(prob, T):
+            p, fm = prob.params, prob.fee_model
+            return fm.delta * p.M * (p.r - p.h * T / 2.0) + fm.b
+
+        def near(prob, target):
+            """T within 12 ulps of where A = target."""
+            p, fm = prob.params, prob.fee_model
+            T = 2.0 * (p.r - (target - fm.b) / (fm.delta * p.M)) / p.h
+            up, down = [T], [T]
+            for _ in range(12):
+                up.append(math.nextafter(up[-1], math.inf))
+                down.append(math.nextafter(down[-1], -math.inf))
+            return up + down[1:]
+
+        rng = np.random.default_rng(20261019)
+        problems = []
+        while len(problems) < 400:
+            prob = draw(rng)
+            if prob is not None:
+                problems.append(prob)
+        # b - f_min so large that g(b - f_min) overflows, with f_max far
+        # short of b - 1, and A from finite to inf.  At f_max = 100,
+        # g(b - f_max) overflows too, and A = inf must still take f_min.
+        huge = FeeModel(FeeFamily.LOGARITHMIC, 20.0, 1e307, 5.0)
+        for f_max in (1e307 - 1e300, 100.0):
+            for r in (1.0, 1e304, 1e306, 1e308):
+                problems.append(EquilibriumProblem(
+                    MarketParams(r=r, K=2000.0, h=4.0, tau=2.0,
+                                 lambda_r=50.0, M=30.0, f_min=10.0,
+                                 f_max=f_max),
+                    huge, CustomerResponse(1.0), MDT))
+        assert math.isinf(g(1e307 - 100.0))
+        assert math.isinf(A_of(problems[-1], 0.0))
+
+        # The sides of each threshold on which some A within 4 ulps fell.
+        sides = {"lo": set(), "hi": set()}
+        for prob in problems:
+            p, b = prob.params, prob.fee_model.b
+            fee_of = best_fee(prob)
+            T_hi = 2.0 * (p.r - (g(b - p.f_max) - b)
+                          / (prob.fee_model.delta * p.M)) / p.h
+            Ts = np.linspace(0.0, min(max(2.0 * T_hi, 1.0), 1e300),
+                             24).tolist()
+            for end, F in (("lo", p.f_min), ("hi", p.f_max)):
+                threshold = g(b - F)
+                if not math.isfinite(threshold):
+                    continue
+                for T in near(prob, threshold):
+                    A = A_of(prob, T)
+                    if abs(A - threshold) <= 4 * math.ulp(threshold):
+                        sides[end].add(A > threshold)
+                    Ts.append(T)
+            for T in Ts:
+                assert fee_of(T) == newton_fee(prob, T), (prob, T)
+        assert sides == {"lo": {False, True}, "hi": {False, True}}
+
     @pytest.mark.parametrize("r, M", [(1e300, 30.0), (1e306, 1e6)])
     def test_huge_logarithmic_root_is_f_min(self, r, M):
         # A = 1.5e302 runs the Newton iteration on a huge root; A = 5e312

@@ -7,6 +7,7 @@ edge cases of the simplex (bounds, zero coordinates, ties, budgets).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -89,30 +90,51 @@ def assert_polishes_match_scipy(calls):
 
 @pytest.fixture(scope="module")
 def table_polishes():
-    """Every polish the 44 T3-T6 rows make, with the rows' count."""
+    """The 44 T3-T6 rows' solutions, every polish they make, and each
+    table's polish evaluations."""
     config = ExperimentConfig()
-    rows = 0
+    solutions, calls, nfev = [], [], {}
     with pytest.MonkeyPatch.context() as mp:
-        calls = record_polishes(mp)
+        spied = record_polishes(mp)
         for table in ("T3", "T4", "T5", "T6"):
             setup = _table_setup(TableId[table])
             for row in setup.rows:
-                solve_equilibrium(build_problem(config, setup, *row),
-                                  config.search)
-                rows += 1
-    return rows, calls
+                solutions.append(solve_equilibrium(
+                    build_problem(config, setup, *row), config.search))
+            nfev[table] = sum(res.nfev for *_, res in spied)
+            calls += spied
+            spied.clear()
+    return solutions, calls, nfev
+
+
+#: sha256 of the 44 T3-T6 solutions' (t1, t2, t3, F, lambda_p, profit) as
+#: ``float.hex``, one row per line.  The CSVs round to 2 decimals; this
+#: pins every bit, so a change that moves one has to say so.
+SOLUTIONS_SHA256 = "8bdd4f3312445bd3e580d15bb9c6a815fbdb3b75a57bdfcf081ced495f7f59f5"
 
 
 class TestTablePolishes:
     def test_match_scipy(self, table_polishes):
-        rows, calls = table_polishes
-        assert (rows, len(calls)) == (44, 352)
+        solutions, calls, _ = table_polishes
+        assert (len(solutions), len(calls)) == (44, 352)
         assert_polishes_match_scipy(calls)
 
     def test_every_polish_converges(self, table_polishes):
-        _, calls = table_polishes
+        _, calls, _ = table_polishes
         assert [res.status for *_, res in calls] == [0] * len(calls)
         assert all(res.success for *_, res in calls)
+
+    def test_evaluation_counts_are_pinned(self, table_polishes):
+        _, _, nfev = table_polishes
+        assert nfev == {"T3": 15068, "T4": 13092, "T5": 13719, "T6": 13284}
+
+    def test_solutions_are_pinned_to_the_bit(self, table_polishes):
+        solutions, _, _ = table_polishes
+        lines = (" ".join(float.hex(v) for v in (
+            sol.policy.t1, sol.policy.t2, sol.policy.t3, sol.fee,
+            sol.lambda_p, sol.profit)) for sol in solutions)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == SOLUTIONS_SHA256
 
 
 class TestPaths:
