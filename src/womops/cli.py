@@ -9,8 +9,9 @@ Commands:
   trace, persist CSV + manifest in ``DIR``, and diff against the embedded
   reference values.  It reads no config document.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 solver error.
-Identical config and flags produce byte-identical outputs.
+Exit codes: 0 success, 2 configuration/usage error, 3 solver error, 4
+``reproduce`` wrote its results but a row or trace iteration missed its
+tolerance.  Identical config and flags produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def _cmd_reproduce(args, out) -> int:
         out.write(note + "\n")
     out.write(f"wrote {csv_path}\n")
     out.write(f"wrote {manifest_path}\n")
-    return 0
+    return 0 if matched == total else 4
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,11 @@ only four undominated stationary-point cases:
 
 Each case has a closed-form candidate; the solver evaluates the feasible
 ones and keeps the profit maximizer.  ``grid_search_policy`` is the
-brute-force oracle used to validate the closed forms.
+brute-force oracle used to validate the closed forms.  It returns the
+exhaustive grid scan's argmax and tie to the bit, but skips every t1 row
+whose closed-form profit bound lies below a profit it has already scanned.
+That bound relaxes the profit over a continuous cycle length; it is not
+the four-case policy, so the oracle stays independent of what it checks.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ class PolicyCase(enum.Enum):
 
 _ORACLE_CHUNK = 1 << 17   # grid points the oracle evaluates at once
 _MASKED = 4               # trailing band columns where t2 can pass t_max
+MAX_AXIS_POINTS = 1 << 15  # longest T axis the oracle allocates
+_BOUND_MARGIN = 1e-9      # relative slack on a row bound, far above rounding
 
 
 @dataclass(frozen=True)
@@ -197,12 +203,21 @@ def _oracle_band(params: MarketParams, lambda_p: float, grid: GridSpec):
     t3 > 0.  Along a row t2 never decreases, and the band is long enough
     that its last column has t2 > t_max in every row, so every point
     outside the band is infeasible.  ``T_pad`` ends in ``inf`` so the last
-    rows' bands exist; those points are infeasible too.
+    rows' bands exist; those points are infeasible too.  A T axis longer
+    than ``MAX_AXIS_POINTS`` is refused before anything is allocated.
+
+    The oracle scans only the rows whose :func:`_row_bounds` bound is not
+    below a profit it has already scanned; it still returns this grid's
+    exhaustive argmax and tie to the bit.
     """
     step = grid.step
     t_max = grid.resolve_t_max(params, lambda_p)
-    n_phase = int(math.floor(t_max / step + 1e-9))
     t3_cap = min(params.tau, t_max)
+    axis = 2.0 * (t_max / step) + t3_cap / step
+    if not axis <= MAX_AXIS_POINTS:
+        raise InvalidGrid(f"step={step:g} needs a T axis of {axis:.3g} "
+                          f"points, above the {MAX_AXIS_POINTS} allowed")
+    n_phase = int(math.floor(t_max / step + 1e-9))
     n_t3 = int(math.floor(t3_cap / step + 1e-9))
     if n_phase < 1 or n_t3 < 1:
         raise InvalidGrid("grid too coarse for the bounds")
@@ -210,6 +225,38 @@ def _oracle_band(params: MarketParams, lambda_p: float, grid: GridSpec):
     T_pad = np.concatenate([np.arange(1, 2 * n_phase + n_t3 + 1) * step,
                             np.full(2, np.inf)])
     return t1_axis, T_pad, n_phase + n_t3 + 2, n_t3 * step, t_max
+
+
+def _row_bounds(params: MarketParams, lambda_p: float, t1, T_first,
+                t3_cap: float):
+    """Upper bound on the profit of each t1 row over every real T >= T_first.
+
+    With C = K + h*lambda_r*t1^2/2 and t1 + t3 = min(T, t1 + t3_cap), the
+    profit at (t1, T) is r*lambda_p + r*lambda_r*min(T, t1 + t3_cap)/T
+    - h*lambda_p*T/2 - C/T, whatever t_max masks.  Up to t1 + t3_cap the
+    revenue term is r*lambda_r and the best T is sqrt(2C/(h*lambda_p)),
+    clipped; past it the net fixed cost is C' = C - r*lambda_r*(t1 + t3_cap)
+    and the best T is sqrt(2C'/(h*lambda_p)) when C' > 0, else the piece's
+    start.  Each bound carries a relative margin on its terms' magnitudes.
+    At lambda_p = 0 the bound is inf, and a NaN bound skips nothing either.
+    """
+    if lambda_p == 0:
+        return np.full(t1.shape, np.inf)
+    r, K, h, lam_r = params.r, params.K, params.h, params.lambda_r
+    h_lp = h * lambda_p
+    C = K + h * lam_r * t1 * t1 / 2.0
+    end = t1 + t3_cap
+
+    def at(T):
+        cost = h_lp * T / 2.0 + C / T
+        value = r * lambda_p + r * lam_r * np.minimum(T, end) / T - cost
+        return value + _BOUND_MARGIN * (r * lambda_p + r * lam_r + cost)
+
+    with np.errstate(all="ignore"):
+        short = np.clip(np.sqrt(2.0 * C / h_lp), T_first, end)
+        net = np.maximum(C - r * lam_r * end, 0.0)
+        long = np.maximum(np.sqrt(2.0 * net / h_lp), end)
+        return np.maximum(at(short), at(long))
 
 
 def grid_search_policy(params: MarketParams, lambda_p: float,
@@ -223,7 +270,13 @@ def grid_search_policy(params: MarketParams, lambda_p: float,
     the same cycle, so the reduced argmax equals the full 3-d grid argmax.
     Only each t1 row's band of feasible T is evaluated (see
     :func:`_oracle_band`); ties go to the first (t1, T) in row-major order.
-    The result is within O(step) of the true optimum.
+
+    The row with the largest :func:`_row_bounds` bound is scanned first,
+    and its best profit is the incumbent.  The scan then skips every row
+    whose bound is below the incumbent: such a row can neither win nor
+    tie, so the result is the exhaustive scan's, argmax and tie, to the
+    bit.  The bound is a relaxation of the profit, not the closed-form
+    policy.  The result is within O(step) of the true optimum.
     """
     if grid.step <= 0:
         raise InvalidGrid("step must be > 0")
@@ -242,32 +295,50 @@ def grid_search_policy(params: MarketParams, lambda_p: float,
     buf = np.empty((min(rows, t1_axis.size), width))
     tmp = np.empty_like(buf)
 
+    def scan(first: int, stop: int):
+        """Best profit of rows first..stop-1 and its (row, T index)."""
+        best_val, best = -math.inf, (first, first)
+        for lo in range(first, stop, rows):
+            hi = min(lo + rows, stop)
+            t1 = t1_axis[lo:hi][:, None]
+            T, half_hT, two_T, K_T = (b[lo:hi] for b in bands)
+            profit, term = buf[:hi - lo], tmp[:hi - lo]
+            # r*lambda_p + r*lam_r*(t1 + t3)/T - h*lambda_p*T/2.0
+            #   - h*lam_r*t1*t1/(2.0*T) - K/T, in place, operation for
+            #   operation.
+            np.subtract(T, t1, out=profit)
+            np.minimum(profit, t3_cap, out=profit)
+            profit += t1
+            profit *= r * lam_r
+            profit /= T
+            profit += r * lambda_p
+            profit -= half_hT
+            np.divide(h * lam_r * t1 * t1, two_T, out=term)
+            profit -= term
+            profit -= K_T
+            tail = profit[:, -_MASKED:]
+            tail[~_largest_t3(t1, T[:, -_MASKED:], t3_cap, t_max)[2]] = -np.inf
+            flat = int(np.argmax(profit))
+            val = float(profit.flat[flat])
+            if val > best_val:
+                i, j = divmod(flat, width)
+                best_val = val
+                best = (lo + i, lo + i + j)
+        return best_val, best
+
+    bound = _row_bounds(params, lambda_p, t1_axis, T_pad[:t1_axis.size],
+                        t3_cap)
+    top = int(np.argmax(bound))
+    incumbent, _ = scan(top, top + 1)
+    # The rows kept, as runs of consecutive rows scanned in order.
+    keep = np.concatenate(([False], ~(bound < incumbent), [False]))
+    runs = np.flatnonzero(keep[1:] != keep[:-1]).reshape(-1, 2)
     best_val = -math.inf
     best = (0, 0)
-    for lo in range(0, t1_axis.size, rows):
-        t1 = t1_axis[lo:lo + rows][:, None]
-        T, half_hT, two_T, K_T = (b[lo:lo + rows] for b in bands)
-        profit, term = buf[:t1.shape[0]], tmp[:t1.shape[0]]
-        # r*lambda_p + r*lam_r*(t1 + t3)/T - h*lambda_p*T/2.0
-        #   - h*lam_r*t1*t1/(2.0*T) - K/T, in place, operation for operation.
-        np.subtract(T, t1, out=profit)
-        np.minimum(profit, t3_cap, out=profit)
-        profit += t1
-        profit *= r * lam_r
-        profit /= T
-        profit += r * lambda_p
-        profit -= half_hT
-        np.divide(h * lam_r * t1 * t1, two_T, out=term)
-        profit -= term
-        profit -= K_T
-        tail = profit[:, -_MASKED:]
-        tail[~_largest_t3(t1, T[:, -_MASKED:], t3_cap, t_max)[2]] = -np.inf
-        flat = int(np.argmax(profit))
-        val = float(profit.flat[flat])
+    for first, stop in runs.tolist():
+        val, at = scan(first, stop)
         if val > best_val:
-            i, j = divmod(flat, width)
-            best_val = val
-            best = (lo + i, lo + i + j)
+            best_val, best = val, at
 
     if not math.isfinite(best_val):
         raise InvalidGrid("no feasible grid point")

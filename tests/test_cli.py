@@ -282,7 +282,7 @@ class TestReproduce:
         monkeypatch.setitem(TABLE_ROWS["T3"], key, (*fields, "Cycles"))
         code, out, _ = run_cli(["reproduce", "--table", "T3",
                                 "--out", str(tmp_path)], capsys)
-        assert code == 0
+        assert code == 4
         lines = out.splitlines()
         assert lines[:2] == [
             "T3: rows matched 9/10 within tolerance",
@@ -290,6 +290,22 @@ class TestReproduce:
             "(tol 0.5); decision Opt-Eq vs Cycles"]
         assert lines[2:] == [f"wrote {tmp_path / 'T3.csv'}",
                              f"wrote {tmp_path / 'T3_manifest.json'}"]
+
+    def test_trace_miss_exits_4(self, tmp_path, capsys, monkeypatch):
+        # A reference iteration the trace misses: the files are still
+        # written, the note reaches stdout and the exit code is 4.
+        ref = dict(TRACES["T7"])
+        ref["t3"] = list(ref["t3"])
+        ref["t3"][2] += 0.5
+        monkeypatch.setitem(TRACES, "T7", ref)
+        code, out, _ = run_cli(["reproduce", "--table", "T7",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0] == "T7: iterations matched 10/11 within tolerance"
+        assert lines[2].startswith("  iteration 2: t3 ")
+        assert lines[3:] == [f"wrote {tmp_path / 'T7.csv'}",
+                             f"wrote {tmp_path / 'T7_manifest.json'}"]
 
     def test_trace_miss_names_its_tolerance(self):
         trace = run_trace(ExperimentConfig(), TraceId.T7)

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from womops import (GridSpec, InvalidGrid, InvalidParams, MarketParams,
-                    PolicyCase, PolicySolution, ShipmentPolicy, candidate,
-                    grid_search_policy, myopic, profit_rate, solve_policy)
+from womops import (EPS_NUM, GridSpec, InvalidGrid, InvalidParams,
+                    MarketParams, PolicyCase, PolicySolution, ShipmentPolicy,
+                    candidate, grid_search_policy, myopic, profit_rate,
+                    solve_policy)
 
 
 def params(r=8.0, K=2000.0, h=4.0, tau=2.0, lambda_r=50.0):
@@ -173,11 +175,10 @@ class TestOracle:
             profit_rate(p, grid.policy, 200.0), rel=1e-12)
 
 
-def _reference_grid_search(params, lambda_p, grid):
-    """The full-rectangle scan the band scan replaced, kept as its reference.
+def _reference_chunks(params, lambda_p, grid):
+    """The full (t1, T) rectangle in chunks of t1 rows, infeasible at -inf.
 
-    It evaluates every (t1, T) pair of the two axes and masks the infeasible
-    ones; the oracle must return the same ``PolicySolution`` to the bit.
+    Yields ``(t1, t2, t3, profit)`` per chunk, with ``t1`` a column.
     """
     step = grid.step
     t_max = grid.resolve_t_max(params, lambda_p)
@@ -192,8 +193,6 @@ def _reference_grid_search(params, lambda_p, grid):
     t1_axis = np.arange(0, n_phase + 1) * step
     T_axis = np.arange(1, 2 * n_phase + n_t3 + 1) * step
 
-    best_val = -math.inf
-    best = (0.0, 0.0, 0.0)
     chunk = max(1, int(1e6 // max(T_axis.size, 1)))
     for lo in range(0, t1_axis.size, chunk):
         t1 = t1_axis[lo:lo + chunk][:, None]
@@ -207,7 +206,19 @@ def _reference_grid_search(params, lambda_p, grid):
                       - h * lambda_p * T / 2.0
                       - h * lam_r * t1 * t1 / (2.0 * T)
                       - K / T)
-        profit = np.where(feasible, profit, -np.inf)
+        yield t1, t2, t3, np.where(feasible, profit, -np.inf)
+
+
+def _reference_grid_search(params, lambda_p, grid):
+    """The full-rectangle scan the band scan replaced, kept as its reference.
+
+    It evaluates every (t1, T) pair of the two axes, skips no row and masks
+    the infeasible pairs; the oracle must return the same
+    ``PolicySolution`` to the bit.
+    """
+    best_val = -math.inf
+    best = (0.0, 0.0, 0.0)
+    for t1, t2, t3, profit in _reference_chunks(params, lambda_p, grid):
         flat = int(np.argmax(profit))
         val = float(profit.flat[flat])
         if val > best_val:
@@ -218,8 +229,20 @@ def _reference_grid_search(params, lambda_p, grid):
     if not math.isfinite(best_val):
         raise InvalidGrid("no feasible grid point")
     policy = ShipmentPolicy(best[0], max(best[1], 0.0), best[2])
-    case = myopic._classify(policy, params.tau, step / 2.0)
+    case = myopic._classify(policy, params.tau, grid.step / 2.0)
     return PolicySolution(policy, case, best_val, lambda_p)
+
+
+def _row_maxima(params, lambda_p, grid):
+    """Each t1 row's best profit over the reference's full rectangle."""
+    return np.concatenate([profit.max(axis=1) for *_, profit
+                           in _reference_chunks(params, lambda_p, grid)])
+
+
+def _oracle_row_bounds(params, lambda_p, grid):
+    t1_axis, T_pad, _, t3_cap, _ = myopic._oracle_band(params, lambda_p, grid)
+    return myopic._row_bounds(params, lambda_p, t1_axis,
+                              T_pad[:t1_axis.size], t3_cap)
 
 
 def _criterion_4_draws(n):
@@ -265,28 +288,39 @@ BAND_CASES = {
 }
 
 
-class TestBandScan:
-    """The band scan returns exactly what the full-rectangle scan returns."""
+def assert_same(p, lam, grid):
+    """The oracle's result is the reference's, and no row bound is below
+    that row's best profit in the reference's rectangle.
 
-    @staticmethod
-    def assert_same(p, lam, grid):
-        got = grid_search_policy(p, lam, grid)
-        assert got == _reference_grid_search(p, lam, grid)
+    A NaN bound (a piece that overflowed) rules out nothing, as the scan
+    skips only rows whose bound compares below the incumbent.
+    """
+    bound = _oracle_row_bounds(p, lam, grid)
+    maxima = _row_maxima(p, lam, grid)
+    assert bound.shape == maxima.shape
+    assert not (bound < maxima).any()
+    assert grid_search_policy(p, lam, grid) == \
+        _reference_grid_search(p, lam, grid)
+
+
+class TestBandScan:
+    """The band scan returns exactly what the full-rectangle scan returns,
+    also where it skips the rows its bounds rule out."""
 
     def test_criterion_4_draws(self):
         for p, lam, grid in _criterion_4_draws(30):
-            self.assert_same(p, lam, grid)
+            assert_same(p, lam, grid)
 
     @pytest.mark.parametrize("name", sorted(BAND_CASES))
     def test_edge_grids(self, name):
-        self.assert_same(*BAND_CASES[name])
+        assert_same(*BAND_CASES[name])
 
     def test_ties_across_chunks_go_to_the_first_row(self, monkeypatch):
         # Without regular demand the profit depends on T alone, so every t1
         # row ties at the best T; the scan must keep t1 = 0.
         monkeypatch.setattr(myopic, "_ORACLE_CHUNK", 1)
         p, lam, grid = params(lambda_r=0.0), 450.0, GridSpec(step=0.05)
-        self.assert_same(p, lam, grid)
+        assert_same(p, lam, grid)
         assert grid_search_policy(p, lam, grid).policy.t1 == 0.0
 
     @pytest.mark.parametrize("name", sorted(BAND_CASES))
@@ -312,3 +346,98 @@ class TestBandScan:
             assert not feasible[:, -3].all()
         if name == "t_max-in-tolerance":
             assert feasible[:, -2].any()
+
+
+def _powers(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def small_grids(draw):
+    """A random market, premium rate and grid of at most 201 t1 rows.
+
+    The grid's t_max is either derived or an explicit multiple (up to 50)
+    of the derived bound; tau lies between one step and t_max.
+    """
+    lam_r = draw(st.just(0.0) | _powers(-2, 3))
+    lam = draw(st.sampled_from([0.0, 1e-300, 1e-12, 1e-6]) | _powers(-3, 4))
+    assume(lam > 0 or lam_r > 0)
+    K, h, r = draw(_powers(-6, 4)), draw(_powers(-1, 1)), draw(_powers(-1, 2))
+    rate = lam if lam > 0 else lam_r
+    root = 2.0 * math.sqrt(2.0 * K / (h * max(rate, EPS_NUM)))
+    scale = draw(st.none() | st.floats(1.0, 50.0))
+    rows = draw(st.integers(2, 200))
+    step = root * (scale or 1.0) / rows
+    tau = step * draw(st.floats(1.0, rows))
+    grid = GridSpec(step=step, t_max=None if scale is None else scale * root)
+    return params(r=r, K=K, h=h, tau=tau, lambda_r=lam_r), lam, grid
+
+
+class TestRowBound:
+    """The row bounds hold on random markets, are tight, and prune."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_grids(), st.sampled_from([myopic._ORACLE_CHUNK, 1, 3, 64]))
+    @example((params(lambda_r=0.0), 450.0, GridSpec(step=0.05)), 1)
+    @example((params(K=1e-6, tau=0.5), 1e-12, GridSpec(step=0.05)), 64)
+    @example((params(tau=3.0), 0.0, GridSpec(step=0.1, t_max=40.0)), 3)
+    def test_random_markets(self, case, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(myopic, "_ORACLE_CHUNK", chunk)
+            assert_same(*case)
+
+    def test_tight_without_regular_demand(self):
+        # With lambda_r = 0 the profit depends on T alone, and the best
+        # cycle sqrt(2K/(h lambda_p)) = 2 is the grid's 40th T.  Each row
+        # that reaches it attains its bound up to the margin; without the
+        # margin, rounding puts some rows' grid profit above the bound.
+        p, step = params(K=181.0, h=6.7, lambda_r=0.0), 0.05
+        lam = 2.0 * p.K / (p.h * 2.0 * 2.0)
+        assert math.sqrt(2.0 * p.K / (p.h * lam)) == 40 * step
+        grid = GridSpec(step=step)
+        bound = _oracle_row_bounds(p, lam, grid)
+        maxima = _row_maxima(p, lam, grid)
+        assert (bound >= maxima).all()
+        reach = myopic._oracle_band(p, lam, grid)[0] < 40 * step
+        scale = p.r * lam + p.h * lam + p.K / 2.0
+        assert (bound[reach] - maxima[reach] <= 2e-9 * scale).all()
+
+    def test_most_rows_are_skipped(self, monkeypatch):
+        # Every chunk the scan evaluates passes its t1 column to
+        # _largest_t3 for the feasibility mask; count those rows.
+        evaluated = []
+        largest_t3 = myopic._largest_t3
+
+        def counting(t1, T, t3_cap, t_max):
+            evaluated.append(np.size(t1))
+            return largest_t3(t1, T, t3_cap, t_max)
+
+        monkeypatch.setattr(myopic, "_largest_t3", counting)
+        p, lam, grid = _criterion_4_draws(1)[0]
+        grid_search_policy(p, lam, grid)
+        evaluated.pop()  # the winner's (t2, t3), not a scanned row
+        rows = myopic._oracle_band(p, lam, grid)[0].size
+        assert sum(evaluated) < 0.05 * rows
+
+
+class TestAxisBudget:
+    """A T axis past ``MAX_AXIS_POINTS`` is refused before it is allocated."""
+
+    @pytest.mark.parametrize("grid", [GridSpec(step=1e-7),
+                                      GridSpec(step=1e-300),
+                                      GridSpec(step=0.01, t_max=1e308)])
+    def test_fine_grid_is_refused_without_allocating(self, grid):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidGrid, match=f"step={grid.step:g} "):
+                grid_search_policy(params(), 450.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_criterion_4_grids_fit(self):
+        # The largest criterion-4 T axis: tau 7, K 4000, lambda_p 30.
+        p = params(K=4000.0, tau=7.0)
+        T_pad = myopic._oracle_band(p, 30.0, GridSpec(step=0.005))[1]
+        assert T_pad.size < 8000 < myopic.MAX_AXIS_POINTS
