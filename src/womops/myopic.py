@@ -12,9 +12,10 @@ only four undominated stationary-point cases:
 
 Each case has a closed-form candidate; the solver evaluates the feasible
 ones and keeps the profit maximizer.  ``grid_search_policy`` is the
-brute-force oracle used to validate the closed forms.  It returns the
-exhaustive grid scan's argmax and tie to the bit, but skips every t1 row
-whose closed-form profit bound lies below a profit it has already scanned.
+brute-force oracle used to validate the closed forms.  It scans rows of
+t1 against one plain axis of cycle lengths T and returns the exhaustive
+grid scan's argmax and tie to the bit, but skips every t1 row whose
+closed-form profit bound lies below a profit it has already scanned.
 That bound relaxes the profit over a continuous cycle length; it is not
 the four-case policy, so the oracle stays independent of what it checks.
 """
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import EPS_NUM, MarketParams, ShipmentPolicy, profit_rate
 from .errors import InvalidGrid, InvalidParams
@@ -40,7 +40,6 @@ class PolicyCase(enum.Enum):
 
 
 _ORACLE_CHUNK = 1 << 17   # grid points the oracle evaluates at once
-_MASKED = 4               # trailing band columns where t2 can pass t_max
 MAX_AXIS_POINTS = 1 << 15  # longest T axis the oracle allocates
 _BOUND_MARGIN = 1e-9      # relative slack on a row bound, far above rounding
 
@@ -193,22 +192,12 @@ def _largest_t3(t1, T, t3_cap: float, t_max: float):
     return t2, t3, (t3 > 0) & (t2 <= t_max * (1 + 1e-12))
 
 
-def _oracle_band(params: MarketParams, lambda_p: float, grid: GridSpec):
-    """The oracle's (t1, T) grid as rows of t1 with a band of T each.
+def _oracle_axes(params: MarketParams, lambda_p: float, grid: GridSpec):
+    """The oracle's (t1, T) grid: ``(t1_axis, T_axis, t3_cap, t_max)``.
 
-    Returns ``(t1_axis, T_pad, width, t3_cap, t_max)``.  Row i has
-    t1 = i*step and scans ``T_pad[i:i + width]``.  T runs over
-    step, 2*step, ... up to every attainable t1 + t2 + t3; since
-    ``T_pad[i] > t1_axis[i]`` exactly, the band starts at the first T with
-    t3 > 0.  Along a row t2 never decreases, and the band is long enough
-    that its last column has t2 > t_max in every row, so every point
-    outside the band is infeasible.  ``T_pad`` ends in ``inf`` so the last
-    rows' bands exist; those points are infeasible too.  A T axis longer
-    than ``MAX_AXIS_POINTS`` is refused before anything is allocated.
-
-    The oracle scans only the rows whose :func:`_row_bounds` bound is not
-    below a profit it has already scanned; it still returns this grid's
-    exhaustive argmax and tie to the bit.
+    t1 runs over 0, step, ... up to t_max, and T over step, 2*step, ... up
+    to every attainable t1 + t2 + t3.  A T axis longer than
+    ``MAX_AXIS_POINTS`` is refused before anything is allocated.
     """
     step = grid.step
     t_max = grid.resolve_t_max(params, lambda_p)
@@ -222,9 +211,8 @@ def _oracle_band(params: MarketParams, lambda_p: float, grid: GridSpec):
     if n_phase < 1 or n_t3 < 1:
         raise InvalidGrid("grid too coarse for the bounds")
     t1_axis = np.arange(0, n_phase + 1) * step
-    T_pad = np.concatenate([np.arange(1, 2 * n_phase + n_t3 + 1) * step,
-                            np.full(2, np.inf)])
-    return t1_axis, T_pad, n_phase + n_t3 + 2, n_t3 * step, t_max
+    T_axis = np.arange(1, 2 * n_phase + n_t3 + 1) * step
+    return t1_axis, T_axis, n_t3 * step, t_max
 
 
 def _row_bounds(params: MarketParams, lambda_p: float, t1, T_first,
@@ -263,70 +251,53 @@ def grid_search_policy(params: MarketParams, lambda_p: float,
                        grid: GridSpec) -> PolicySolution:
     """Exhaustive grid argmax of the profit rate; the validation oracle.
 
-    The search enumerates (t1, T) pairs and, for each, the largest grid
-    t3 compatible with t3 <= tau and 0 <= t2 <= t_max.  Because the profit
-    is nondecreasing in t3 at fixed (t1, T) (its only t3 term is
-    +r*lambda_r*t3/T), that point dominates every other (t2, t3) split of
-    the same cycle, so the reduced argmax equals the full 3-d grid argmax.
-    Only each t1 row's band of feasible T is evaluated (see
-    :func:`_oracle_band`); ties go to the first (t1, T) in row-major order.
+    The search enumerates (t1, T) pairs of :func:`_oracle_axes` and, for
+    each, the largest grid t3 compatible with t3 <= tau and
+    0 <= t2 <= t_max.  Because the profit is nondecreasing in t3 at fixed
+    (t1, T) (its only t3 term is +r*lambda_r*t3/T), that point dominates
+    every other (t2, t3) split of the same cycle, so the reduced argmax
+    equals the full 3-d grid argmax.  Pairs with no such t3 are
+    infeasible, and ties go to the first (t1, T) in row-major order.
 
     The row with the largest :func:`_row_bounds` bound is scanned first,
     and its best profit is the incumbent.  The scan then skips every row
     whose bound is below the incumbent: such a row can neither win nor
     tie, so the result is the exhaustive scan's, argmax and tie, to the
     bit.  The bound is a relaxation of the profit, not the closed-form
-    policy.  The result is within O(step) of the true optimum.
+    policy.  The rows kept are evaluated in chunks of about
+    ``_ORACLE_CHUNK`` points.  The result is within O(step) of the true
+    optimum.
     """
     if grid.step <= 0:
         raise InvalidGrid("step must be > 0")
     if lambda_p < 0:
         raise InvalidParams("lambda_p must be >= 0")
-    t1_axis, T_pad, width, t3_cap, t_max = _oracle_band(params, lambda_p, grid)
+    if lambda_p == 0 and params.lambda_r == 0:
+        raise InvalidParams("at least one demand rate must be positive")
+    t1_axis, T_axis, t3_cap, t_max = _oracle_axes(params, lambda_p, grid)
     r, K, h, lam_r = params.r, params.K, params.h, params.lambda_r
-
-    # The T-only terms, once per T; the band rows are views of them.  At
-    # lambda_p = 0 the padding's h*lambda_p*T is NaN; the mask drops it.
-    with np.errstate(invalid="ignore"):
-        bands = [sliding_window_view(a, width)
-                 for a in (T_pad, h * lambda_p * T_pad / 2.0, 2.0 * T_pad,
-                           K / T_pad)]
-    rows = max(1, _ORACLE_CHUNK // width)
-    buf = np.empty((min(rows, t1_axis.size), width))
-    tmp = np.empty_like(buf)
+    rows = max(1, _ORACLE_CHUNK // T_axis.size)
 
     def scan(first: int, stop: int):
         """Best profit of rows first..stop-1 and its (row, T index)."""
-        best_val, best = -math.inf, (first, first)
+        best_val, best = -math.inf, (first, 0)
         for lo in range(first, stop, rows):
-            hi = min(lo + rows, stop)
-            t1 = t1_axis[lo:hi][:, None]
-            T, half_hT, two_T, K_T = (b[lo:hi] for b in bands)
-            profit, term = buf[:hi - lo], tmp[:hi - lo]
-            # r*lambda_p + r*lam_r*(t1 + t3)/T - h*lambda_p*T/2.0
-            #   - h*lam_r*t1*t1/(2.0*T) - K/T, in place, operation for
-            #   operation.
-            np.subtract(T, t1, out=profit)
-            np.minimum(profit, t3_cap, out=profit)
-            profit += t1
-            profit *= r * lam_r
-            profit /= T
-            profit += r * lambda_p
-            profit -= half_hT
-            np.divide(h * lam_r * t1 * t1, two_T, out=term)
-            profit -= term
-            profit -= K_T
-            tail = profit[:, -_MASKED:]
-            tail[~_largest_t3(t1, T[:, -_MASKED:], t3_cap, t_max)[2]] = -np.inf
+            t1 = t1_axis[lo:min(lo + rows, stop)][:, None]
+            _, t3, feasible = _largest_t3(t1, T_axis, t3_cap, t_max)
+            profit = (r * lambda_p
+                      + r * lam_r * (t1 + t3) / T_axis
+                      - h * lambda_p * T_axis / 2.0
+                      - h * lam_r * t1 * t1 / (2.0 * T_axis)
+                      - K / T_axis)
+            profit[~feasible] = -np.inf
             flat = int(np.argmax(profit))
             val = float(profit.flat[flat])
             if val > best_val:
-                i, j = divmod(flat, width)
-                best_val = val
-                best = (lo + i, lo + i + j)
+                i, j = divmod(flat, T_axis.size)
+                best_val, best = val, (lo + i, j)
         return best_val, best
 
-    bound = _row_bounds(params, lambda_p, t1_axis, T_pad[:t1_axis.size],
+    bound = _row_bounds(params, lambda_p, t1_axis, T_axis[:t1_axis.size],
                         t3_cap)
     top = int(np.argmax(bound))
     incumbent, _ = scan(top, top + 1)
@@ -343,7 +314,7 @@ def grid_search_policy(params: MarketParams, lambda_p: float,
     if not math.isfinite(best_val):
         raise InvalidGrid("no feasible grid point")
     t1 = float(t1_axis[best[0]])
-    t2, t3, _ = _largest_t3(t1, T_pad[best[1]], t3_cap, t_max)
+    t2, t3, _ = _largest_t3(t1, T_axis[best[1]], t3_cap, t_max)
     policy = ShipmentPolicy(t1, max(float(t2), 0.0), float(t3))
     case = _classify(policy, params.tau, grid.step / 2.0)
     return PolicySolution(policy, case, best_val, lambda_p)

@@ -168,6 +168,13 @@ class TestOracle:
         with pytest.raises(InvalidGrid, match="too coarse"):
             grid_search_policy(params(), 450.0, GridSpec(step=100.0))
 
+    @pytest.mark.parametrize("grid", [GridSpec(step=0.01),
+                                      GridSpec(step=0.01, t_max=10.0)],
+                             ids=["derived-t_max", "explicit-t_max"])
+    def test_no_demand_at_all_rejected(self, grid):
+        with pytest.raises(InvalidParams, match="at least one demand rate"):
+            grid_search_policy(params(lambda_r=0.0), 0.0, grid)
+
     def test_profit_matches_shared_evaluator(self):
         p = params()
         grid = grid_search_policy(p, 200.0, GridSpec(step=0.05))
@@ -240,9 +247,9 @@ def _row_maxima(params, lambda_p, grid):
 
 
 def _oracle_row_bounds(params, lambda_p, grid):
-    t1_axis, T_pad, _, t3_cap, _ = myopic._oracle_band(params, lambda_p, grid)
+    t1_axis, T_axis, t3_cap, _ = myopic._oracle_axes(params, lambda_p, grid)
     return myopic._row_bounds(params, lambda_p, t1_axis,
-                              T_pad[:t1_axis.size], t3_cap)
+                              T_axis[:t1_axis.size], t3_cap)
 
 
 def _criterion_4_draws(n):
@@ -266,7 +273,7 @@ def _below_integer(k, step, gap):
     return (k - gap) * step
 
 
-#: (params, lambda_p, grid) instances the band scan is checked on.
+#: (params, lambda_p, grid) instances the oracle is checked on.
 BAND_CASES = {
     "zero-demand": (params(tau=5.0), 0.0, GridSpec(step=0.01, t_max=10.0)),
     # K is never covered at lambda_p = 0, so the best cycle stretches t2
@@ -304,7 +311,7 @@ def assert_same(p, lam, grid):
 
 
 class TestBandScan:
-    """The band scan returns exactly what the full-rectangle scan returns,
+    """The oracle returns exactly what the full-rectangle scan returns,
     also where it skips the rows its bounds rule out."""
 
     def test_criterion_4_draws(self):
@@ -323,29 +330,23 @@ class TestBandScan:
         assert_same(p, lam, grid)
         assert grid_search_policy(p, lam, grid).policy.t1 == 0.0
 
-    @pytest.mark.parametrize("name", sorted(BAND_CASES))
-    def test_only_band_points_are_feasible(self, name):
+    @pytest.mark.parametrize("name, extra, feasible",
+                             [("t_max-in-slack", 0, False),
+                              ("t_max-in-tolerance", 1, True)],
+                             ids=["t_max-in-slack", "t_max-in-tolerance"])
+    def test_t_max_edges_exist(self, name, extra, feasible):
+        # Each t_max case tests something only if its premise holds: some
+        # point of the full rectangle with t2 = n_phase*step is infeasible,
+        # or some point with t2 = (n_phase + 1)*step is feasible.
         p, lam, grid = BAND_CASES[name]
-        t1_axis, T_pad, width, t3_cap, t_max = myopic._oracle_band(p, lam, grid)
-        t1 = t1_axis[:, None]
-        band = np.lib.stride_tricks.sliding_window_view(T_pad, width)
-        feasible = myopic._largest_t3(t1, band, t3_cap, t_max)[2]
-        assert band.shape[0] == t1_axis.size
-        assert not feasible[:, -1].any()
-        assert feasible[:, :-myopic._MASKED].all()
-        # Every feasible point of the full (t1, T) rectangle lies in its
-        # row's band.
-        T_axis = T_pad[np.isfinite(T_pad)]
-        full = myopic._largest_t3(t1, T_axis[None, :], t3_cap, t_max)[2]
-        offset = np.arange(T_axis.size)[None, :] - np.arange(t1_axis.size)[:, None]
-        assert not full[(offset < 0) | (offset >= width)].any()
-        # Each t_max case tests something only if its premise holds: the
-        # column with t2 = n_phase*step (third from the end) is infeasible
-        # in some row, or the one with t2 = (n_phase + 1)*step is feasible.
-        if name == "t_max-in-slack":
-            assert not feasible[:, -3].all()
-        if name == "t_max-in-tolerance":
-            assert feasible[:, -2].any()
+        t1_axis, T_axis, t3_cap, t_max = myopic._oracle_axes(p, lam, grid)
+        ok = myopic._largest_t3(t1_axis[:, None], T_axis, t3_cap, t_max)[2]
+        # t2 in steps where t3 is capped: T index + 1 - t1 index - n_t3.
+        n_phase, n_t3 = t1_axis.size - 1, round(t3_cap / grid.step)
+        t2_steps = (np.arange(T_axis.size)[None, :] + 1
+                    - np.arange(t1_axis.size)[:, None] - n_t3)
+        edge = ok[t2_steps == n_phase + extra]
+        assert edge.any() if feasible else not edge.all()
 
 
 def _powers(lo, hi):
@@ -398,7 +399,7 @@ class TestRowBound:
         bound = _oracle_row_bounds(p, lam, grid)
         maxima = _row_maxima(p, lam, grid)
         assert (bound >= maxima).all()
-        reach = myopic._oracle_band(p, lam, grid)[0] < 40 * step
+        reach = myopic._oracle_axes(p, lam, grid)[0] < 40 * step
         scale = p.r * lam + p.h * lam + p.K / 2.0
         assert (bound[reach] - maxima[reach] <= 2e-9 * scale).all()
 
@@ -416,7 +417,7 @@ class TestRowBound:
         p, lam, grid = _criterion_4_draws(1)[0]
         grid_search_policy(p, lam, grid)
         evaluated.pop()  # the winner's (t2, t3), not a scanned row
-        rows = myopic._oracle_band(p, lam, grid)[0].size
+        rows = myopic._oracle_axes(p, lam, grid)[0].size
         assert sum(evaluated) < 0.05 * rows
 
 
@@ -436,8 +437,21 @@ class TestAxisBudget:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_unpruned_scan_stays_in_chunks(self):
+        # At lambda_p = 0 every row bound is inf, so the whole 4001 x 9400
+        # rectangle (300 MB as one array) is scanned; only the chunking
+        # keeps the scan's memory bounded.
+        p, grid = params(tau=7.0, K=4000.0), GridSpec(step=0.005, t_max=20.0)
+        tracemalloc.start()
+        try:
+            grid_search_policy(p, 0.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
     def test_criterion_4_grids_fit(self):
         # The largest criterion-4 T axis: tau 7, K 4000, lambda_p 30.
         p = params(K=4000.0, tau=7.0)
-        T_pad = myopic._oracle_band(p, 30.0, GridSpec(step=0.005))[1]
-        assert T_pad.size < 8000 < myopic.MAX_AXIS_POINTS
+        T_axis = myopic._oracle_axes(p, 30.0, GridSpec(step=0.005))[1]
+        assert T_axis.size < 8000 < myopic.MAX_AXIS_POINTS
