@@ -251,6 +251,25 @@ def signal_value(spec: SignalSpec, t2, t3, T, tau):
     return _SIGNALS[spec.kind](spec, t2, t3, T, tau)
 
 
+def signal_of(spec: SignalSpec):
+    """:func:`signal` of one ``spec``: a function ``(policy, tau) -> theta``.
+
+    Whether the MDT precondition applies and which formula runs are
+    decided here, once; a caller that emits many signals of one spec
+    binds the result.
+    """
+    formula = signal_formula(spec)
+    checks_mdt = (spec.kind is SignalKind.MDT
+                  or any(kind is SignalKind.MDT for kind, _ in spec.weights))
+
+    def theta(policy: ShipmentPolicy, tau: float) -> float:
+        if checks_mdt and policy.t3 > tau * (1.0 + 1e-12):
+            raise InvalidPolicy(f"t3={policy.t3} exceeds declared tau={tau}")
+        return formula(spec, policy.t2, policy.t3, policy.cycle_length, tau)
+
+    return theta
+
+
 def signal(spec: SignalSpec, policy: ShipmentPolicy, tau: float) -> float:
     """Service signal emitted by one cycle of ``policy``; a scalar in [0, 1].
 
@@ -259,11 +278,19 @@ def signal(spec: SignalSpec, policy: ShipmentPolicy, tau: float) -> float:
     regular customers do not receive fast service ((t2 + t3) / T).  The
     MDT precondition t3 <= tau is enforced here up to float slack.
     """
-    if policy.t3 > tau * (1.0 + 1e-12) and (
-            spec.kind is SignalKind.MDT
-            or any(kind is SignalKind.MDT for kind, _ in spec.weights)):
-        raise InvalidPolicy(f"t3={policy.t3} exceeds declared tau={tau}")
-    return signal_value(spec, policy.t2, policy.t3, policy.cycle_length, tau)
+    return signal_of(spec)(policy, tau)
+
+
+def response(c1: float, c2: float, theta: float) -> float:
+    """c1 * theta**c2 for a signal ``theta`` checked to lie in [0, 1].
+
+    :func:`respond` at a potential market ``c1`` that the caller has
+    already taken; 0**0 is 1.
+    """
+    if theta < -EPS_NUM or theta > 1.0 + EPS_NUM:
+        raise DomainError(f"signal value {theta} outside [0, 1]")
+    theta = min(max(theta, 0.0), 1.0)
+    return c1 * theta ** c2
 
 
 def respond(resp: CustomerResponse, fee_model: FeeModel, fee: float,
@@ -273,10 +300,7 @@ def respond(resp: CustomerResponse, fee_model: FeeModel, fee: float,
     0**0 is defined as 1 so that c2 = 0 always returns the full potential
     market.
     """
-    if theta < -EPS_NUM or theta > 1.0 + EPS_NUM:
-        raise DomainError(f"signal value {theta} outside [0, 1]")
-    theta = min(max(theta, 0.0), 1.0)
-    return potential_market(fee_model, fee) * theta ** resp.c2
+    return response(potential_market(fee_model, fee), resp.c2, theta)
 
 
 def cycle_profit(params: MarketParams, lambda_p, fee_rate, t1, t3, T):
@@ -294,8 +318,13 @@ def cycle_profit(params: MarketParams, lambda_p, fee_rate, t1, t3, T):
             - params.K / T)
 
 
-def _checked_profit(params: MarketParams, policy: ShipmentPolicy,
-                    lambda_p: float, fee_rate: float) -> float:
+def checked_profit(params: MarketParams, policy: ShipmentPolicy,
+                   lambda_p: float, fee_rate: float) -> float:
+    """:func:`cycle_profit` of ``policy`` at a checked ``lambda_p >= 0``.
+
+    ``fee_rate`` is the fee revenue per premium order (see
+    :func:`fee_per_order`); 0 leaves the fee out.
+    """
     if lambda_p < 0:
         raise InvalidParams("lambda_p must be >= 0")
     return cycle_profit(params, lambda_p, fee_rate, policy.t1, policy.t3,
@@ -305,7 +334,19 @@ def _checked_profit(params: MarketParams, policy: ShipmentPolicy,
 def profit_rate(params: MarketParams, policy: ShipmentPolicy,
                 lambda_p: float) -> float:
     """:func:`cycle_profit` of ``policy`` without membership-fee revenue."""
-    return _checked_profit(params, policy, lambda_p, 0.0)
+    return checked_profit(params, policy, lambda_p, 0.0)
+
+
+def fee_per_order(params: MarketParams, fee_model: FeeModel,
+                  fee: float) -> float:
+    """Fee revenue per premium order, F / (delta * M).
+
+    Each member pays F once per membership period M and orders at rate
+    delta, so lambda_p/delta members renew continuously.  Raises
+    DomainError outside the family's fee domain.
+    """
+    fee_model.members(fee)
+    return fee / (fee_model.delta * params.M)
 
 
 def profit_rate_with_fees(params: MarketParams, fee_model: FeeModel,
@@ -313,10 +354,8 @@ def profit_rate_with_fees(params: MarketParams, fee_model: FeeModel,
                           lambda_p: float) -> float:
     """Average profit rate including membership-fee revenue.
 
-    Each member pays F once per membership period M and orders at rate
-    delta, so lambda_p/delta members renew continuously: every premium
-    order brings ``F / (delta * M)`` of fee revenue on top of r.
+    Every premium order brings ``F / (delta * M)`` of fee revenue on top
+    of r (:func:`fee_per_order`).
     """
-    fee_model.members(fee)  # DomainError outside the family's fee domain
-    return _checked_profit(params, policy, lambda_p,
-                           fee / (fee_model.delta * params.M))
+    return checked_profit(params, policy, lambda_p,
+                          fee_per_order(params, fee_model, fee))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import EPS_NUM, MarketParams, ShipmentPolicy, profit_rate
+from .domain import EPS_NUM, MarketParams, ShipmentPolicy, cycle_profit
 from .errors import InvalidGrid, InvalidParams
 
 
@@ -39,6 +39,8 @@ class PolicyCase(enum.Enum):
     IV = "IV"
 
 
+_CASES = tuple(PolicyCase)
+_CASES_AT_ZERO = (PolicyCase.I, PolicyCase.III)  # II and IV divide by lambda_p
 _ORACLE_CHUNK = 1 << 17   # grid points the oracle evaluates at once
 MAX_AXIS_POINTS = 1 << 15  # longest T axis the oracle allocates
 _BOUND_MARGIN = 1e-9      # relative slack on a row bound, far above rounding
@@ -55,6 +57,36 @@ class PolicySolution:
     kkt_residual: float = 0.0
 
 
+def _phases(case: PolicyCase, params: MarketParams,
+            lambda_p: float) -> tuple[float, float, float] | None:
+    """``(t1, t2, t3)`` of one case's closed form, or None when infeasible."""
+    tau = params.tau
+    if case is PolicyCase.I:
+        return 0.0, 0.0, tau
+
+    K, h = params.K, params.h
+    if case is PolicyCase.II:
+        if lambda_p == 0:
+            raise InvalidParams("case II undefined at lambda_p = 0")
+        t3 = math.sqrt(2.0 * K / (h * lambda_p))
+        return (0.0, 0.0, t3) if t3 < tau else None
+
+    lam_r = params.lambda_r
+    if case is PolicyCase.III:
+        t1 = math.sqrt((h * lam_r * tau * tau + 2.0 * K)
+                       / (h * (lambda_p + lam_r))) - tau
+        return (t1, 0.0, tau) if t1 > 0 else None
+
+    if lambda_p == 0:
+        raise InvalidParams("case IV undefined at lambda_p = 0")
+    r = params.r
+    radicand = 2.0 * h * K - 2.0 * h * lam_r * r * tau - lam_r * r * r
+    if radicand <= 0:
+        return None
+    t2 = math.sqrt(radicand / lambda_p) / h - r / h - tau
+    return (r / h, t2, tau) if t2 > 0 else None
+
+
 def candidate(case: PolicyCase, params: MarketParams,
               lambda_p: float) -> ShipmentPolicy | None:
     """Closed-form candidate for one case, or None when infeasible.
@@ -65,29 +97,8 @@ def candidate(case: PolicyCase, params: MarketParams,
     """
     if lambda_p < 0:
         raise InvalidParams("lambda_p must be >= 0")
-    r, K, h, tau, lam_r = params.r, params.K, params.h, params.tau, params.lambda_r
-
-    if case is PolicyCase.I:
-        return ShipmentPolicy(0.0, 0.0, tau)
-
-    if case is PolicyCase.II:
-        if lambda_p == 0:
-            raise InvalidParams("case II undefined at lambda_p = 0")
-        t3 = math.sqrt(2.0 * K / (h * lambda_p))
-        return ShipmentPolicy(0.0, 0.0, t3) if t3 < tau else None
-
-    if case is PolicyCase.III:
-        t1 = math.sqrt((h * lam_r * tau * tau + 2.0 * K)
-                       / (h * (lambda_p + lam_r))) - tau
-        return ShipmentPolicy(t1, 0.0, tau) if t1 > 0 else None
-
-    if lambda_p == 0:
-        raise InvalidParams("case IV undefined at lambda_p = 0")
-    radicand = 2.0 * h * K - 2.0 * h * lam_r * r * tau - lam_r * r * r
-    if radicand <= 0:
-        return None
-    t2 = math.sqrt(radicand / lambda_p) / h - r / h - tau
-    return ShipmentPolicy(r / h, t2, tau) if t2 > 0 else None
+    phases = _phases(case, params, lambda_p)
+    return None if phases is None else ShipmentPolicy(*phases)
 
 
 def _stationarity_residual(case: PolicyCase, params: MarketParams,
@@ -131,16 +142,19 @@ def solve_policy(params: MarketParams, lambda_p: float) -> PolicySolution:
         raise InvalidParams("at least one demand rate must be positive")
 
     best = None
-    for case in PolicyCase:
-        if lambda_p == 0 and case in (PolicyCase.II, PolicyCase.IV):
+    for case in _CASES if lambda_p != 0 else _CASES_AT_ZERO:
+        phases = _phases(case, params, lambda_p)
+        if phases is None:
             continue
-        policy = candidate(case, params, lambda_p)
-        if policy is None:
-            continue
-        profit = profit_rate(params, policy, lambda_p)
-        if best is None or profit > best[2] + EPS_NUM:
-            best = (case, policy, profit)
-    case, policy, profit = best
+        t1, t2, t3 = phases
+        T = t1 + t2 + t3
+        if not T > 0:  # a case-II cycle whose length underflows to 0
+            ShipmentPolicy(*phases)  # raises InvalidPolicy
+        profit = cycle_profit(params, lambda_p, 0.0, t1, t3, T)
+        if best is None or profit > best[0] + EPS_NUM:
+            best = (profit, case, phases)
+    profit, case, phases = best
+    policy = ShipmentPolicy(*phases)
     return PolicySolution(policy, case, profit, lambda_p,
                           _stationarity_residual(case, params, policy, lambda_p))
 

@@ -203,10 +203,10 @@ class TestSimulate:
             assert "--" in err
 
     def test_iteration_budget_is_a_usage_error(self, capsys, monkeypatch):
-        def step(*args, **kwargs):
+        def no_solve(*args, **kwargs):
             raise AssertionError("no iteration may run")
 
-        monkeypatch.setattr(dynamics, "step", step)
+        monkeypatch.setattr(dynamics, "solve_policy", no_solve)
         code, out, err = run_cli(["simulate", "--iters",
                                   str(MAX_SIM_ITERS + 1)], capsys)
         assert code == 2

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
-                    InvalidParams, LongRunKind, MarketParams,
-                    UnsupportedSignal, potential_market, predict_long_run,
-                    simulate, step, trace_rows)
+                    InvalidParams, LongRunKind, MarketParams, SignalKind,
+                    SignalSpec, UnsupportedSignal, potential_market,
+                    predict_long_run, simulate, step, trace_rows)
 from womops import dynamics
 from womops.dynamics import MAX_SIM_ITERS, LongRunClass, _classify_sequence
 from womops.reference import T7_TRACE, T8_TRACE
 
 LIN = FeeModel(FeeFamily.LINEAR, 100, 1, 5)
+LOG = FeeModel(FeeFamily.LOGARITHMIC, 20, 101, 5)
+WEIGHTED = SignalSpec(SignalKind.WEIGHTED,
+                      ((SignalKind.MDT, 0.4), (SignalKind.NPS, 0.6)))
 
 
 def params(tau=2.0, K=2000.0):
@@ -141,10 +146,10 @@ class TestSimulate:
         assert trace.classification.kind is LongRunKind.UNDETERMINED
 
     def test_iteration_budget_rejected_before_any_step(self, monkeypatch):
-        def no_step(*args, **kwargs):
+        def no_solve(*args, **kwargs):
             raise AssertionError("no iteration may run")
 
-        monkeypatch.setattr(dynamics, "step", no_step)
+        monkeypatch.setattr(dynamics, "solve_policy", no_solve)
         with pytest.raises(InvalidParams, match="max_iters"):
             simulate(params(), LIN, CustomerResponse(1), MDT, 10,
                      max_iters=MAX_SIM_ITERS + 1)
@@ -280,3 +285,76 @@ class TestIncrementalClassification:
         assert tr.classification == want
         assert want.kind is LongRunKind.CYCLE2
         self.assert_matches_rescan(lambdas, lambdas[0], 1e-4)
+
+
+#: (market, fee model, c2, signal, fee, seed, max_iters, tol, min_iters)
+#: of the runs whose every bit is pinned below.  The seed None is c1(F).
+_PINNED_RUNS = (
+    # MDT below, inside and above the near-2 band of c2 (above it, fault
+    # (a)), at c2 = 2 and beyond (cycles), and at c2 = 0.
+    (params(), LIN, 1.0, MDT, 10.0, None, 1000, 1e-6, 0),
+    (params(tau=5.0), LIN, 1.74, MDT, 10.0, None, 1000, 1e-6, 0),
+    (params(tau=5.0), LIN, 1.82, MDT, 10.0, None, 1000, 1e-4, 0),
+    (params(), LIN, 2.0, MDT, 10.0, 300.0, 1000, 1e-6, 0),
+    (params(tau=6.0, K=3000.0), LOG, 2.5, MDT, 30.0, None, 1000, 1e-6, 0),
+    (params(), LOG, 0.0, MDT, 50.0, 0.0, 1000, 1e-6, 0),
+    # Potential under the demand threshold, from an interior seed.
+    (params(tau=1.0), LIN, 1.0, MDT, 10.0, 123.4, 1000, 1e-6, 0),
+    # NPS and weighted signals, both fee families, seeds at 0 and inside.
+    (params(tau=3.0), LIN, 0.4, NPS, 40.0, 0.0, 1000, 1e-6, 0),
+    (params(tau=1.5, K=3500.0), LOG, 0.6, NPS, 70.0, 200.0, 1000, 1e-6, 0),
+    (params(tau=4.0), LOG, 1.2, WEIGHTED, 20.0, None, 1000, 1e-6, 0),
+    (params(), LIN, 0.8, WEIGHTED, 60.0, 0.0, 1000, 1e-6, 0),
+    # Priced out, c1(F) = 0: every round solves at lambda_p = 0.
+    (params(), LIN, 1.0, MDT, 100.0, None, 50, 1e-6, 0),
+    (params(), LOG, 1.0, NPS, 100.0, None, 50, 1e-6, 0),
+    # Fixed-length traces run on past their classification (T8 and more).
+    (params(), LIN, 3.0, MDT, 10.0, 450.0, 10, 1e-2, 10),
+    (params(tau=3.0), LOG, 0.5, WEIGHTED, 40.0, 0.0, 60, 1e-4, 60),
+)
+
+
+def _run_digest(runs) -> str:
+    """sha256 over float.hex of every trace point and classification."""
+    digest = hashlib.sha256()
+    for p, fee_model, c2, spec, fee, seed, max_iters, tol, min_iters in runs:
+        trace = simulate(p, fee_model, CustomerResponse(c2), spec, fee,
+                         seed_lambda_p=seed, max_iters=max_iters, tol=tol,
+                         min_iters=min_iters)
+        for pt in trace.points:
+            values = (pt.lambda_p, pt.policy.t1, pt.policy.t2, pt.policy.t3,
+                      pt.profit)
+            digest.update(f"{pt.k} {' '.join(map(float.hex, values))}\n"
+                          .encode())
+        cls = trace.classification
+        digest.update(f"{cls.kind.value} {' '.join(map(float.hex, cls.values))}"
+                      f" {cls.tol.hex()}\n".encode())
+    return digest.hexdigest()
+
+
+def test_feedback_loop_keeps_every_bit():
+    # Taken while every round still called ``step`` and
+    # ``profit_rate_with_fees`` and ``solve_policy`` built a
+    # ``ShipmentPolicy`` per case: taking each run's constants once and
+    # comparing the candidates as floats moves no bit.
+    assert _run_digest(_PINNED_RUNS) == (
+        "af70ec785390936b755be3b68469a38ef26a118d8f124ed2c9af25c53b3f5913")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([MDT, NPS, WEIGHTED]),
+       st.sampled_from([(LIN, 10.0), (LIN, 60.0), (LIN, 100.0), (LOG, 20.0),
+                        (LOG, 80.0)]),
+       st.floats(0, 3), st.floats(0.5, 7), st.floats(1000, 4000),
+       st.floats(0, 1))
+def test_step_is_the_first_transition_of_simulate(spec, fee_model_fee, c2,
+                                                  tau, K, share):
+    fee_model, fee = fee_model_fee
+    p, resp = params(tau=tau, K=K), CustomerResponse(c2)
+    lam = share * potential_market(fee_model, fee)
+    policy, nxt = step(p, fee_model, resp, spec, fee, lam)
+    first, second = simulate(p, fee_model, resp, spec, fee,
+                             seed_lambda_p=lam, max_iters=1).points
+    assert [v.hex() for v in (first.policy.t1, first.policy.t2,
+                              first.policy.t3, second.lambda_p)] == \
+        [v.hex() for v in (policy.t1, policy.t2, policy.t3, nxt)]

@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from womops import (EPS_NUM, GridSpec, InvalidGrid, InvalidParams,
-                    MarketParams, PolicyCase, PolicySolution, ShipmentPolicy,
-                    candidate, grid_search_policy, myopic, profit_rate,
-                    solve_policy)
+                    InvalidPolicy, MarketParams, PolicyCase, PolicySolution,
+                    ShipmentPolicy, candidate, grid_search_policy, myopic,
+                    profit_rate, solve_policy)
 
 
 def params(r=8.0, K=2000.0, h=4.0, tau=2.0, lambda_r=50.0):
@@ -98,6 +98,15 @@ class TestSolve:
         assert sol.case is PolicyCase.III
         assert math.isfinite(sol.profit) and math.isfinite(sol.kkt_residual)
 
+    def test_case_ii_cycle_that_underflows_to_zero_length(self):
+        # 2K/(h lambda_p) underflows to 0: case II's cycle has no length,
+        # which ShipmentPolicy refuses for the candidate and the solve alike.
+        p = params(K=1e-300)
+        with pytest.raises(InvalidPolicy, match="cycle length"):
+            candidate(PolicyCase.II, p, 1e30)
+        with pytest.raises(InvalidPolicy, match="cycle length"):
+            solve_policy(p, 1e30)
+
     def test_case_iv_with_a_holding_cost_whose_square_underflows(self):
         # h*h is 0 here; case IV's t2 divides by h only after the root.
         p = params(K=1e306, h=1e-300)
@@ -127,6 +136,40 @@ class TestSolve:
         assert (pol.t3 < tau) == (lam > p.demand_threshold)
         assert sol.kkt_residual <= 1e-6
         assert pol.t3 <= tau + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.5, 100), st.floats(1, 1e4), st.floats(0.1, 20),
+           st.floats(0.1, 10), st.floats(0, 200),
+           st.one_of(st.sampled_from([0.0, 1e-300, 1e-12, 1.0, 1e6]),
+                     st.floats(1e-300, 1e6)))
+    @example(8.0, 4000.0, 4.0, 1.0, 50.0, 100.0)  # case IV
+    @example(8.0, 4000.0, 4.0, 7.0, 50.0, 0.0)  # every policy loses money
+    def test_is_the_reference_argmax_to_the_bit(self, r, K, h, tau, lam_r,
+                                                 lam):
+        assume(lam > 0 or lam_r > 0)
+        p = params(r=r, K=K, h=h, tau=tau, lambda_r=lam_r)
+        # Every candidate as a policy, scored by ``profit_rate``; ties
+        # within EPS_NUM go to the lowest case id.
+        best = None
+        for case in PolicyCase:
+            if lam == 0 and case in (PolicyCase.II, PolicyCase.IV):
+                continue
+            policy = candidate(case, p, lam)
+            if policy is not None:
+                profit = profit_rate(p, policy, lam)
+                if best is None or profit > best[2] + EPS_NUM:
+                    best = (case, policy, profit)
+        case, policy, profit = best
+        sol = solve_policy(p, lam)
+
+        def bits(pol):
+            return [float(v).hex() for v in (pol.t1, pol.t2, pol.t3)]
+
+        assert sol.case is case and bits(sol.policy) == bits(policy)
+        assert sol.profit.hex() == profit.hex()
+        assert sol.lambda_p == lam
+        assert sol.kkt_residual == myopic._stationarity_residual(
+            case, p, policy, lam)
 
 
 class TestOracle:
