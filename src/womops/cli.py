@@ -26,7 +26,7 @@ from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, potential_market)
 from .dynamics import MAX_SIM_ITERS, LongRunKind, simulate, trace_rows
 from .equilibrium import (EquilibriumProblem, EquilibriumSolution,
-                          equilibrium_residual, solve_equilibrium)
+                          solve_equilibrium)
 from .errors import ConfigError, NonFiniteResult, WomopsError
 from .experiments import (ExperimentConfig, TableId, TraceId, persist,
                           persist_trace, run_table, run_trace, trace_csv)
@@ -187,15 +187,13 @@ def policy_to_dict(policy: ShipmentPolicy) -> dict:
             "T": policy.cycle_length}
 
 
-def solution_to_dict(problem: EquilibriumProblem,
-                     solution: EquilibriumSolution) -> dict:
+def solution_to_dict(solution: EquilibriumSolution) -> dict:
     return {
         "policy": policy_to_dict(solution.policy),
         "fee": solution.fee,
         "lambda_p": solution.lambda_p,
         "profit": solution.profit,
         "branch": solution.branch.value,
-        "equilibrium_residual": equilibrium_residual(problem, solution),
     }
 
 
@@ -237,10 +235,9 @@ def _cmd_solve_m2(args, out) -> int:
         if not cfg.fee_model.in_domain(getattr(cfg.market, bound)):
             raise ConfigError(f"market.{bound}", "outside the "
                               f"{cfg.fee_model.family.value} fee domain")
-    problem = EquilibriumProblem(cfg.market, cfg.fee_model, cfg.response,
-                                 cfg.signal)
-    sol = solve_equilibrium(problem)
-    _emit_json(solution_to_dict(problem, sol), out)
+    sol = solve_equilibrium(EquilibriumProblem(cfg.market, cfg.fee_model,
+                                               cfg.response, cfg.signal))
+    _emit_json(solution_to_dict(sol), out)
     return 0
 
 

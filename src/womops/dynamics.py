@@ -169,7 +169,7 @@ def simulate(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
         raise InvalidParams("tol must be >= 0")
     c1, advance = _feedback(params, fee_model, resp, spec, fee)
     rate = fee_per_order(params, fee_model, fee)
-    lam = c1 if seed_lambda_p is None else float(seed_lambda_p)
+    lam = float(c1 if seed_lambda_p is None else seed_lambda_p)
 
     lambdas: list[float] = []
     points: list[TracePoint] = []

@@ -25,10 +25,9 @@ numeric path.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, cycle_profit,
@@ -332,11 +331,17 @@ def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
     t1 and T run over one axis from 0 to the search cap, and the grid
     holds each pair with t1 < T, so the slack s = T - t1 is positive.
     Each profit is the objective's (:func:`_objective`); the fee F*(T) of
-    the sort key is taken once per T.
+    the sort key is taken once per T.  The points come back as five
+    columns (t1, s, T, F, profit), in T-major order.
     """
     neg_profit = _objective(problem)
     fee_of = best_fee(problem)
-    axis = np.linspace(0.0, search_cap(problem), search.n_time).tolist()
+    cap = search_cap(problem)
+    # np.linspace's arithmetic: i times the step (i / n times the cap where
+    # the step underflows to 0), and the cap itself last.
+    n = search.n_time - 1
+    step = cap / n
+    axis = [i * step if step else i / n * cap for i in range(n)] + [cap]
     points = []
     for j, T in enumerate(axis[1:], 1):
         fee = fee_of(T)
@@ -344,7 +349,7 @@ def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
             profit = -neg_profit(t1, T - t1)
             if math.isfinite(profit):
                 points.append((t1, T - t1, T, fee, profit))
-    return tuple(np.array(points, dtype=float).reshape(-1, 5).T)
+    return tuple(map(list, zip(*points))) if points else ([], [], [], [], [])
 
 
 def _select_seeds(t1, s, T, F, profit, search: SearchSpec):
@@ -353,8 +358,10 @@ def _select_seeds(t1, s, T, F, profit, search: SearchSpec):
     Grid points are distinct lattice points, so no seed duplicates
     another and no two share a sort key.
     """
-    order = np.lexsort((t1, T, F, -profit))[:search.top_n]
-    return list(zip(t1[order].tolist(), s[order].tolist()))
+    # The first top_n of sorted(..., key=...), without sorting the rest.
+    order = heapq.nsmallest(search.top_n, range(len(profit)),
+                            key=lambda i: (-profit[i], F[i], T[i], t1[i]))
+    return [(t1[i], s[i]) for i in order]
 
 
 def _seeds(problem: EquilibriumProblem, search: SearchSpec):
@@ -363,7 +370,7 @@ def _seeds(problem: EquilibriumProblem, search: SearchSpec):
     # would be NaN: then no cycle of the box can be evaluated.
     if search_cap(problem) < math.inf:
         grid = _candidate_grid(problem, search)
-        if grid[-1].size:
+        if grid[-1]:
             return _select_seeds(*grid, search)
     raise InfeasibleProblem("no feasible cycle in the search box")
 
@@ -495,6 +502,8 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
     larger profit is returned.  RegimeViolation signals that a t3 = tau or
     fee-boundary regime applies instead.
     """
+    import numpy as np  # a cross-check, so a solve never loads NumPy
+
     p = problem.params
     fm = problem.fee_model
     if problem.signal_spec.kind is not SignalKind.MDT:

@@ -18,6 +18,8 @@ grid scan's argmax and tie to the bit, but skips every t1 row whose
 closed-form profit bound lies below a profit it has already scanned.
 That bound relaxes the profit over a continuous cycle length; it is not
 the four-case policy, so the oracle stays independent of what it checks.
+The oracle's functions import NumPy when called: the closed forms run on
+Python floats, and a solve never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .domain import EPS_NUM, MarketParams, ShipmentPolicy, cycle_profit
 from .errors import InvalidGrid, InvalidParams
@@ -60,7 +60,7 @@ class PolicySolution:
 def _phases(case: PolicyCase, params: MarketParams,
             lambda_p: float) -> tuple[float, float, float] | None:
     """``(t1, t2, t3)`` of one case's closed form, or None when infeasible."""
-    tau = params.tau
+    tau = float(params.tau)
     if case is PolicyCase.I:
         return 0.0, 0.0, tau
 
@@ -68,7 +68,10 @@ def _phases(case: PolicyCase, params: MarketParams,
     if case is PolicyCase.II:
         if lambda_p == 0:
             raise InvalidParams("case II undefined at lambda_p = 0")
-        t3 = math.sqrt(2.0 * K / (h * lambda_p))
+        h_lp = h * lambda_p
+        # Where h * lambda_p underflows to 0, dividing by each in turn
+        # gives the long (or infinite) cycle instead of a division by 0.
+        t3 = math.sqrt(2.0 * K / h_lp if h_lp > 0 else 2.0 * K / h / lambda_p)
         return (0.0, 0.0, t3) if t3 < tau else None
 
     lam_r = params.lambda_r
@@ -201,6 +204,8 @@ def _largest_t3(t1, T, t3_cap: float, t_max: float):
     No-operation cycles (t3 = 0) are outside the policy domain and stay
     excluded.
     """
+    import numpy as np
+
     t3 = np.minimum(t3_cap, T - t1)
     t2 = T - t1 - t3
     return t2, t3, (t3 > 0) & (t2 <= t_max * (1 + 1e-12))
@@ -213,6 +218,8 @@ def _oracle_axes(params: MarketParams, lambda_p: float, grid: GridSpec):
     to every attainable t1 + t2 + t3.  A T axis longer than
     ``MAX_AXIS_POINTS`` is refused before anything is allocated.
     """
+    import numpy as np
+
     step = grid.step
     t_max = grid.resolve_t_max(params, lambda_p)
     t3_cap = min(params.tau, t_max)
@@ -242,6 +249,8 @@ def _row_bounds(params: MarketParams, lambda_p: float, t1, T_first,
     start.  Each bound carries a relative margin on its terms' magnitudes.
     At lambda_p = 0 the bound is inf, and a NaN bound skips nothing either.
     """
+    import numpy as np
+
     if lambda_p == 0:
         return np.full(t1.shape, np.inf)
     r, K, h, lam_r = params.r, params.K, params.h, params.lambda_r
@@ -282,6 +291,8 @@ def grid_search_policy(params: MarketParams, lambda_p: float,
     ``_ORACLE_CHUNK`` points.  The result is within O(step) of the true
     optimum.
     """
+    import numpy as np
+
     if grid.step <= 0:
         raise InvalidGrid("step must be > 0")
     if lambda_p < 0:

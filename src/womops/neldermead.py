@@ -14,18 +14,19 @@ coordinates: each vertex is a pair, the simplex is unpacked into scalars
 once per iteration, and the centroid, trial points, clipping and
 convergence tests are spelled out coordinate by coordinate.  After a step
 the new vertex is inserted among the two kept ones when all three values
-are distinct; on tied or NaN values ``np.argsort`` orders them, as in
-SciPy, and after a shrink the three are sorted again by :func:`_order`.
-The bookkeeping then costs under 1 µs per evaluation, against some
-twenty NumPy calls on tiny arrays per iteration in SciPy.
+are distinct; on tied or NaN values, and after a shrink, :func:`_order`
+sorts the three by one stable rule with NaN last.  That is the
+permutation SciPy's ``np.argsort`` gives on three values, tested on every
+pattern of signed zeros, infinities and NaN, without depending on which
+of NumPy's sort kernels the CPU runs.  The bookkeeping then costs under
+1 µs per evaluation, against some twenty NumPy calls on tiny arrays per
+iteration in SciPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 _NONZDELT = 0.05    # relative step of the initial simplex
 _ZDELT = 0.00025    # its step along a zero coordinate
@@ -51,24 +52,9 @@ class PolishResult:
 
 
 def _order(sim, fsim):
-    """The three vertices and values in the order ``np.argsort(fsim)`` puts
-    them.
-
-    With distinct values that is the one sorted order.  NumPy's sort is
-    not stable (its SIMD kernels can permute equal keys), so when values
-    tie, as they do where the objective ignores a coordinate, or one is
-    NaN, the permutation is taken from :func:`_argsort_order`.
-    """
-    idx = sorted(range(3), key=fsim.__getitem__)
-    f = [fsim[i] for i in idx]
-    if f[0] < f[1] < f[2]:
-        return [sim[i] for i in idx], f
-    return _argsort_order(sim, fsim)
-
-
-def _argsort_order(sim, fsim):
-    """Vertices and values permuted by ``np.argsort(fsim)`` itself."""
-    idx = np.argsort(np.array(fsim, dtype=float)).tolist()
+    """The three vertices and values sorted by value, NaN last, stably:
+    tied values keep their vertices' order."""
+    idx = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
     return [sim[i] for i in idx], [fsim[i] for i in idx]
 
 
@@ -118,9 +104,8 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float,
             break
         fsim[nfev] = fun(*y)
         nfev += 1
-    # SciPy sorts twice before the first iteration; with ties the second
-    # np.argsort may permute the vertices again.
-    sim, fsim = _order(sim, fsim)
+    # SciPy sorts twice before the first iteration; a stable sort leaves
+    # sorted vertices where they are, so one is enough.
     (v0, v1, v2), (f0, f1, f2) = _order(sim, fsim)
 
     nit = 1
@@ -166,8 +151,8 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float,
 
         if new is not None:
             nit += 1
-            # With three distinct values the sorted order is the only one
-            # np.argsort can give, and the kept vertices are in it already.
+            # With three distinct values the kept vertices are in the
+            # sorted order already, and the new one goes into its place.
             if f0 < f1:
                 if fnew < f0:
                     v0, v1, v2 = new, v0, v1
@@ -180,8 +165,8 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float,
                 if f1 < fnew:
                     v2, f2 = new, fnew
                     continue
-            # A tie or a NaN: np.argsort decides.
-            (v0, v1, v2), (f0, f1, f2) = _argsort_order(
+            # A tie or a NaN: the stable order decides.
+            (v0, v1, v2), (f0, f1, f2) = _order(
                 [v0, v1, new], [f0, f1, fnew])
             continue
         sim, fsim = [v0, v1, v2], [f0, f1, f2]
@@ -200,4 +185,10 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float,
         (v0, v1, v2), (f0, f1, f2) = _order(sim, fsim)
 
     status = 1 if nfev >= maxfev else 0
-    return PolishResult(v0, float(np.min([f0, f1, f2])), nfev, nit, status)
+    # np.min's value: a NaN wins, and of equal values (0.0 and -0.0) the
+    # later one.
+    best = f0
+    for y in (f1, f2):
+        if best == best and not y > best:
+            best = y
+    return PolishResult(v0, float(best), nfev, nit, status)

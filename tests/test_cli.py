@@ -6,13 +6,17 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import womops
 from womops import dynamics
 from womops.cli import (DEFAULT_CONFIG, _diff_trace, load_config, main,
                          parse_config)
@@ -69,6 +73,14 @@ class TestSolveM1:
         # Exit 0 means the JSON was written without NaN or Infinity.
         assert json.loads(out)["case"] == "III"
 
+    def test_rate_product_that_underflows(self, tmp_path, capsys):
+        # h * lambda_p is 0 in floats; case II is then only infeasible.
+        cfg = write_config(tmp_path, market={"h": 0.5})
+        code, out, _ = run_cli(["solve-m1", "--lambda-p", "5e-324", "-c",
+                                cfg], capsys)
+        assert code == 0
+        assert json.loads(out)["case"] == "III"
+
     def test_case_iv_with_a_holding_cost_whose_square_underflows(
             self, tmp_path, capsys):
         cfg = write_config(tmp_path, market={"K": 1e306, "h": 1e-300})
@@ -98,7 +110,8 @@ class TestSolveM2:
         doc = json.loads(out)
         assert doc["profit"] == pytest.approx(1346.67, abs=0.01)
         assert doc["lambda_p"] == pytest.approx(450.0, abs=1e-6)
-        assert doc["equilibrium_residual"] <= 1e-6
+        # |lambda_p - R(theta)| is zero by construction, so it is not printed.
+        assert "equilibrium_residual" not in doc
 
     def test_insensitive_customers_fill_market(self, tmp_path, capsys):
         cfg = write_config(tmp_path, response={"c2": 0.0})
@@ -317,6 +330,29 @@ class TestReproduce:
         assert (matched, total) == (10, 11)
         assert notes == [f"  iteration 3: lambda_p {moved.lambda_p:.4f} vs "
                          f"{TRACES['T7']['lambda_p'][3]:.2f} (tol 0.02)"]
+
+
+def test_commands_leave_numpy_out(tmp_path):
+    # NumPy serves the test oracles only: importing the CLI and running
+    # each command's default solve never loads it.
+    src = Path(womops.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    script = """
+import contextlib, io, sys
+import womops.cli as cli
+for argv in (["solve-m1", "--lambda-p", "450"], ["solve-m2"],
+             ["simulate", "--iters", "10"],
+             ["reproduce", "--table", "T3", "--out", sys.argv[1]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "T3.csv").exists()
 
 
 class TestOutputPaths:

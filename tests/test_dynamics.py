@@ -25,6 +25,18 @@ def params(tau=2.0, K=2000.0):
                         f_min=10, f_max=100)
 
 
+def test_integer_fields_give_float_trace_points():
+    # params() and LIN hold integers, and so does c1(10) = 450, the seed:
+    # every phase and rate of the trace is still a float.
+    trace = simulate(params(tau=2), LIN, CustomerResponse(1), MDT, 10,
+                     max_iters=20)
+    assert len(trace.points) > 1
+    for point in trace.points:
+        p = point.policy
+        for v in (point.lambda_p, point.profit, p.t1, p.t2, p.t3):
+            v.hex()
+
+
 class TestStep:
     def test_linear_sensitivity_round(self):
         policy, nxt = step(params(), LIN, CustomerResponse(1), MDT, 10, 450.0)

@@ -736,6 +736,18 @@ class TestStreamedSeedSelection:
                                 top_n=int(rng.integers(1, 12)))
             assert _seeds(prob, search) == reference_seeds(prob, search)
 
+    def test_grid_step_that_underflows(self):
+        # cap / 39 is 0 at a cap of 1.5e-323: np.linspace then takes
+        # i / 39 * cap, and so does the grid.
+        prob = problem(5e-324, 1, K=5e-324, r=5e-324, f_min=0.0, f_max=0.0,
+                       lambda_r=0.0)
+        assert search_cap(prob) / 39 == 0
+        grid = reference_grid(prob, SearchSpec())
+        want = np.stack(grid)[:, np.isfinite(grid[-1])]
+        got = np.stack(equilibrium._candidate_grid(prob, SearchSpec()))
+        assert got.tobytes() == want.tobytes()
+        assert _seeds(prob, SearchSpec()) == reference_seeds(prob, SearchSpec())
+
     def test_pinned_fee(self):
         prob = problem(5.0, 1, f_min=40.0, f_max=40.0)
         search = SearchSpec(n_time=20)
@@ -784,10 +796,10 @@ class TestGridInsideTheBox:
         neg_profit = _objective(prob)
         t1, s, _, _, prof = equilibrium._candidate_grid(prob, SearchSpec())
         # All 780 lattice pairs are in the box, at the objective's profit.
-        assert t1.size == 40 * 39 // 2
-        values = list(map(neg_profit, t1.tolist(), s.tolist()))
+        assert len(t1) == 40 * 39 // 2
+        values = list(map(neg_profit, t1, s))
         assert all(map(math.isfinite, values))
-        assert [-v for v in values] == prof.tolist()
+        assert [-v for v in values] == list(prof)
 
 
 class TestSearchBudget:
@@ -811,9 +823,9 @@ class TestSearchBudget:
     @pytest.mark.parametrize("value", [10.5, 2.0, float("nan"), float("inf"),
                                        True, "8", None, np.int64(8)])
     def test_counts_must_be_integers(self, field, value):
-        # A float, even a whole one, would reach np.linspace or the seed
-        # slice and fail there with a TypeError; a NumPy integer would
-        # fail in the manifest's json.dumps.
+        # A float, even a whole one, would reach the grid axis's range()
+        # or the seed slice and fail there with a TypeError; a NumPy
+        # integer would fail in the manifest's json.dumps.
         with pytest.raises(InvalidParams, match=f"^{field} must be an integer"):
             SearchSpec(**{field: value})
 

@@ -107,6 +107,30 @@ class TestSolve:
         with pytest.raises(InvalidPolicy, match="cycle length"):
             solve_policy(p, 1e30)
 
+    def test_case_ii_rate_product_that_underflows_to_zero(self):
+        # h * lambda_p underflows to 0, so case II's cycle is infinite,
+        # above tau: case III wins, not a division by zero.
+        sol = solve_policy(params(h=0.5), 5e-324)
+        assert sol.case is PolicyCase.III
+        assert candidate(PolicyCase.II, params(h=0.5), 5e-324) is None
+        assert math.isfinite(sol.profit) and math.isfinite(sol.kkt_residual)
+
+    def test_integer_fields_give_float_phases(self):
+        p = MarketParams(r=8, K=2000, h=4, tau=2, lambda_r=50, M=30,
+                         f_min=10, f_max=100)
+        for case in PolicyCase:
+            policy = candidate(case, p, 1)
+            if policy is not None:
+                assert [type(v) for v in (policy.t1, policy.t2, policy.t3)] \
+                    == [float] * 3, case
+        cases = set()
+        for lam in (0, 1, 100, 450):
+            sol = solve_policy(p, lam)
+            cases.add(sol.case)
+            for v in (sol.policy.t1, sol.policy.t2, sol.policy.t3):
+                v.hex()
+        assert cases == {PolicyCase.II, PolicyCase.III, PolicyCase.IV}
+
     def test_case_iv_with_a_holding_cost_whose_square_underflows(self):
         # h*h is 0 here; case IV's t2 divides by h only after the root.
         p = params(K=1e306, h=1e-300)

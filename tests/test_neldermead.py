@@ -8,6 +8,7 @@ edge cases of the simplex (bounds, zero coordinates, ties, budgets).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -145,26 +146,27 @@ class TestPaths:
         assert {len(c[1]) for c in calls} == {2}
         assert_polishes_match_scipy(calls)
 
-    def test_tied_values_are_ordered_by_numpy(self, monkeypatch):
+    def test_tied_values_take_the_stable_order(self, monkeypatch):
         # Priced out at F = f_max with every cycle losing money, the
         # optimum sits on the wall T = cap.  Past the wall every s takes
         # the wall's profit at its t1, so distinct vertices reach equal
         # profits.
-        argsorts = []
-        argsort = np.argsort
+        tied = []
+        order = neldermead._order
 
-        def spy(a, *args, **kwargs):
-            argsorts.append(len(a))
-            return argsort(a, *args, **kwargs)
+        def spy(sim, fsim):
+            f = sorted(fsim)
+            tied.append(not f[0] < f[1] < f[2])  # a tie or a NaN
+            return order(sim, fsim)
 
         calls = record_polishes(monkeypatch)
         with monkeypatch.context() as mp:
-            mp.setattr(neldermead.np, "argsort", spy)
+            mp.setattr(neldermead, "_order", spy)
             sol = solve_equilibrium(problem(7.0, 1, K=4000.0))
         assert (sol.fee, sol.lambda_p) == (100.0, 0.0)
         assert sol.policy.cycle_length == pytest.approx(
             search_cap(problem(7.0, 1, K=4000.0)), abs=1e-6)
-        assert argsorts.count(3) > 200
+        assert tied.count(True) > 200
         assert_polishes_match_scipy(calls)
 
     def test_max_polish_evals_is_the_budget(self, monkeypatch):
@@ -180,7 +182,7 @@ class TestPaths:
         # mid-expansion, mid-contraction and mid-shrink.  Unpinned, the
         # first T3 row's first polish (202 evaluations, into the kink at
         # s = tau) and the first T6 row's (128 evaluations, five shrinks,
-        # 8 orders taken from np.argsort on tied or NaN values); pinned, a
+        # 8 stable orders taken on tied or NaN values); pinned, a
         # fee pinned at 40 (88 evaluations, five shrinks).
         if pinned:
             prob = problem(5.0, 1, f_min=40.0, f_max=40.0)
@@ -326,6 +328,38 @@ def test_random_boxed_searches_match_scipy(search):
     fun, x0, bounds, options = search
     assert_same_steps(neldermead.minimize(fun, x0, bounds, **options),
                       scipy_polish(fun, x0, bounds, **options))
+
+
+#: Every triple of both zeros, ±1, both infinities, NaN and a tiny
+#: positive value, so ties, signed-zero ties and NaN all appear.
+_PATTERNS = list(itertools.product(
+    [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e-300], repeat=3))
+
+
+def test_order_is_numpys_on_every_pattern():
+    # SciPy orders the simplex with np.argsort; the stable NaN-last sort
+    # must give its permutation on all 512 triples.
+    for values in _PATTERNS:
+        sim, fsim = neldermead._order([0, 1, 2], list(values))
+        want = np.argsort(np.array(values)).tolist()
+        assert sim == want, values
+        assert np.array(fsim).tobytes() == np.array(values)[want].tobytes()
+
+
+def test_final_value_is_numpys_min_on_every_pattern():
+    # With a budget of three evaluations the search stops after SciPy's
+    # two sorts of the initial simplex and reports np.min of the sorted
+    # values: NaN when there is one, and the later of two equal zeros.
+    x0, bounds = (1.0, 1.0), [(0.0, 2.0), (0.0, 2.0)]
+    vertices = [(1.0, 1.0), (1.05, 1.0), (1.0, 1.05)]
+    for values in _PATTERNS:
+        res = neldermead.minimize(lambda *x: values[vertices.index(x)], x0,
+                                  bounds, xatol=1e-9, fatol=1e-8, maxfev=3)
+        first = np.argsort(np.array(values))
+        second = np.argsort(np.array(values)[first])
+        f = np.array(values)[first][second]
+        assert np.float64(res.fun).tobytes() == np.min(f).tobytes(), values
+        assert res.x == vertices[first[second[0]]], values
 
 
 def test_import_leaves_scipy_out():
