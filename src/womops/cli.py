@@ -5,13 +5,15 @@ Commands:
 * ``solve-m1 --lambda-p X``: closed-form policy for an observed demand.
 * ``solve-m2``: joint fee + policy optimization under stationary feedback.
 * ``simulate``: feedback-loop trace as CSV.
-* ``reproduce --table T3..T8 [--out DIR]``: regenerate a benchmark table or
-  trace, persist CSV + manifest in ``DIR``, and diff against the embedded
-  reference values.  It reads no config document.
+* ``reproduce --table T3..T8 [T3..T8 ...] [--out DIR]``: regenerate
+  benchmark tables or traces in one process, persist each one's CSV +
+  manifest in ``DIR``, and diff each against the embedded reference
+  values.  It reads no config document.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 solver error, 4
-``reproduce`` wrote its results but a row or trace iteration missed its
-tolerance.  Identical config and flags produce byte-identical outputs.
+``reproduce`` wrote its results but a row or trace iteration of some
+table missed its tolerance.  Identical config and flags produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -320,9 +322,8 @@ def _diff_trace(trace_name: str, trace) -> tuple[int, int, list[str]]:
     return _tally(map(check, range(len(ref["lambda_p"]))))
 
 
-def _cmd_reproduce(args, out) -> int:
-    experiment = ExperimentConfig(out_dir=args.out)
-    name = args.table
+def _reproduce(name: str, experiment: ExperimentConfig, out) -> bool:
+    """Run, persist and diff one table or trace; True when all matched."""
     if name in TableId.__members__:
         result = run_table(experiment, TableId[name])
         write, diff, unit = persist, _diff_table, "rows"
@@ -343,7 +344,15 @@ def _cmd_reproduce(args, out) -> int:
         out.write(note + "\n")
     out.write(f"wrote {csv_path}\n")
     out.write(f"wrote {manifest_path}\n")
-    return 0 if matched == total else 4
+    return matched == total
+
+
+def _cmd_reproduce(args, out) -> int:
+    experiment = ExperimentConfig(out_dir=args.out)
+    # Every table runs, in the order named, even after one has missed.
+    missed = [name for name in args.table
+              if not _reproduce(name, experiment, out)]
+    return 4 if missed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--out")
     p3.set_defaults(func=_cmd_simulate)
 
-    p4 = sub.add_parser("reproduce", help="regenerate a benchmark table or trace")
-    p4.add_argument("--table", required=True,
+    p4 = sub.add_parser("reproduce",
+                        help="regenerate benchmark tables or traces")
+    p4.add_argument("--table", required=True, nargs="+",
                     choices=[*TableId.__members__, *TraceId.__members__])
     p4.add_argument("--out", default=ExperimentConfig.out_dir)
     p4.set_defaults(func=_cmd_reproduce)

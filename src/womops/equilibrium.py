@@ -12,10 +12,13 @@ T and the slack s = T - t1 alone (:func:`_phase3`).  Both are profiled
 out, and the problem reduces to a box-constrained search over (t1, s)
 with one scalar objective (:func:`_objective`).
 
-The landscape is neither convex nor concave, so the solver evaluates
-that objective on a deterministic lattice of (t1, T) pairs, keeps the
-best points as seeds and polishes each with a bounded two-coordinate
-Nelder-Mead (:mod:`womops.neldermead`).  The lattice size is capped by
+The landscape is neither convex nor concave, so the solver seeds from a
+deterministic lattice of (t1, T) pairs and polishes each seed with a
+bounded two-coordinate Nelder-Mead (:mod:`womops.neldermead`).  The
+seeds are the lattice's best points, but a closed-form bound on each T
+row's profits (:func:`_row_bound`) leaves most rows unevaluated: the
+grid evaluates only rows that can hold a seed, and its seeds are those
+of the whole lattice.  The lattice size is capped by
 :data:`MAX_GRID_POINTS`.  For the linear-fee, unit-sensitivity,
 delivery-time-signal regime with t3 < tau the optimum also has closed
 forms (:func:`closed_form_t3`), used as independent cross-checks of the
@@ -27,6 +30,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
@@ -46,6 +50,9 @@ _NEWTON_STEPS = 64    # cap on the logarithmic family's Newton iterations
 #: :func:`best_fee`, far above Newton's few-ulp error.  The exit returns
 #: Newton's fee either way; a wider margin only sends more A to Newton.
 _BOUND_EXIT_MARGIN = 1e-9
+#: Relative widening of the grid's row bounds (:func:`_row_bound`) on
+#: their terms' magnitudes, far above the few ulps a profit rounds by.
+_ROW_BOUND_MARGIN = 1e-9
 _MAX_POLISH_EVALS = 4000  # objective evaluations per Nelder-Mead polish
 _POLISH_FATOL = 1e-8      # Nelder-Mead's tolerance on the simplex's profits
 #: The t3 -> 0+ end of Phase 3: the smallest positive float, so the cycle
@@ -53,9 +60,10 @@ _POLISH_FATOL = 1e-8      # Nelder-Mead's tolerance on the simplex's profits
 _T3_FLOOR = 5e-324
 
 #: Budget on the candidate grid: n_time (n_time - 1) / 2, the (t1, T)
-#: pairs with t1 < T on one shared axis, each one evaluation of the
-#: objective.  It admits n_time <= 128 (8,128 points); the default
-#: n_time=40 counts 780.
+#: pairs with t1 < T on one shared axis.  The row bound usually leaves
+#: most of them unevaluated, so this is the worst case of the grid's
+#: objective evaluations.  It admits n_time <= 128 (8,128 points); the
+#: default n_time=40 counts 780.
 MAX_GRID_POINTS = 1 << 13
 
 #: Budget on ``top_n``: each seed adds a Nelder-Mead polish.
@@ -325,30 +333,83 @@ def _objective(problem: EquilibriumProblem):
     return neg_profit
 
 
-def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
-    """Every grid point (t1, s, T, F) with a finite profit, and the profits.
+def _row_bound(problem: EquilibriumProblem):
+    """``(T, c1, fee_rate) -> bound`` on every grid profit of one T row.
 
-    t1 and T run over one axis from 0 to the search cap, and the grid
+    With the row's fee terms c1 = c1(F) and fee_rate = F/(delta M) at
+    F = F*(T) (:func:`_fee_terms`), the bound is
+
+        c1 max(0, r + fee_rate - hT/2)
+            + (lambda_r min(rT, r^2/(2h) + r tau) - K) / T.
+
+    It holds since lambda = c1 theta^c2 <= c1 (theta in [0, 1], c2 >= 0),
+    t1 + t3 <= min(T, t1 + tau) and r (t1 + tau) - h t1^2/2 <= r^2/(2h)
+    + r tau.  F*(T) maximizes c1(F) (r + F/(delta M) - hT/2) over the fee
+    box, so it also covers a point whose t1 + s rounds to a T one ulp
+    away, at that T's fee.  The bound is widened by
+    :data:`_ROW_BOUND_MARGIN` of its terms' magnitudes, plus the smallest
+    normal float for rounding below the normal range.  T must be positive.
+    """
+    p = problem.params
+    r, h, K, lam_r = p.r, p.h, p.K, p.lambda_r
+    peak = r * r / (2.0 * h) + r * p.tau
+
+    def bound(T: float, c1: float, fee_rate: float) -> float:
+        regular = lam_r * min(r * T, peak)
+        # max(margin, 0.0), not max(0.0, margin), keeps a NaN margin.
+        return (c1 * max(r + fee_rate - h * T / 2.0, 0.0) + (regular - K) / T
+                + _ROW_BOUND_MARGIN * (c1 * (r + fee_rate + h * T / 2.0)
+                                       + (regular + K) / T)
+                + sys.float_info.min)
+
+    return bound
+
+
+def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
+    """The grid points (t1, s, T, F) that can hold a seed, and their profits.
+
+    t1 and T run over one axis from 0 to the search cap, and the lattice
     holds each pair with t1 < T, so the slack s = T - t1 is positive.
-    Each profit is the objective's (:func:`_objective`); the fee F*(T) of
-    the sort key is taken once per T.  The points come back as five
-    columns (t1, s, T, F, profit), in T-major order.
+    Each T row takes its fee terms once (:func:`_fee_terms`), and with
+    them its :func:`_row_bound`; a NaN bound (inf - inf) counts as inf.
+    Rows are scanned whole, in descending bound order (ties in T order),
+    and the scan stops at the first row whose bound lies below the
+    ``top_n``-th best finite profit found so far: neither that row nor any
+    later one can hold a seed.  Each profit is the objective's
+    (:func:`_objective`).  The finite points of the rows scanned come back
+    as five columns (t1, s, T, F, profit), in scan order.
     """
     neg_profit = _objective(problem)
-    fee_of = best_fee(problem)
+    fee_terms = _fee_terms(problem)
+    row_bound = _row_bound(problem)
     cap = search_cap(problem)
     # np.linspace's arithmetic: i times the step (i / n times the cap where
     # the step underflows to 0), and the cap itself last.
     n = search.n_time - 1
     step = cap / n
     axis = [i * step if step else i / n * cap for i in range(n)] + [cap]
-    points = []
+    rows = []
     for j, T in enumerate(axis[1:], 1):
-        fee = fee_of(T)
+        if not T > 0:
+            continue  # every t1 >= 0 leaves no slack
+        fee, c1, fee_rate = fee_terms(T)
+        bound = row_bound(T, c1, fee_rate)
+        rows.append((-bound if bound == bound else -math.inf, j, T, fee))
+    rows.sort()
+
+    points = []
+    best: list[float] = []  # the top_n best finite profits, a min-heap
+    for neg_bound, j, T, fee in rows:
+        if len(best) == search.top_n and -neg_bound < best[0]:
+            break
         for t1 in axis[:j]:
             profit = -neg_profit(t1, T - t1)
             if math.isfinite(profit):
                 points.append((t1, T - t1, T, fee, profit))
+                if len(best) < search.top_n:
+                    heapq.heappush(best, profit)
+                elif profit > best[0]:
+                    heapq.heapreplace(best, profit)
     return tuple(map(list, zip(*points))) if points else ([], [], [], [], [])
 
 
@@ -365,7 +426,7 @@ def _select_seeds(t1, s, T, F, profit, search: SearchSpec):
 
 
 def _seeds(problem: EquilibriumProblem, search: SearchSpec):
-    """Polish seeds (t1, s) from the whole profiled grid."""
+    """Polish seeds (t1, s): the whole profiled lattice's best points."""
     # An overflowing market can push the cap to inf, where the lattice
     # would be NaN: then no cycle of the box can be evaluated.
     if search_cap(problem) < math.inf:

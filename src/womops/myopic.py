@@ -86,7 +86,13 @@ def _phases(case: PolicyCase, params: MarketParams,
     radicand = 2.0 * h * K - 2.0 * h * lam_r * r * tau - lam_r * r * r
     if radicand <= 0:
         return None
-    t2 = math.sqrt(radicand / lambda_p) / h - r / h - tau
+    quotient = radicand / lambda_p
+    # A tiny lambda_p overflows the quotient to inf; the quotient of the
+    # roots keeps t2 finite there, so case IV's profit tends to 0 as
+    # lambda_p -> 0+.  Where the quotient is finite, its root is kept.
+    root = (math.sqrt(quotient) if quotient < math.inf
+            else math.sqrt(radicand) / math.sqrt(lambda_p))
+    t2 = root / h - r / h - tau
     return (r / h, t2, tau) if t2 > 0 else None
 
 

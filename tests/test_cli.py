@@ -81,6 +81,16 @@ class TestSolveM1:
         assert code == 0
         assert json.loads(out)["case"] == "III"
 
+    @pytest.mark.parametrize("lambda_p", ["1e-310", "5e-324"])
+    def test_rate_whose_case_iv_quotient_overflows(self, lambda_p, capsys):
+        # radicand / lambda_p is inf on the default market: case IV still
+        # wins, with a profit just below 0, not case III at -179.80.
+        code, out, _ = run_cli(["solve-m1", "--lambda-p", lambda_p], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["case"] == "IV"
+        assert -1e-150 < doc["profit"] < 0
+
     def test_case_iv_with_a_holding_cost_whose_square_underflows(
             self, tmp_path, capsys):
         cfg = write_config(tmp_path, market={"K": 1e306, "h": 1e-300})
@@ -320,6 +330,45 @@ class TestReproduce:
         assert lines[3:] == [f"wrote {tmp_path / 'T7.csv'}",
                              f"wrote {tmp_path / 'T7_manifest.json'}"]
 
+    def test_several_tables_in_one_process(self, tmp_path, capsys):
+        # Each table's files and stdout lines are those of its own run.
+        names = ["T3", "T8", "T7"]
+        one, together = tmp_path / "one", tmp_path / "together"
+        singles = []
+        for name in names:
+            code, out, _ = run_cli(["reproduce", "--table", name,
+                                    "--out", str(one)], capsys)
+            assert code == 0
+            singles.append(out)
+        code, out, _ = run_cli(["reproduce", "--table", *names,
+                                "--out", str(together)], capsys)
+        assert code == 0
+        assert out == "".join(singles).replace(str(one), str(together))
+        assert sorted(os.listdir(together)) == sorted(os.listdir(one))
+        for name in os.listdir(one):
+            assert (together / name).read_bytes() == (one / name).read_bytes()
+
+    def test_unknown_table_among_several_runs_nothing(self, tmp_path, capsys):
+        code, out, err = run_cli(["reproduce", "--table", "T3", "T99",
+                                  "--out", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'T99'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_miss_among_several_exits_4(self, tmp_path, capsys,
+                                            monkeypatch):
+        # The table after the miss still runs and matches.
+        key = (1.0, 1.0, 2000.0, 8.0)
+        *fields, decision = TABLE_ROWS["T3"][key]
+        fields[4] += 1.0
+        monkeypatch.setitem(TABLE_ROWS["T3"], key, (*fields, decision))
+        code, out, _ = run_cli(["reproduce", "--table", "T3", "T8",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 4
+        assert "T3: rows matched 9/10 within tolerance" in out
+        assert "T8: iterations matched 11/11 within tolerance" in out
+        assert (tmp_path / "T8_manifest.json").exists()
+
     def test_trace_miss_names_its_tolerance(self):
         trace = run_trace(ExperimentConfig(), TraceId.T7)
         moved = dataclasses.replace(trace.points[3],
@@ -344,7 +393,8 @@ import contextlib, io, sys
 import womops.cli as cli
 for argv in (["solve-m1", "--lambda-p", "450"], ["solve-m2"],
              ["simulate", "--iters", "10"],
-             ["reproduce", "--table", "T3", "--out", sys.argv[1]]):
+             ["reproduce", "--table", "T3", "--out", sys.argv[1]],
+             ["reproduce", "--table", "T4", "T7", "--out", sys.argv[1]]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
@@ -352,7 +402,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-    assert (tmp_path / "T3.csv").exists()
+    for name in ("T3", "T4", "T7"):
+        assert (tmp_path / f"{name}.csv").exists()
 
 
 class TestOutputPaths:

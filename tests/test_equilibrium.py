@@ -3,9 +3,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     FeeRegime, MarketParams, RecoveryClass, RegimeViolation,
@@ -19,7 +22,7 @@ from womops.domain import cycle_profit, signal_value
 from womops.equilibrium import (MAX_GRID_POINTS, MAX_SEEDS, SearchSpec,
                                 _T3_FLOOR, _objective, _phase3, _seeds,
                                 search_cap)
-from womops.errors import InvalidParams
+from womops.errors import InfeasibleProblem, InvalidParams
 from womops.experiments import (ExperimentConfig, TableId, _table_setup,
                                 build_problem)
 
@@ -702,6 +705,18 @@ def reference_seeds(prob, search):
     return [(float(t1[k]), float(s[k])) for k in order[:search.top_n]]
 
 
+def assert_reference_points(prob, search):
+    """Every point the grid returns is a finite point of the reference
+    lattice, with its bits in all five columns, and no point comes more
+    often than the lattice holds it (an axis that underflows repeats
+    values)."""
+    want = Counter(column.tobytes()
+                   for column in np.stack(reference_grid(prob, search)).T)
+    got = np.stack(equilibrium._candidate_grid(prob, search))
+    assert np.isfinite(got[-1]).all()
+    assert Counter(column.tobytes() for column in got.T) <= want
+
+
 class TestStreamedSeedSelection:
     """Seed selection picks exactly the seeds of a full sort of the grid."""
 
@@ -713,12 +728,7 @@ class TestStreamedSeedSelection:
         prob = build_problem(config, setup, *setup.rows[row])
         assert _seeds(prob, config.search) == \
             reference_seeds(prob, config.search)
-        # The grid holds every finite point, in grid order, to the same
-        # bits as the flattened reference.
-        grid = reference_grid(prob, config.search)
-        want = np.stack(grid)[:, np.isfinite(grid[-1])]
-        got = np.stack(equilibrium._candidate_grid(prob, config.search))
-        assert got.tobytes() == want.tobytes()
+        assert_reference_points(prob, config.search)
 
     def test_seeded_random_problems(self):
         rng = np.random.default_rng(11)
@@ -742,10 +752,7 @@ class TestStreamedSeedSelection:
         prob = problem(5e-324, 1, K=5e-324, r=5e-324, f_min=0.0, f_max=0.0,
                        lambda_r=0.0)
         assert search_cap(prob) / 39 == 0
-        grid = reference_grid(prob, SearchSpec())
-        want = np.stack(grid)[:, np.isfinite(grid[-1])]
-        got = np.stack(equilibrium._candidate_grid(prob, SearchSpec()))
-        assert got.tobytes() == want.tobytes()
+        assert_reference_points(prob, SearchSpec())
         assert _seeds(prob, SearchSpec()) == reference_seeds(prob, SearchSpec())
 
     def test_pinned_fee(self):
@@ -793,13 +800,121 @@ class TestGridInsideTheBox:
     @pytest.mark.parametrize("prob", [
         *TABLE_ROW_PROBLEMS, pytest.param(NO_DEMAND, id="no-demand")])
     def test_grid_points_are_finite_under_the_objective(self, prob):
-        neg_profit = _objective(prob)
-        t1, s, _, _, prof = equilibrium._candidate_grid(prob, SearchSpec())
-        # All 780 lattice pairs are in the box, at the objective's profit.
+        # All 780 lattice pairs are in the box: the objective's profit is
+        # finite on each.  The grid returns some of them, at those bits.
+        t1, _, _, _, prof = reference_grid(prob, SearchSpec())
         assert len(t1) == 40 * 39 // 2
-        values = list(map(neg_profit, t1, s))
-        assert all(map(math.isfinite, values))
-        assert [-v for v in values] == list(prof)
+        assert np.isfinite(prof).all()
+        assert_reference_points(prob, SearchSpec())
+
+
+@st.composite
+def grid_problems(draw):
+    """A random market and search: MDT, NPS and weighted signals, both
+    fee families, a pinned fee, no regular demand and N = 0 included."""
+    spec = draw(st.sampled_from([MDT, NPS]) | st.floats(0.05, 0.95).map(
+        lambda w: SignalSpec(SignalKind.WEIGHTED,
+                             ((SignalKind.MDT, w), (SignalKind.NPS, 1.0 - w)))))
+    fee_model = draw(st.sampled_from([
+        LIN, LOG, FeeModel(FeeFamily.LINEAR, 0, -0.5, 5),
+        FeeModel(FeeFamily.LINEAR, 0, 0, 5),          # N = 0
+        FeeModel(FeeFamily.LOGARITHMIC, 0, 101, 5)]))  # N = 0
+    f_min = draw(st.floats(0.0, 60.0))
+    f_max = draw(st.just(f_min) | st.floats(f_min, 100.0))
+    prob = problem(tau=draw(st.floats(0.1, 8.0)),
+                   c2=draw(st.sampled_from([0.0, 0.2, 1.0, 1.7, 3.0])),
+                   K=draw(st.floats(1.0, 5000.0)),
+                   r=draw(st.floats(0.5, 60.0)),
+                   lambda_r=draw(st.just(0.0) | st.floats(0.5, 120.0)),
+                   f_min=f_min, f_max=f_max, fee_model=fee_model, spec=spec)
+    search = SearchSpec(n_time=draw(st.integers(2, 40)),
+                        top_n=draw(st.integers(1, 12)))
+    return prob, search
+
+
+def count_evaluations(monkeypatch) -> list[float]:
+    """Patch ``_objective`` so that each evaluation appends its t1."""
+    evaluated = []
+    objective = equilibrium._objective
+
+    def counting(prob):
+        neg_profit = objective(prob)
+
+        def counted(t1, s):
+            evaluated.append(t1)
+            return neg_profit(t1, s)
+
+        return counted
+
+    monkeypatch.setattr(equilibrium, "_objective", counting)
+    return evaluated
+
+
+class TestGridRowBound:
+    """Each T row's bound holds, and the bounded scan keeps every seed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_problems())
+    @example((problem(2.0, 1), SearchSpec()))
+    @example((problem(5.0, 1, f_min=40.0, f_max=40.0), SearchSpec(n_time=20)))
+    @example((problem(3.0, 3.0, lambda_r=0.0, fee_model=LOG), SearchSpec()))
+    @example((NO_DEMAND, SearchSpec()))
+    def test_random_markets(self, case):
+        prob, search = case
+        _, _, T, _, prof = reference_grid(prob, search)
+        bound = equilibrium._row_bound(prob)
+        fee_terms = equilibrium._fee_terms(prob)
+        for length in set(T.tolist()):
+            row = prof[(T == length) & np.isfinite(prof)]
+            assert (row <= bound(length, *fee_terms(length)[1:])).all()
+        if np.isfinite(prof).any():
+            assert _seeds(prob, search) == reference_seeds(prob, search)
+        else:
+            with pytest.raises(InfeasibleProblem):
+                _seeds(prob, search)
+
+    def test_table_rows_evaluate_few_points(self, monkeypatch):
+        # The objective evaluations of the 44 table rows' grids, out of
+        # 44 x 780 = 34,320 lattice points.  A looser bound scans more.
+        evaluated = count_evaluations(monkeypatch)
+        for param in TABLE_ROW_PROBLEMS:
+            equilibrium._candidate_grid(param.values[0], SearchSpec())
+        assert len(TABLE_ROW_PROBLEMS) == 44
+        assert len(evaluated) == 2034
+
+    def test_nan_bound_is_scanned_and_keeps_the_order(self, monkeypatch):
+        # A NaN bound ranks first, and the other rows keep their order.
+        prob, search = TABLE_ROW_PROBLEMS[0].values[0], SearchSpec()
+        rows = list(dict.fromkeys(equilibrium._candidate_grid(prob, search)[2]))
+        row_bound = equilibrium._row_bound
+
+        def nan_at_the_cap(prob):
+            bound = row_bound(prob)
+            cap = search_cap(prob)
+            return lambda T, c1, fee_rate: (math.nan if T == cap
+                                            else bound(T, c1, fee_rate))
+
+        monkeypatch.setattr(equilibrium, "_row_bound", nan_at_the_cap)
+        got = list(dict.fromkeys(equilibrium._candidate_grid(prob, search)[2]))
+        cap = search_cap(prob)
+        assert rows[0] != cap  # without the NaN, another row comes first
+        assert got[0] == cap
+        assert [T for T in got if T != cap] == [T for T in rows if T != cap]
+        assert _seeds(prob, search) == reference_seeds(prob, search)
+
+    def test_overflowing_fixed_cost_scans_every_row(self, monkeypatch):
+        # K / T overflows on every row, so each bound is -inf + inf = NaN:
+        # all 780 points are scanned, and none is finite.
+        prob = problem(1e-310, 1, K=1.0, r=1e-310, f_min=0.0, f_max=0.0,
+                       lambda_r=0.0)
+        fee_terms = equilibrium._fee_terms(prob)
+        T = search_cap(prob) / 39
+        assert math.isnan(equilibrium._row_bound(prob)(T, *fee_terms(T)[1:]))
+        evaluated = count_evaluations(monkeypatch)
+        assert equilibrium._candidate_grid(prob, SearchSpec())[-1] == []
+        assert len(evaluated) == 780
+        with pytest.raises(InfeasibleProblem):
+            _seeds(prob, SearchSpec())
 
 
 class TestSearchBudget:

@@ -115,6 +115,22 @@ class TestSolve:
         assert candidate(PolicyCase.II, params(h=0.5), 5e-324) is None
         assert math.isfinite(sol.profit) and math.isfinite(sol.kkt_residual)
 
+    def test_case_iv_at_rates_whose_quotient_overflows(self):
+        # The default market's radicand is 6400, so radicand / lambda_p is
+        # inf below lambda_p of about 3.6e-305.  Case IV's profit keeps
+        # rising toward 0 as lambda_p falls, and keeps beating case III.
+        p = params()
+        profits = []
+        for lam in (1e-300, 1e-310, 5e-324):
+            sol = solve_policy(p, lam)
+            assert sol.case is PolicyCase.IV, lam
+            assert (sol.policy.t1, sol.policy.t3) == (2.0, 2.0)
+            assert math.isfinite(sol.policy.t2) and sol.policy.t2 > 1e150
+            profits.append(sol.profit)
+        assert 6400.0 / 1e-310 == math.inf
+        assert profits[0] < profits[1] < profits[2] < 0
+        assert profits[1] > -1e-150
+
     def test_integer_fields_give_float_phases(self):
         p = MarketParams(r=8, K=2000, h=4, tau=2, lambda_r=50, M=30,
                          f_min=10, f_max=100)
