@@ -124,7 +124,7 @@ def parse_config(data: dict) -> CliConfig:
     if not isinstance(data, dict):
         raise ConfigError("$", "config document must be a JSON object")
     schema = data.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # not true or 1.0
         raise ConfigError("schema", f"unsupported schema version {schema!r}")
 
     merged = dict(DEFAULT_CONFIG)

@@ -416,8 +416,10 @@ def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
 def _select_seeds(t1, s, T, F, profit, search: SearchSpec):
     """The ``top_n`` best grid points (t1, s), in (profit, F, T, t1) order.
 
-    Grid points are distinct lattice points, so no seed duplicates
-    another and no two share a sort key.
+    Points on distinct lattice indices are distinct unless the axis step
+    underflows: then axis values coincide, and seeds can repeat with equal
+    sort keys, in scan order.  :func:`solve_equilibrium` polishes each
+    distinct seed once.
     """
     # The first top_n of sorted(..., key=...), without sorting the rest.
     order = heapq.nsmallest(search.top_n, range(len(profit)),
@@ -488,7 +490,7 @@ def solve_equilibrium(problem: EquilibriumProblem,
             best_key, best_x = key, x
 
     bounds = [(0.0, cap), (0.0, cap)]
-    for seed in seeds:
+    for seed in dict.fromkeys(seeds):  # an underflowing axis repeats seeds
         raw = minimize(neg_profit, seed, bounds, xatol=1e-9,
                        fatol=_POLISH_FATOL, maxfev=_MAX_POLISH_EVALS).x
         # s = tau is the kink where t3 = min(tau, s) stops growing.  The

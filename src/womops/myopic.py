@@ -13,11 +13,12 @@ only four undominated stationary-point cases:
 Each case has a closed-form candidate; the solver evaluates the feasible
 ones and keeps the profit maximizer.  ``grid_search_policy`` is the
 brute-force oracle used to validate the closed forms.  It scans rows of
-t1 against one plain axis of cycle lengths T and returns the exhaustive
-grid scan's argmax and tie to the bit, but skips every t1 row whose
-closed-form profit bound lies below a profit it has already scanned.
-That bound relaxes the profit over a continuous cycle length; it is not
-the four-case policy, so the oracle stays independent of what it checks.
+t1 against one plain axis of cycle lengths T, one row at a time in
+descending order of a closed-form profit bound, and stops at the first
+row whose bound lies below the best profit scanned so far; the result is
+the exhaustive grid scan's argmax and tie to the bit.  That bound relaxes
+the profit over a continuous cycle length; it is not the four-case
+policy, so the oracle stays independent of what it checks.
 The oracle's functions import NumPy when called: the closed forms run on
 Python floats, and a solve never loads it.
 """
@@ -41,7 +42,6 @@ class PolicyCase(enum.Enum):
 
 _CASES = tuple(PolicyCase)
 _CASES_AT_ZERO = (PolicyCase.I, PolicyCase.III)  # II and IV divide by lambda_p
-_ORACLE_CHUNK = 1 << 17   # grid points the oracle evaluates at once
 MAX_AXIS_POINTS = 1 << 15  # longest T axis the oracle allocates
 _BOUND_MARGIN = 1e-9      # relative slack on a row bound, far above rounding
 
@@ -288,14 +288,15 @@ def grid_search_policy(params: MarketParams, lambda_p: float,
     equals the full 3-d grid argmax.  Pairs with no such t3 are
     infeasible, and ties go to the first (t1, T) in row-major order.
 
-    The row with the largest :func:`_row_bounds` bound is scanned first,
-    and its best profit is the incumbent.  The scan then skips every row
-    whose bound is below the incumbent: such a row can neither win nor
-    tie, so the result is the exhaustive scan's, argmax and tie, to the
-    bit.  The bound is a relaxation of the profit, not the closed-form
-    policy.  The rows kept are evaluated in chunks of about
-    ``_ORACLE_CHUNK`` points.  The result is within O(step) of the true
-    optimum.
+    Rows are scanned one at a time, each as one array over the whole T
+    axis, in descending :func:`_row_bounds` order (a NaN bound counts as
+    inf, ties in row order).  The scan stops at the first row whose bound
+    is below the best profit so far: neither it nor any later row can win
+    or tie.  Within a row the first argmax wins, and across rows an equal
+    profit wins only from a lower row, so the result is the exhaustive
+    scan's, argmax and tie, to the bit.  The bound is a relaxation of the
+    profit, not the closed-form policy.  The result is within O(step) of
+    the true optimum.
     """
     import numpy as np
 
@@ -307,40 +308,25 @@ def grid_search_policy(params: MarketParams, lambda_p: float,
         raise InvalidParams("at least one demand rate must be positive")
     t1_axis, T_axis, t3_cap, t_max = _oracle_axes(params, lambda_p, grid)
     r, K, h, lam_r = params.r, params.K, params.h, params.lambda_r
-    rows = max(1, _ORACLE_CHUNK // T_axis.size)
-
-    def scan(first: int, stop: int):
-        """Best profit of rows first..stop-1 and its (row, T index)."""
-        best_val, best = -math.inf, (first, 0)
-        for lo in range(first, stop, rows):
-            t1 = t1_axis[lo:min(lo + rows, stop)][:, None]
-            _, t3, feasible = _largest_t3(t1, T_axis, t3_cap, t_max)
-            profit = (r * lambda_p
-                      + r * lam_r * (t1 + t3) / T_axis
-                      - h * lambda_p * T_axis / 2.0
-                      - h * lam_r * t1 * t1 / (2.0 * T_axis)
-                      - K / T_axis)
-            profit[~feasible] = -np.inf
-            flat = int(np.argmax(profit))
-            val = float(profit.flat[flat])
-            if val > best_val:
-                i, j = divmod(flat, T_axis.size)
-                best_val, best = val, (lo + i, j)
-        return best_val, best
-
     bound = _row_bounds(params, lambda_p, t1_axis, T_axis[:t1_axis.size],
                         t3_cap)
-    top = int(np.argmax(bound))
-    incumbent, _ = scan(top, top + 1)
-    # The rows kept, as runs of consecutive rows scanned in order.
-    keep = np.concatenate(([False], ~(bound < incumbent), [False]))
-    runs = np.flatnonzero(keep[1:] != keep[:-1]).reshape(-1, 2)
-    best_val = -math.inf
-    best = (0, 0)
-    for first, stop in runs.tolist():
-        val, at = scan(first, stop)
-        if val > best_val:
-            best_val, best = val, at
+    bound[np.isnan(bound)] = np.inf
+    best_val, best = -math.inf, (0, 0)
+    for i in np.argsort(-bound, kind="stable").tolist():
+        if bound[i] < best_val:
+            break  # neither this row nor any later one can win or tie
+        t1 = t1_axis[i]
+        _, t3, feasible = _largest_t3(t1, T_axis, t3_cap, t_max)
+        profit = (r * lambda_p
+                  + r * lam_r * (t1 + t3) / T_axis
+                  - h * lambda_p * T_axis / 2.0
+                  - h * lam_r * t1 * t1 / (2.0 * T_axis)
+                  - K / T_axis)
+        profit[~feasible] = -np.inf
+        j = int(np.argmax(profit))
+        val = float(profit[j])
+        if val > best_val or (val == best_val and i < best[0]):
+            best_val, best = val, (i, j)
 
     if not math.isfinite(best_val):
         raise InvalidGrid("no feasible grid point")

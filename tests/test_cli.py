@@ -489,9 +489,17 @@ class TestConfig:
         assert (code, out) == (2, "")
         assert "market.f_max" in err
 
-    def test_bad_schema_version(self):
-        with pytest.raises(ConfigError):
-            parse_config({"schema": 99})
+    def test_bad_schema_version(self, tmp_path, capsys):
+        # The version is the integer 1: neither true nor 1.0 stands in.
+        for schema in (99, True, 1.0):
+            with pytest.raises(ConfigError) as exc:
+                parse_config({"schema": schema})
+            assert exc.value.path == "schema"
+            cfg = write_config(tmp_path, schema=schema)
+            code, out, err = run_cli(["solve-m1", "--lambda-p", "450",
+                                      "-c", cfg], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("config error: schema: ")
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):

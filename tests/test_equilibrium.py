@@ -196,6 +196,35 @@ class TestSolve:
         with pytest.raises(InvalidParams, match="fee bound 150"):
             problem(2.0, 1, fee_model=LOG, f_max=150.0)
 
+    # (signal, fee family, c2, r, K, h, tau, lambda_r, f_min, f_max, profit)
+    KINK_PROBLEMS = {
+        "MDT-linear": (MDT, LIN, 0.0, 44.063927951769436, 369.5590262599833,
+                       0.7304672857727916, 2.665551605849465, 0.0,
+                       5.140570717379402, 66.43224699248982,
+                       20409.61235515501),
+        "NPS-logarithmic": (NPS, LOG, 2.0, 12.450518651905341,
+                            3407.590384349537, 3.8687134441377746,
+                            1.9600074579923565, 6.289118688264493,
+                            22.42719029217531, 95.57986445140038,
+                            2183.87822894859),
+        "MDT-logarithmic": (MDT, LOG, 2.1389438451379172, 15.19596362475774,
+                            2499.4020983287, 6.5753794633722125,
+                            3.3934272026775205, 0.0, 32.97533727316943,
+                            46.52413477251423, 1061.2812116935047),
+    }
+
+    @pytest.mark.parametrize("name", KINK_PROBLEMS)
+    def test_near_the_kink_keeps_its_profit(self, name):
+        # Each optimum lies near s = tau, where a polish split at the kink
+        # fell short of these profits (the last two also with a second-side
+        # polish); the solver also beats a 600 x 600 (t1, s) scan on each.
+        spec, fm, c2, r, K, h, tau, lam_r, f_min, f_max, want = \
+            self.KINK_PROBLEMS[name]
+        params = MarketParams(r=r, K=K, h=h, tau=tau, lambda_r=lam_r, M=30.0,
+                              f_min=f_min, f_max=f_max)
+        prob = EquilibriumProblem(params, fm, CustomerResponse(c2), spec)
+        assert solve_equilibrium(prob).profit >= want - 1e-9 * abs(want)
+
 
 def fee_values(prob, fees, T):
     """N(F) (r - hT/2 + F/(delta M)): the fee-dependent profit factor."""
@@ -754,6 +783,23 @@ class TestStreamedSeedSelection:
         assert search_cap(prob) / 39 == 0
         assert_reference_points(prob, SearchSpec())
         assert _seeds(prob, SearchSpec()) == reference_seeds(prob, SearchSpec())
+
+    def test_repeated_seeds_are_polished_once(self, monkeypatch):
+        # On the underflowing grid all eight seeds are one point.
+        prob = problem(5e-324, 1, K=5e-324, r=5e-324, f_min=0.0, f_max=0.0,
+                       lambda_r=0.0)
+        seeds = _seeds(prob, SearchSpec())
+        assert seeds == [(0.0, search_cap(prob))] * 8
+        polished = []
+        minimize = equilibrium.minimize
+
+        def counting(fun, x0, bounds, **options):
+            polished.append(x0)
+            return minimize(fun, x0, bounds, **options)
+
+        monkeypatch.setattr(equilibrium, "minimize", counting)
+        solve_equilibrium(prob)
+        assert polished == seeds[:1]
 
     def test_pinned_fee(self):
         prob = problem(5.0, 1, f_min=40.0, f_max=40.0)

@@ -339,7 +339,7 @@ def _criterion_4_draws(n):
     """Instances drawn from the ranges of acceptance criterion 4.
 
     The step is twice the criterion's 0.005, which keeps the reference
-    scan to a quarter of the points; both scans still span many chunks.
+    scan to a quarter of the points; it still spans many chunks.
     """
     rng = np.random.default_rng(1703)
 
@@ -383,7 +383,7 @@ def assert_same(p, lam, grid):
     that row's best profit in the reference's rectangle.
 
     A NaN bound (a piece that overflowed) rules out nothing, as the scan
-    skips only rows whose bound compares below the incumbent.
+    counts it as inf.
     """
     bound = _oracle_row_bounds(p, lam, grid)
     maxima = _row_maxima(p, lam, grid)
@@ -405,13 +405,33 @@ class TestBandScan:
     def test_edge_grids(self, name):
         assert_same(*BAND_CASES[name])
 
-    def test_ties_across_chunks_go_to_the_first_row(self, monkeypatch):
+    def test_ties_across_rows_go_to_the_first_row(self, monkeypatch):
         # Without regular demand the profit depends on T alone, so every t1
-        # row ties at the best T; the scan must keep t1 = 0.
-        monkeypatch.setattr(myopic, "_ORACLE_CHUNK", 1)
+        # row ties at the best T; the scan must keep t1 = 0, also where
+        # looser bounds scan the later rows first, where the first row's
+        # bound is NaN, and where it equals the row's best profit.
         p, lam, grid = params(lambda_r=0.0), 450.0, GridSpec(step=0.05)
-        assert_same(p, lam, grid)
-        assert grid_search_policy(p, lam, grid).policy.t1 == 0.0
+        row_bounds = myopic._row_bounds
+
+        def later_rows_first(*args):
+            bound = row_bounds(*args)
+            return bound + np.arange(bound.size)
+
+        def nan_first_row(*args):
+            bound = row_bounds(*args)
+            bound[0] = np.nan
+            return bound
+
+        def tight_after_row_1(*args):
+            bound = _row_maxima(p, lam, grid)
+            bound[1] += 1.0
+            return bound
+
+        for bounds in (row_bounds, later_rows_first, nan_first_row,
+                       tight_after_row_1):
+            monkeypatch.setattr(myopic, "_row_bounds", bounds)
+            assert_same(p, lam, grid)
+            assert grid_search_policy(p, lam, grid).policy.t1 == 0.0
 
     @pytest.mark.parametrize("name, extra, feasible",
                              [("t_max-in-slack", 0, False),
@@ -461,14 +481,12 @@ class TestRowBound:
     """The row bounds hold on random markets, are tight, and prune."""
 
     @settings(max_examples=200, deadline=None)
-    @given(small_grids(), st.sampled_from([myopic._ORACLE_CHUNK, 1, 3, 64]))
-    @example((params(lambda_r=0.0), 450.0, GridSpec(step=0.05)), 1)
-    @example((params(K=1e-6, tau=0.5), 1e-12, GridSpec(step=0.05)), 64)
-    @example((params(tau=3.0), 0.0, GridSpec(step=0.1, t_max=40.0)), 3)
-    def test_random_markets(self, case, chunk):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(myopic, "_ORACLE_CHUNK", chunk)
-            assert_same(*case)
+    @given(small_grids())
+    @example((params(lambda_r=0.0), 450.0, GridSpec(step=0.05)))
+    @example((params(K=1e-6, tau=0.5), 1e-12, GridSpec(step=0.05)))
+    @example((params(tau=3.0), 0.0, GridSpec(step=0.1, t_max=40.0)))
+    def test_random_markets(self, case):
+        assert_same(*case)
 
     def test_tight_without_regular_demand(self):
         # With lambda_r = 0 the profit depends on T alone, and the best
@@ -487,8 +505,8 @@ class TestRowBound:
         assert (bound[reach] - maxima[reach] <= 2e-9 * scale).all()
 
     def test_most_rows_are_skipped(self, monkeypatch):
-        # Every chunk the scan evaluates passes its t1 column to
-        # _largest_t3 for the feasibility mask; count those rows.
+        # Every row the scan evaluates passes its t1 to _largest_t3 for
+        # the feasibility mask; count those rows.
         evaluated = []
         largest_t3 = myopic._largest_t3
 
@@ -497,11 +515,17 @@ class TestRowBound:
             return largest_t3(t1, T, t3_cap, t_max)
 
         monkeypatch.setattr(myopic, "_largest_t3", counting)
-        p, lam, grid = _criterion_4_draws(1)[0]
-        grid_search_policy(p, lam, grid)
-        evaluated.pop()  # the winner's (t2, t3), not a scanned row
-        rows = myopic._oracle_axes(p, lam, grid)[0].size
-        assert sum(evaluated) < 0.05 * rows
+        for p, lam, grid in _criterion_4_draws(5):
+            evaluated.clear()
+            grid_search_policy(p, lam, grid)
+            evaluated.pop()  # the winner's (t2, t3), not a scanned row
+            rows = myopic._oracle_axes(p, lam, grid)[0].size
+            assert sum(evaluated) < 0.05 * rows
+            # Never more than the rows whose bound reaches the best profit
+            # of the row with the largest bound.
+            bound = _oracle_row_bounds(p, lam, grid)
+            top = _row_maxima(p, lam, grid)[np.argmax(bound)]
+            assert sum(evaluated) <= np.count_nonzero(bound >= top)
 
 
 class TestAxisBudget:
@@ -520,10 +544,10 @@ class TestAxisBudget:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_unpruned_scan_stays_in_chunks(self):
+    def test_unpruned_scan_holds_one_row_at_a_time(self):
         # At lambda_p = 0 every row bound is inf, so the whole 4001 x 9400
-        # rectangle (300 MB as one array) is scanned; only the chunking
-        # keeps the scan's memory bounded.
+        # rectangle (300 MB as one array) is scanned; scanning it row by
+        # row keeps the scan's memory to a few T axes.
         p, grid = params(tau=7.0, K=4000.0), GridSpec(step=0.005, t_max=20.0)
         tracemalloc.start()
         try:
@@ -531,7 +555,7 @@ class TestAxisBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 << 20
+        assert peak < 2 << 20
 
     def test_criterion_4_grids_fit(self):
         # The largest criterion-4 T axis: tau 7, K 4000, lambda_p 30.
