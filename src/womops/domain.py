@@ -19,8 +19,8 @@ Each model formula is written once, here: theta (:func:`signal_value`),
 N(F) (:meth:`FeeModel.members`) and the profit rate
 (:func:`cycle_profit`).  The first and the last use arithmetic operators
 only, so the same code runs on Python floats and on NumPy arrays.  No
-caller in the package passes arrays any more: the equilibrium grid and
-polish and the scalar API all run on floats.  The tests still run both
+caller in the package passes arrays any more: the equilibrium search
+and the scalar API all run on floats.  The tests still run both
 formulas on arrays, for dense scans, and hold them to the floats' bits.
 
 Everything in this module is a pure function of immutable values; all

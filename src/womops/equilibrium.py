@@ -12,26 +12,28 @@ T and the slack s = T - t1 alone (:func:`_phase3`).  Both are profiled
 out, and the problem reduces to a box-constrained search over (t1, s)
 with one scalar objective (:func:`_objective`).
 
-The landscape is neither convex nor concave, so the solver seeds from a
-deterministic lattice of (t1, T) pairs and polishes each seed with a
-bounded two-coordinate Nelder-Mead (:mod:`womops.neldermead`).  The
-seeds are the lattice's best points, but a closed-form bound on each T
-row's profits (:func:`_row_bound`) leaves most rows unevaluated: the
-grid evaluates only rows that can hold a seed, and its seeds are those
-of the whole lattice.  The lattice size is capped by
-:data:`MAX_GRID_POINTS`.  For the linear-fee, unit-sensitivity,
-delivery-time-signal regime with t3 < tau the optimum also has closed
-forms (:func:`closed_form_t3`), used as independent cross-checks of the
-numeric path.
+The landscape is neither convex nor concave, but at a fixed cycle length
+T it is solved exactly.  The fee is F*(T), and with t3 profiled out the
+profit as a function of the signal level is a power of it plus a concave,
+piecewise quadratic term, for the MDT, NPS and weighted signals alike.
+Its maximum P(T) is the best of the pieces' ends and of the roots of its
+derivative (:func:`_slice_search`).  The outer search is one-dimensional:
+P is taken on a deterministic lattice of T rows from 0 to the search cap,
+whose size :data:`MAX_GRID_POINTS` caps, and a closed-form bound on P
+(:func:`_row_bound`) leaves most rows unsolved.  Each lattice local
+maximum of P is then refined by golden section (:func:`minimize`).  For the
+linear-fee, unit-sensitivity, delivery-time-signal regime with t3 < tau
+the optimum also has closed forms (:func:`closed_form_t3`), used as
+independent cross-checks of the numeric path.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, cycle_profit,
@@ -41,56 +43,43 @@ from .dynamics import LongRunKind, simulate
 from .errors import (InfeasibleProblem, InvalidParams, RegimeViolation,
                      UnsupportedSignal)
 from .myopic import solve_policy
-from .neldermead import minimize
 
-_SNAP = 5e-6          # polish results this close to t1 = 0 or s = tau snap onto it
 _PROFIT_TIE = 1e-6    # profits closer than this are ties (smaller F, then T wins)
 _NEWTON_STEPS = 64    # cap on the logarithmic family's Newton iterations
 #: Relative widening of the logarithmic family's bound-exit thresholds in
 #: :func:`best_fee`, far above Newton's few-ulp error.  The exit returns
 #: Newton's fee either way; a wider margin only sends more A to Newton.
 _BOUND_EXIT_MARGIN = 1e-9
-#: Relative widening of the grid's row bounds (:func:`_row_bound`) on
-#: their terms' magnitudes, far above the few ulps a profit rounds by.
+#: Relative widening of the row bounds (:func:`_row_bound`) on their
+#: terms' magnitudes, far above the few ulps a profit rounds by.
 _ROW_BOUND_MARGIN = 1e-9
-_MAX_POLISH_EVALS = 4000  # objective evaluations per Nelder-Mead polish
-_POLISH_FATOL = 1e-8      # Nelder-Mead's tolerance on the simplex's profits
 #: The t3 -> 0+ end of Phase 3: the smallest positive float, so the cycle
 #: keeps a Phase 3 and its signal is the t3 = 0 limit to within rounding.
 _T3_FLOOR = 5e-324
+_BISECTIONS = 100     # cap on the halvings that place one root of f'
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden section's step, 0.382
+_T_TOL = 1e-10        # golden section stops at this width relative to T
 
-#: Budget on the candidate grid: n_time (n_time - 1) / 2, the (t1, T)
-#: pairs with t1 < T on one shared axis.  The row bound usually leaves
-#: most of them unevaluated, so this is the worst case of the grid's
-#: objective evaluations.  It admits n_time <= 128 (8,128 points); the
-#: default n_time=40 counts 780.
-MAX_GRID_POINTS = 1 << 13
-
-#: Budget on ``top_n``: each seed adds a Nelder-Mead polish.
-MAX_SEEDS = 256
+#: Budget on the T lattice: its n_time - 1 rows (T > 0 on one axis from
+#: 0 to the search cap), one exact inner solve each.  The row bound
+#: usually leaves most of them unsolved, so this is the worst case of the
+#: scan.  It admits n_time <= 128; the default n_time=40 counts 39.
+MAX_GRID_POINTS = 127
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Deterministic search settings: grid density and seed count."""
+    """Deterministic search settings: the T lattice's point count."""
 
     n_time: int = 40
-    top_n: int = 8
 
     def __post_init__(self) -> None:
-        for name, least in (("n_time", 2), ("top_n", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:  # bool is no count
-                raise InvalidParams(
-                    f"{name} must be an integer of at least {least}, "
-                    f"got {value!r}")
-        if self.top_n > MAX_SEEDS:
+        if type(self.n_time) is not int or self.n_time < 2:  # bool is no count
             raise InvalidParams(
-                f"top_n={self.top_n} is over the budget of {MAX_SEEDS} seeds")
-        points = self.n_time * (self.n_time - 1) // 2
-        if points > MAX_GRID_POINTS:
+                f"n_time must be an integer of at least 2, got {self.n_time!r}")
+        if self.n_time - 1 > MAX_GRID_POINTS:
             raise InvalidParams(
-                f"n_time={self.n_time} makes a grid of {points} points, "
+                f"n_time={self.n_time} makes {self.n_time - 1} lattice rows, "
                 f"over the budget of {MAX_GRID_POINTS}")
 
 
@@ -255,8 +244,7 @@ def _phase3(problem: EquilibriumProblem):
     wins: U, on a tie too, or t3 -> 0+, taken as :data:`_T3_FLOOR`.  With
     c2 > 1 it is concave and t3 is the root of c2 alpha theta^(c2-1) Q +
     r lambda_r / T = 0, clipped to [_T3_FLOOR, U].  This is the one copy
-    of the rule; the grid and the polish both reach it through
-    :func:`_objective`.
+    of the rule; the search reaches it through :func:`_objective`.
     """
     p, c2 = problem.params, problem.resp.c2
     spec, tau = problem.signal_spec, p.tau
@@ -294,20 +282,17 @@ def _phase3(problem: EquilibriumProblem):
 
 
 def _objective(problem: EquilibriumProblem):
-    """Scalar objective ``(t1, s) -> -profit`` of one problem.
+    """Scalar objective ``(t1, s) -> profit`` of one problem.
 
     The fee-inclusive profit rate with lambda_p = R(theta) substituted,
     the cycle T = t1 + s, the fee at F*(T) (:func:`best_fee`) and t3 at
-    its best for (T, s) (:func:`_phase3`), negated for minimization;
-    ``inf`` outside the box (a negative phase or no slack for Phase 3).
-    A cycle longer than the search cap takes the profit at the cap with
-    the same t1: in the priced-out regime the profit otherwise climbs
-    forever toward the unattained stretched-cycle supremum, and the polish
-    can slide along the wall T = cap of its square box, where it would
-    stall if the far side were ``inf``.  The fee, c1(F) and F/(delta M)
-    come from :func:`_fee_terms` once per evaluation; it holds them for
-    the two fee bounds.  Built once per problem, with the signal's formula
-    and the constants bound as locals.
+    its best for (T, s) (:func:`_phase3`); ``-inf`` outside the box (a
+    negative phase or no slack for Phase 3).  A cycle whose t1 + s rounds
+    past the search cap takes the profit at the cap with the same t1, so
+    the box's last row keeps its cycle length.  The fee, c1(F) and
+    F/(delta M) come from :func:`_fee_terms` once per evaluation; it holds
+    them for the two fee bounds.  Built once per problem, with the
+    signal's formula and the constants bound as locals.
     """
     p = problem.params
     cap = search_cap(problem)
@@ -317,125 +302,246 @@ def _objective(problem: EquilibriumProblem):
     t3_of = _phase3(problem)
     c2 = problem.resp.c2
 
-    def neg_profit(t1: float, s: float) -> float:
+    def profit(t1: float, s: float) -> float:
         T = t1 + s
         if T > cap:
             # Past the wall T = cap, the point at the wall.
             s = cap - t1
             T = t1 + s
         if t1 < 0 or s <= 0:
-            return math.inf
+            return -math.inf
         _, c1, fee_rate = fee_terms(T)
         t3 = t3_of(T, s, c1, fee_rate)
         lam = c1 * theta_of(spec, s - t3, t3, T, tau) ** c2
-        return -cycle_profit(p, lam, fee_rate, t1, t3, T)
+        return cycle_profit(p, lam, fee_rate, t1, t3, T)
 
-    return neg_profit
+    return profit
 
 
 def _row_bound(problem: EquilibriumProblem):
-    """``(T, c1, fee_rate) -> bound`` on every grid profit of one T row.
+    """``(lo, hi) -> bound`` on P(T) for every T in [lo, hi], 0 <= lo <= hi.
 
-    With the row's fee terms c1 = c1(F) and fee_rate = F/(delta M) at
-    F = F*(T) (:func:`_fee_terms`), the bound is
+    With c1 = c1(F) and fee_rate = F/(delta M) at F = F*(lo)
+    (:func:`_fee_terms`), the bound is the largest over T in [lo, hi] of
 
-        c1 max(0, r + fee_rate - hT/2)
+        c1 max(0, r + fee_rate - h lo/2)
             + (lambda_r min(rT, r^2/(2h) + r tau) - K) / T.
 
     It holds since lambda = c1 theta^c2 <= c1 (theta in [0, 1], c2 >= 0),
     t1 + t3 <= min(T, t1 + tau) and r (t1 + tau) - h t1^2/2 <= r^2/(2h)
     + r tau.  F*(T) maximizes c1(F) (r + F/(delta M) - hT/2) over the fee
-    box, so it also covers a point whose t1 + s rounds to a T one ulp
-    away, at that T's fee.  The bound is widened by
-    :data:`_ROW_BOUND_MARGIN` of its terms' magnitudes, plus the smallest
-    normal float for rounding below the normal range.  T must be positive.
+    box, and that maximum does not increase with T, so F*(lo) covers the
+    whole interval, and a point whose t1 + s rounds to a T one ulp away.
+    The second term rises up to T = r/(2h) + tau and is monotone past it,
+    so its largest value is at hi or at that T clipped into [lo, hi]; a
+    row is lo = hi = T.  Each value is widened by :data:`_ROW_BOUND_MARGIN`
+    of its terms' magnitudes, plus the smallest normal float for rounding
+    below the normal range, and a NaN value makes the bound NaN.
     """
     p = problem.params
     r, h, K, lam_r = p.r, p.h, p.K, p.lambda_r
     peak = r * r / (2.0 * h) + r * p.tau
+    turn = r / (2.0 * h) + p.tau
+    fee_terms = _fee_terms(problem)
 
-    def bound(T: float, c1: float, fee_rate: float) -> float:
+    def at(T: float, lo: float, c1: float, fee_rate: float) -> float:
         regular = lam_r * min(r * T, peak)
         # max(margin, 0.0), not max(0.0, margin), keeps a NaN margin.
-        return (c1 * max(r + fee_rate - h * T / 2.0, 0.0) + (regular - K) / T
-                + _ROW_BOUND_MARGIN * (c1 * (r + fee_rate + h * T / 2.0)
+        return (c1 * max(r + fee_rate - h * lo / 2.0, 0.0) + (regular - K) / T
+                + _ROW_BOUND_MARGIN * (c1 * (r + fee_rate + h * lo / 2.0)
                                        + (regular + K) / T)
                 + sys.float_info.min)
+
+    def bound(lo: float, hi: float) -> float:
+        _, c1, fee_rate = fee_terms(lo)
+        value = at(hi, lo, c1, fee_rate)
+        inner = lo if turn < lo else turn
+        if inner < hi:
+            other = at(inner, lo, c1, fee_rate)
+            if other != other or other > value:
+                value = other
+        return value
 
     return bound
 
 
-def _candidate_grid(problem: EquilibriumProblem, search: SearchSpec):
-    """The grid points (t1, s, T, F) that can hold a seed, and their profits.
+def _slice_search(problem: EquilibriumProblem):
+    """``T -> (profit, t1, s)``: the best cycle of length T, or None.
 
-    t1 and T run over one axis from 0 to the search cap, and the lattice
-    holds each pair with t1 < T, so the slack s = T - t1 is positive.
-    Each T row takes its fee terms once (:func:`_fee_terms`), and with
-    them its :func:`_row_bound`; a NaN bound (inf - inf) counts as inf.
-    Rows are scanned whole, in descending bound order (ties in T order),
-    and the scan stops at the first row whose bound lies below the
-    ``top_n``-th best finite profit found so far: neither that row nor any
-    later one can hold a seed.  Each profit is the objective's
-    (:func:`_objective`).  The finite points of the rows scanned come back
-    as five columns (t1, s, T, F, profit), in scan order.
+    At a fixed T the fee terms are F*(T)'s (:func:`_fee_terms`), so the
+    premium margin Q = c1 (r + F/(delta M) - hT/2) is fixed, and the
+    signal is theta = alpha t3 + beta s, alpha the MDT weight over tau and
+    beta the NPS weight over T.  On the slice theta = v the regular part
+    r lambda_r (T - s + t3) - h lambda_r (T - s)^2/2, with t3 = (v - beta
+    s)/alpha, is a concave quadratic in s with its peak at s* = T - (r/h)
+    (1 + beta/alpha), and the slice holds s in [lo, hi], lo = max(v/(alpha
+    + beta), (v - alpha tau)/beta), hi = min(T, v/beta).  So s is s*
+    clipped to [lo, hi].  MDT (beta = 0) takes t3 = v/alpha and t1 =
+    min(r/h, T - t3), and NPS (alpha = 0) s = v/beta and t3 = min(tau, s).
+
+    Each bound is affine in v, so between their crossings s and t3 are
+    affine in v and the profit is Q v^c2 plus a concave quadratic.  On
+    each such piece f'' has one closed-form root, on either side of which
+    f' is monotone, and bisection places each root where f' falls through
+    zero.  The candidates are those roots and the pieces' ends, whose s is
+    always T, tau, s* or the t3 -> 0+ floor :data:`_T3_FLOOR`.  Each is
+    scored by :func:`_objective`, which takes the best t3 for its s, so a
+    candidate scores at least its slice's profit.  The best profit wins,
+    an exact tie going to the larger s (the shorter t1); NaN and -inf are
+    no cycle, and None comes back when no candidate has a profit.
     """
-    neg_profit = _objective(problem)
+    p, c2 = problem.params, problem.resp.c2
+    spec, tau = problem.signal_spec, p.tau
+    theta_of = signal_formula(spec)
+    # The probes of _phase3: the MDT weight, then the NPS weight.
+    alpha = theta_of(spec, -1.0, 1.0, 1.0, 1.0) / tau
+    nps = theta_of(spec, 1.0, 0.0, 1.0, 1.0)
+    r, h = p.r, p.h
+    rl, hl, r_h = r * p.lambda_r, h * p.lambda_r, r / h
     fee_terms = _fee_terms(problem)
-    row_bound = _row_bound(problem)
-    cap = search_cap(problem)
-    # np.linspace's arithmetic: i times the step (i / n times the cap where
-    # the step underflows to 0), and the cap itself last.
-    n = search.n_time - 1
-    step = cap / n
-    axis = [i * step if step else i / n * cap for i in range(n)] + [cap]
-    rows = []
-    for j, T in enumerate(axis[1:], 1):
-        if not T > 0:
-            continue  # every t1 >= 0 leaves no slack
-        fee, c1, fee_rate = fee_terms(T)
-        bound = row_bound(T, c1, fee_rate)
-        rows.append((-bound if bound == bound else -math.inf, j, T, fee))
-    rows.sort()
+    objective = _objective(problem)
+    curved = c2 not in (0.0, 1.0, 2.0)  # f'' has a root of its own
 
-    points = []
-    best: list[float] = []  # the top_n best finite profits, a min-heap
-    for neg_bound, j, T, fee in rows:
-        if len(best) == search.top_n and -neg_bound < best[0]:
-            break
-        for t1 in axis[:j]:
-            profit = -neg_profit(t1, T - t1)
-            if math.isfinite(profit):
-                points.append((t1, T - t1, T, fee, profit))
-                if len(best) < search.top_n:
-                    heapq.heappush(best, profit)
-                elif profit > best[0]:
-                    heapq.heapreplace(best, profit)
-    return tuple(map(list, zip(*points))) if points else ([], [], [], [], [])
+    def falling_roots(T: float, Q: float, beta: float, star: float):
+        """The s of each root where f' falls through zero on (0, top)."""
+        top = alpha * (tau if tau < T else T) + beta * T
+        lower = [(0.0, 1.0 / (alpha + beta))]  # (intercept, slope) in v
+        upper = [(T, 0.0)]
+        if beta > 0:
+            upper.append((0.0, 1.0 / beta))
+            if alpha > 0:
+                lower.append((-alpha * tau / beta, 1.0 / beta))
+        lines = lower + upper + ([(star, 0.0)] if alpha > 0 else [])
+        cuts = [0.0, top]
+        for i, (c, k) in enumerate(lines):
+            for d, m in lines[:i]:
+                if k != m and 0.0 < (d - c) / (k - m) < top:
+                    cuts.append((d - c) / (k - m))
+        if not alpha > 0 and beta * tau < top:
+            cuts.append(beta * tau)  # NPS: t3 = min(tau, s) stops growing
+        cuts.sort()
+
+        found = []
+        for a, b in zip(cuts, cuts[1:]):
+            if not a < b:
+                continue
+            v = (a + b) / 2.0
+            lo = max(lower, key=lambda line: line[0] + line[1] * v)
+            if alpha > 0 and star > lo[0] + lo[1] * v:
+                lo = (star, 0.0)
+            hi = min(upper, key=lambda line: line[0] + line[1] * v)
+            s0, s1 = hi if hi[0] + hi[1] * v < lo[0] + lo[1] * v else lo
+            if alpha > 0:
+                u0, u1 = -beta * s0 / alpha, (1.0 - beta * s1) / alpha
+            else:
+                u0, u1 = (s0, s1) if s0 + s1 * v <= tau else (tau, 0.0)
+            # f'(v) = c2 Q v^(c2-1) + d0 + d1 v on this piece.
+            d0 = (rl * (u1 - s1) + hl * s1 * (T - s0)) / T
+            d1 = -hl * s1 * s1 / T
+
+            def slope(v: float) -> float:
+                if not (Q and c2):
+                    return d0 + d1 * v
+                try:
+                    power = c2 * Q * v ** (c2 - 1.0)
+                except (OverflowError, ZeroDivisionError):
+                    power = math.copysign(math.inf, Q)
+                return power + d0 + d1 * v
+
+            ends = [a, b]
+            if curved and Q and d1:
+                ratio = -d1 / (c2 * (c2 - 1.0) * Q)
+                if ratio > 0:
+                    try:
+                        inflection = ratio ** (1.0 / (c2 - 2.0))
+                    except OverflowError:
+                        inflection = math.inf
+                    if a < inflection < b:
+                        ends.insert(1, inflection)
+            for lo_v, hi_v in zip(ends, ends[1:]):
+                if slope(lo_v) > 0 >= slope(hi_v):
+                    for _ in range(_BISECTIONS):
+                        mid = (lo_v + hi_v) / 2.0
+                        if not lo_v < mid < hi_v:
+                            break
+                        if slope(mid) > 0:
+                            lo_v = mid
+                        else:
+                            hi_v = mid
+                    found.append(s0 + s1 * lo_v)
+        return found
+
+    def best_at(T: float):
+        _, c1, fee_rate = fee_terms(T)
+        Q = c1 * (r + fee_rate - h * T / 2.0)
+        beta = nps / T
+        star = T - r_h * (1.0 + beta / alpha) if alpha > 0 else -math.inf
+        candidates = {T, _T3_FLOOR}
+        if tau < T:
+            candidates.add(tau)
+        if 0.0 < star < T:
+            candidates.add(star)
+        for s in falling_roots(T, Q, beta, star):
+            if s > _T3_FLOOR:  # a NaN root is no candidate
+                candidates.add(s if s < T else T)
+        best = None
+        for s in sorted(candidates, reverse=True):
+            t1 = T - s
+            profit = objective(t1, s)
+            # NaN and -inf are no cycle; +inf (overflow) wins, and makes the
+            # solve fail.
+            if profit > -math.inf and (best is None or profit > best[0]):
+                best = (profit, t1, s)
+        return best
+
+    return best_at
 
 
-def _select_seeds(t1, s, T, F, profit, search: SearchSpec):
-    """The ``top_n`` best grid points (t1, s), in (profit, F, T, t1) order.
+class Refinement(NamedTuple):
+    """One golden-section refinement: its best point ``x``, a ``(profit,
+    t1, s)`` of :func:`_slice_search`, the P(T) evaluations it made, and
+    whether its bracket closed to :data:`_T_TOL` of T (not only to float
+    resolution)."""
 
-    Points on distinct lattice indices are distinct unless the axis step
-    underflows: then axis values coincide, and seeds can repeat with equal
-    sort keys, in scan order.  :func:`solve_equilibrium` polishes each
-    distinct seed once.
+    x: tuple[float, float, float]
+    nfev: int
+    success: bool
+
+
+def minimize(best_at, a: float, x: float, b: float, fx,
+             tau: float) -> Refinement:
+    """The best point of P(T) on [a, b] that golden section finds from x.
+
+    ``fx`` is ``best_at(x)``.  Each step probes the longer side of x at
+    the golden ratio, and x moves only to a strictly better probe, so the
+    result is never below fx.  The bracket closes to :data:`_T_TOL` of T.
+    T = tau, where t3 = min(tau, s) stops growing, is probed first when it
+    lies inside: P may peak on that kink, which the steps reach only in
+    the limit.
     """
-    # The first top_n of sorted(..., key=...), without sorting the rest.
-    order = heapq.nsmallest(search.top_n, range(len(profit)),
-                            key=lambda i: (-profit[i], F[i], T[i], t1[i]))
-    return [(t1[i], s[i]) for i in order]
-
-
-def _seeds(problem: EquilibriumProblem, search: SearchSpec):
-    """Polish seeds (t1, s): the whole profiled lattice's best points."""
-    # An overflowing market can push the cap to inf, where the lattice
-    # would be NaN: then no cycle of the box can be evaluated.
-    if search_cap(problem) < math.inf:
-        grid = _candidate_grid(problem, search)
-        if grid[-1]:
-            return _select_seeds(*grid, search)
-    raise InfeasibleProblem("no feasible cycle in the search box")
+    nfev = 0
+    if a < tau < b and tau != x:
+        ft = best_at(tau)
+        nfev += 1
+        if ft is not None and ft[0] > fx[0]:
+            x, fx = tau, ft
+    while b - a > _T_TOL * x:
+        u = x - _GOLDEN * (x - a) if x - a > b - x else x + _GOLDEN * (b - x)
+        if not a < u < b or u == x:
+            break
+        fu = best_at(u)
+        nfev += 1
+        if fu is not None and fu[0] > fx[0]:
+            if u < x:
+                b = x
+            else:
+                a = x
+            x, fx = u, fu
+        elif u < x:
+            a = u
+        else:
+            b = u
+    return Refinement(fx, nfev, not b - a > _T_TOL * x)
 
 
 def _better(a: tuple[float, ...], b: tuple[float, ...] | None) -> bool:
@@ -449,64 +555,111 @@ def _better(a: tuple[float, ...], b: tuple[float, ...] | None) -> bool:
     return (a[1], a[2], a[3]) < (b[1], b[2], b[3])
 
 
-def _snap(value: float, bound: float) -> float:
-    return bound if abs(value - bound) < _SNAP else value
+def _candidate_grid(best_at, row_bound, cap: float, n_time: int):
+    """The bounded lattice scan: ``(axis, scanned)``.
+
+    ``axis`` holds the ``n_time`` points of ``np.linspace(0, cap,
+    n_time)``, and ``scanned`` maps a row index j to P(axis[j]), the best
+    point :func:`_slice_search` gives (None where no cycle of that length
+    has a profit), for each row solved.  Rows T > 0 are solved in
+    descending :func:`_row_bound` order, ties in T order, until a row's
+    bound falls below the best P found: no later row can hold the optimum.
+    """
+    # np.linspace's arithmetic: i times the step (i / n times the cap where
+    # the step underflows to 0), and the cap itself last.
+    n = n_time - 1
+    step = cap / n
+    axis = [i * step if step else i / n * cap for i in range(n)] + [cap]
+    rows = []
+    for j, T in enumerate(axis[1:], 1):
+        if T > 0:  # a cycle needs a positive length
+            bound = row_bound(T, T)
+            # A NaN bound (inf - inf) counts as inf; ties go in T order.
+            rows.append((-bound if bound == bound else -math.inf, j))
+    rows.sort()
+
+    scanned = {}
+    top = -math.inf
+    for neg_bound, j in rows:
+        if -neg_bound < top:
+            break  # neither this row nor any later one can hold the optimum
+        scanned[j] = best_at(axis[j])
+        if scanned[j] is not None:
+            top = max(top, scanned[j][0])
+    return axis, scanned
+
+
+def _select_seeds(scanned) -> list[int]:
+    """The lattice local maxima of P: the solved rows j, in order, whose P
+    is above row j - 1's and at least row j + 1's, an unsolved row or one
+    without a cycle counting as -inf; a run of equal profits is one."""
+    def profit(j: int) -> float:
+        return scanned[j][0] if scanned.get(j) is not None else -math.inf
+
+    return [j for j in sorted(scanned)
+            if profit(j - 1) < profit(j) >= profit(j + 1)]
 
 
 def solve_equilibrium(problem: EquilibriumProblem,
                       search: SearchSpec = SearchSpec()) -> EquilibriumSolution:
     """Best stationary (policy, fee) pair; deterministic for a fixed search.
 
-    Grid seeds are polished with Nelder-Mead on (t1, s) inside the box,
-    the fee at F*(T) and t3 at its best for (T, s); the best polished
-    point wins, with ties (within 1e-6 in profit) resolved toward the
-    smaller fee, then the shorter cycle.  Degenerate optima with
-    lambda_p = 0 (premium service priced out at F = f_max) are legitimate
-    outputs.
+    P(T), the best profit of a cycle of length T, is exact at each T
+    (:func:`_slice_search`).  It is taken on the T rows of one
+    ``n_time``-point axis from 0 to the search cap, in descending
+    :func:`_row_bound` order, until a row's bound falls below the best
+    P found (:func:`_candidate_grid`).  Each lattice local maximum of P
+    (:func:`_select_seeds`) is refined by golden section on its two
+    neighbouring cells (:func:`minimize`).  So is the first cell, (0,
+    T_1], which has no lattice point on its left, unless its bound is
+    below the best profit refined.  The best refined point wins, ties
+    (within 1e-6 in profit) going to the smaller fee, then the shorter
+    cycle, then the shorter t1.  Degenerate optima with lambda_p = 0
+    (premium service priced out at F = f_max) are legitimate outputs.  A
+    profit that overflows raises :class:`InfeasibleProblem`, as does a box
+    with no cycle of finite profit.
     """
     p = problem.params
     cap = search_cap(problem)
-    seeds = _seeds(problem, search)
+    # An overflowing market can push the cap to inf, where the lattice
+    # would be NaN: then no cycle of the box can be evaluated.
+    if not cap < math.inf:
+        raise InfeasibleProblem("no feasible cycle in the search box")
+    best_at = _slice_search(problem)
+    fee_terms = _fee_terms(problem)
+    row_bound = _row_bound(problem)
+    axis, scanned = _candidate_grid(best_at, row_bound, cap, search.n_time)
 
     best_key: tuple[float, float, float, float] | None = None
     best_x: tuple[float, float] | None = None
 
-    neg_profit = _objective(problem)
-    fee_terms = _fee_terms(problem)
-
-    def consider(x: tuple[float, float]) -> None:
+    def refine(a: float, x: float, b: float, fx) -> None:
         nonlocal best_key, best_x
-        t1, s = x
-        if t1 + s > cap:
-            # The objective's point at the wall T = cap.
-            s = cap - t1
-            x = (t1, s)
-        pi = -neg_profit(t1, s)
-        if not math.isfinite(pi):
-            return
+        pi, t1, s = minimize(best_at, a, x, b, fx, p.tau).x
         T = t1 + s
         key = (pi, fee_terms(T)[0], T, t1)
         if _better(key, best_key):
-            best_key, best_x = key, x
+            best_key, best_x = key, (t1, s)
 
-    bounds = [(0.0, cap), (0.0, cap)]
-    for seed in dict.fromkeys(seeds):  # an underflowing axis repeats seeds
-        raw = minimize(neg_profit, seed, bounds, xatol=1e-9,
-                       fatol=_POLISH_FATOL, maxfev=_MAX_POLISH_EVALS).x
-        # s = tau is the kink where t3 = min(tau, s) stops growing.  The
-        # polish closes in on it without landing on it, so a snapped point
-        # wins a tie with its raw one.
-        snapped = (_snap(raw[0], 0.0), _snap(raw[1], p.tau))
-        if snapped != raw and (-neg_profit(*snapped)
-                               >= -neg_profit(*raw) - _PROFIT_TIE):
-            raw = snapped
-        consider(raw)
-
+    seeds = _select_seeds(scanned)
+    for j in seeds:
+        refine(axis[j - 1], axis[j], axis[min(j + 1, len(axis) - 1)],
+               scanned[j])
+    # No lattice point bounds the first cell on its left, so a peak of P
+    # inside it shows as no lattice maximum.  Unless its bound rules that
+    # out, the cell is refined from its right end too.
+    if axis[1] > 0 and 1 not in seeds and not (
+            best_key and row_bound(0.0, axis[1]) < best_key[0]):
+        first = scanned[1] if 1 in scanned else best_at(axis[1])
+        if first is not None:
+            refine(0.0, axis[1], axis[1], first)
     if best_x is None:
-        raise InfeasibleProblem("polish produced no feasible point")
+        raise InfeasibleProblem("no feasible cycle in the search box")
+    if best_key[0] == math.inf:
+        raise InfeasibleProblem("the profit overflows in the search box")
 
-    # Integer bounds reach the winner through the clip and the snap; the
-    # solution holds floats whatever the types of the market's fields.
+    # Integer bounds reach the winner as candidates; the solution holds
+    # floats whatever the types of the market's fields.
     t1, s = map(float, best_x)
     T = t1 + s
     fee, c1, fee_rate = fee_terms(T)

@@ -32,8 +32,9 @@ class RegimeViolation(WomopsError):
 
 
 class InfeasibleProblem(WomopsError):
-    """The equilibrium solver found no cycle with a finite profit: every grid
-    or every polished point overflowed, as with a ``market.r`` of 1e306."""
+    """The equilibrium solver has no finite optimum to return: no cycle of
+    the search box has a finite profit, or a profit overflows, as with a
+    ``market.r`` of 1e306."""
 
 
 class NonFiniteResult(WomopsError):

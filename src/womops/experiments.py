@@ -35,6 +35,10 @@ BENCHMARK_MARKET = {"h": 4.0, "lambda_r": 50.0,
                     "linear_coeffs": (100.0, 1.0), "log_coeffs": (20.0, 101.0),
                     "f_min": 10.0, "f_max": 100.0}
 
+#: The :data:`BENCHMARK_MARKET` key of each fee family's (a, b).
+_COEFFS = {FeeFamily.LINEAR: "linear_coeffs",
+           FeeFamily.LOGARITHMIC: "log_coeffs"}
+
 CSV_HEADER = ("tau", "c2", "K", "r", "M", "signal", "fee_family",
               "t1", "t2", "t3", "F", "lambda_p", "profit", "no_wom_decision")
 
@@ -123,8 +127,7 @@ def build_problem(config: ExperimentConfig, setup: TableSetup, tau: float,
                   c2: float, K: float, r: float) -> EquilibriumProblem:
     """One row's problem in the :data:`BENCHMARK_MARKET` (not ``config``)."""
     m = BENCHMARK_MARKET
-    a, b = (m["linear_coeffs"] if setup.fee_family is FeeFamily.LINEAR
-            else m["log_coeffs"])
+    a, b = m[_COEFFS[setup.fee_family]]
     params = MarketParams(r=r, K=K, h=m["h"], tau=tau,
                           lambda_r=m["lambda_r"],
                           M=MEMBERSHIP_DURATIONS[setup.membership],
@@ -153,7 +156,8 @@ def run_table(config: ExperimentConfig, table: TableId) -> list[ResultRow]:
     return [solve_row(key) for key in setup.rows]
 
 
-#: Trace setups: (tau, c2, fee) under the T3 market with the MDT signal.
+#: Trace setups: (tau, c2, fee) under the market and signal of this table.
+_TRACE_TABLE = TableId.T3
 _TRACE_SETUPS = {TraceId.T7: (2.0, 1.0, 10.0), TraceId.T8: (2.0, 3.0, 10.0)}
 
 
@@ -165,7 +169,7 @@ def run_trace(config: ExperimentConfig, trace: TraceId) -> DynamicsTrace:
     """
     tau, c2, fee = _TRACE_SETUPS[trace]
     iters = len(TRACES[trace.value]["lambda_p"]) - 1
-    problem = build_problem(config, _table_setup(TableId.T3), tau, c2,
+    problem = build_problem(config, _table_setup(_TRACE_TABLE), tau, c2,
                             2000.0, 8.0)
     return simulate(problem.params, problem.fee_model, problem.resp,
                     problem.signal_spec, fee,
@@ -225,17 +229,24 @@ def cyclic_vs_stationary(problem: EquilibriumProblem,
     return ComparisonReport(sol.profit, avg, avg - sol.profit, detected, phases)
 
 
-def _write(out_dir: str, name: str, csv_text: str, signal_kind: str,
-           config: ExperimentConfig, **extra) -> tuple[str, str]:
+def _market_settings(families) -> dict:
+    """:data:`BENCHMARK_MARKET` with the coefficients of the fee families
+    in ``families`` only: a run reads no other family's."""
+    unread = {_COEFFS[family] for family in FeeFamily
+              if family not in families}
+    return {k: v for k, v in BENCHMARK_MARKET.items() if k not in unread}
+
+
+def _write(out_dir: str, name: str, csv_text: str, settings: dict,
+           **extra) -> tuple[str, str]:
     """Write ``{name}.csv`` and ``{name}_manifest.json``; returns both paths.
 
     Output is byte-deterministic: fixed field order, LF newlines, sorted
-    manifest keys, and no timing or host information.  ``extra`` holds
+    manifest keys, and no timing or host information.  ``settings`` is the
+    manifest's ``config``, the settings the run read, and ``extra`` holds
     the manifest keys beyond the shared envelope.
     """
     # No out_dir: reruns stay byte-identical wherever they are written.
-    settings = {**BENCHMARK_MARKET, "search": asdict(config.search),
-                "signal_kind": signal_kind}
     manifest = {"schema": 1, "tool": {"name": "womops", "version": _version},
                 "table": name, "config": settings, **extra}
     texts = (csv_text, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -258,7 +269,9 @@ def persist(rows: list[ResultRow], out_dir: str, name: str,
     # Each table fixes its own signal, so record the one its rows ran.
     signal_kind = (",".join(sorted({row.signal for row in rows}))
                    or config.signal_kind.value)
-    return _write(out_dir, name, buf.getvalue(), signal_kind, config,
+    settings = {**_market_settings({FeeFamily(r.fee_family) for r in rows}),
+                "search": asdict(config.search), "signal_kind": signal_kind}
+    return _write(out_dir, name, buf.getvalue(), settings,
                   rows=[{"tau": r.tau, "c2": r.c2, "K": r.K, "r": r.r,
                          "branch": r.branch} for r in rows])
 
@@ -273,9 +286,17 @@ def trace_csv(trace: DynamicsTrace) -> str:
 
 def persist_trace(trace: DynamicsTrace, out_dir: str, name: str,
                   config: ExperimentConfig) -> tuple[str, str]:
-    """Trace analogue of :func:`persist`: iter-indexed CSV plus manifest."""
-    return _write(out_dir, name, trace_csv(trace), SignalKind.MDT.value,
-                  config, classification={
+    """Trace analogue of :func:`persist`: iter-indexed CSV plus manifest.
+
+    A trace solves no equilibrium, so its manifest has no ``search``, and
+    it reads nothing of ``config``, which this takes as :func:`persist`
+    does.
+    """
+    setup = _table_setup(_TRACE_TABLE)
+    settings = {**_market_settings({setup.fee_family}),
+                "signal_kind": setup.signal.value}
+    return _write(out_dir, name, trace_csv(trace), settings,
+                  classification={
                       "kind": trace.classification.kind.value,
                       "values": list(trace.classification.values)})
 

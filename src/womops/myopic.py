@@ -252,13 +252,14 @@ def _row_bounds(params: MarketParams, lambda_p: float, t1, T_first,
     revenue term is r*lambda_r and the best T is sqrt(2C/(h*lambda_p)),
     clipped; past it the net fixed cost is C' = C - r*lambda_r*(t1 + t3_cap)
     and the best T is sqrt(2C'/(h*lambda_p)) when C' > 0, else the piece's
-    start.  Each bound carries a relative margin on its terms' magnitudes.
-    At lambda_p = 0 the bound is inf, and a NaN bound skips nothing either.
+    start.  At lambda_p = 0 the profit rises up to t1 + t3_cap and then
+    moves monotonically toward 0, so the bound is its value at
+    max(t1 + t3_cap, T_first), or 0 where that value is negative.  Each
+    bound carries a relative margin on its terms' magnitudes, and a NaN
+    bound skips nothing.
     """
     import numpy as np
 
-    if lambda_p == 0:
-        return np.full(t1.shape, np.inf)
     r, K, h, lam_r = params.r, params.K, params.h, params.lambda_r
     h_lp = h * lambda_p
     C = K + h * lam_r * t1 * t1 / 2.0
@@ -270,6 +271,9 @@ def _row_bounds(params: MarketParams, lambda_p: float, t1, T_first,
         return value + _BOUND_MARGIN * (r * lambda_p + r * lam_r + cost)
 
     with np.errstate(all="ignore"):
+        if lambda_p == 0:
+            T = np.maximum(end, T_first)
+            return np.maximum(at(T), _BOUND_MARGIN * (r * lam_r + C / T))
         short = np.clip(np.sqrt(2.0 * C / h_lp), T_first, end)
         net = np.maximum(C - r * lam_r * end, 0.0)
         long = np.maximum(np.sqrt(2.0 * net / h_lp), end)

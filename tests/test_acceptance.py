@@ -220,13 +220,13 @@ def test_criterion_8_cyclic_beats_stationary():
 REPRODUCE_SHA256 = {
     "T3.csv": "7013fc1a9c668f71a659466955615d4d796054e1edb400a9a6b8ce37cac5b38e",
     "T3_manifest.json":
-        "1eb4ce39df62e901cbecb7a06d2bad0ce6a014c10c8920c9a24941f5eaee3968",
+        "83a743a5354c98bb97d5b385152634cde3ec259e7665c37d5acbfac30f510960",
     "T7.csv": "b2e9c70bc62ed429e6bf619648e264cc6a302c7957a7edc2401fbe1de40d5fbf",
     "T7_manifest.json":
-        "e4d367931f19b730148dc63fba8c834f854a1a5067ec1285164a89b70f202f7f",
+        "430de3ea654aed682133803acd92bac44e237106bbd7493e19947f3d67566185",
     "T8.csv": "e7f901ce76677052c17d5d93a2be4dec2b0f6f757e3ece6df0f54b8672f6bb0b",
     "T8_manifest.json":
-        "aa02c031a9bfbe5ce2f9466fa5b78521266e12f1eb5d419098c114e54c468ab1",
+        "6e6588105902ded0ac9d2e87aab78ebb2d2bdddfadc722620626d666eb976bca",
 }
 
 

@@ -151,14 +151,16 @@ class TestSolveM2:
 
     def test_overflowing_grid_exits_3_without_warnings(self, tmp_path,
                                                        capsys):
-        # The grid's profits overflow and are dropped on the way to exit
-        # 3; no NumPy RuntimeWarning is emitted, so none prints to stderr.
+        # The short cycles' profits overflow to inf, so the optimum has no
+        # float value: exit 3, not the best finite profit of the long
+        # cycles.  No NumPy RuntimeWarning is emitted, so none prints to
+        # stderr.
         cfg = write_config(tmp_path, market={"r": 1e306})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
         assert code == 3 and out == ""
-        assert "polish produced no feasible point" in err
+        assert "the profit overflows in the search box" in err
         assert not [w for w in caught if issubclass(w.category,
                                                      RuntimeWarning)]
 
@@ -186,7 +188,7 @@ class TestSolveM2:
             warnings.simplefilter("always")
             code, out, err = run_cli(["solve-m2", "-c", cfg], capsys)
         assert code == 3 and out == ""
-        assert "polish produced no feasible point" in err
+        assert "the profit overflows in the search box" in err
         assert not [w for w in caught if issubclass(w.category,
                                                      RuntimeWarning)]
 

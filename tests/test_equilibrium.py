@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,8 +19,8 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     solve_equilibrium)
 from womops import dynamics, equilibrium
 from womops.domain import cycle_profit, signal_value
-from womops.equilibrium import (MAX_GRID_POINTS, MAX_SEEDS, SearchSpec,
-                                _T3_FLOOR, _objective, _phase3, _seeds,
+from womops.equilibrium import (MAX_GRID_POINTS, SearchSpec, _T3_FLOOR,
+                                _objective, _phase3, _slice_search,
                                 search_cap)
 from womops.errors import InfeasibleProblem, InvalidParams
 from womops.experiments import (ExperimentConfig, TableId, _table_setup,
@@ -83,7 +83,7 @@ class TestSolve:
                               f_min=10, f_max=100)
         sol = solve_equilibrium(
             EquilibriumProblem(params, LIN, CustomerResponse(1), MDT),
-            SearchSpec(n_time=12, top_n=3))
+            SearchSpec(n_time=12))
         assert (sol.policy.t3, sol.fee) == (2.0, 10.0)
         assert type(sol.policy.t3) is float and type(sol.fee) is float
 
@@ -126,12 +126,36 @@ class TestSolve:
                                                          abs=1e-6)
         assert check_structure(prob, sol).ok
 
+    def test_tied_refinements_take_the_stable_order(self):
+        # Refined points within 1e-6 in profit tie: the smaller fee wins,
+        # then the shorter cycle, then the shorter t1, in whatever order
+        # the refinements arrive.  A profit more than 1e-6 ahead wins
+        # outright.
+        better = equilibrium._better
+        corner = (-38.0952380952381, 100.0, 21.0, 2.0)
+        assert better(corner, None)
+        tied = [corner,
+                (corner[0] + 5e-7, 100.0, 21.0, 2.5),
+                (corner[0] - 5e-7, 100.0, 20.0, 3.0),
+                (corner[0] + 4e-7, 90.0, 21.0, 2.0),
+                (corner[0] - 4e-7, 90.0, 20.0, 2.0),
+                (corner[0], 90.0, 20.0, 1.0)]
+        for order in (tied, tied[::-1], tied[2:] + tied[:2]):
+            best = None
+            for key in order:
+                if better(key, best):
+                    best = key
+            assert best == (corner[0], 90.0, 20.0, 1.0)
+        ahead = (corner[0] + 2e-6, 100.0, 21.0, 2.0)
+        assert better(ahead, tied[-1]) and not better(tied[-1], ahead)
+        assert not better(corner, corner)
+
     def test_losing_premium_market_drives_t3_toward_zero(self):
         # Members grow with the fee (a = 0, b < 0), but at long cycles a
         # premium order loses money, and there is no regular demand: the
         # best cycle is as long as the search allows, with t3 -> 0 and the
-        # profit tending to -K/cap.  A polish that runs into t3 = 0 has to
-        # turn back into the box, not end there and be dropped.
+        # profit tending to -K/cap.  The t3 -> 0+ end is a candidate of
+        # every slice, so it is reached, not dropped as outside the box.
         prob = problem(6.73, 1, K=3155.0, r=14.0, M=300.0, f_max=30.0,
                        lambda_r=0.0, fee_model=FeeModel(FeeFamily.LINEAR, 0,
                                                         -0.5, 5))
@@ -185,7 +209,7 @@ class TestSolve:
             lam = respond(prob.resp, LIN, fee,
                           signal(MDT, best_pol, prob.params.tau))
             want = profit_rate_with_fees(prob.params, LIN, best_pol, fee, lam)
-            got = -_objective(prob)(t1, s)
+            got = _objective(prob)(t1, s)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
             lam = respond(prob.resp, LIN, fee, theta)
             assert got >= profit_rate_with_fees(prob.params, LIN, pol, fee,
@@ -224,6 +248,74 @@ class TestSolve:
                               f_min=f_min, f_max=f_max)
         prob = EquilibriumProblem(params, fm, CustomerResponse(c2), spec)
         assert solve_equilibrium(prob).profit >= want - 1e-9 * abs(want)
+
+    def test_losing_nps_market_reaches_the_t3_floor_at_the_cap(self):
+        # Draw 622 of the seed-7 recipe (recipe_problem), rounded: every
+        # cycle loses money, and the best point known is s -> 0+ at the cap,
+        # where theta and lambda_p vanish.  A grid-seeded polish stopped at
+        # -847.20 (t1 2.71, s about 4e-194).
+        params = MarketParams(r=5.3357, K=2298.5878, h=7.5372, tau=5.1671,
+                              lambda_r=0.0, M=30.0, f_min=5.0316,
+                              f_max=76.5484)
+        prob = EquilibriumProblem(params, LIN, CustomerResponse(0.049), NPS)
+        want = _objective(prob)(search_cap(prob), _T3_FLOOR)
+        assert want == pytest.approx(-148.28, abs=0.005)
+        assert solve_equilibrium(prob).profit >= want - 1e-9 * abs(want)
+
+    def test_losing_nps_market_reaches_the_t3_floor_inside_the_box(self):
+        # Draw 1125 of the same recipe: regular demand keeps the best
+        # cycle, T = 6.59 with s -> 0+, well inside the box (cap 19.8).  A
+        # grid-seeded polish stopped at -249.75 (T 5.18, t3 2.67).
+        prob = recipe_problem(1125)
+        T = 6.592840460137546
+        want = _objective(prob)(T, _T3_FLOOR)
+        assert want == pytest.approx(-229.99, abs=0.005)
+        sol = solve_equilibrium(prob)
+        assert sol.profit >= want - 1e-9 * abs(want)
+        assert sol.policy.cycle_length == pytest.approx(T, abs=1e-6)
+
+    def test_short_cycle_inside_the_first_cell(self):
+        # The best cycle, T = t3 = 0.243, lies inside (0, T_1], T_1 = 2.12
+        # on the 12-point lattice, and P climbs from T_1 to the cap, so no
+        # lattice maximum points at it; the first cell's bound does.
+        params = MarketParams(r=9.1573, K=126.3118, h=9.5077, tau=7.7708,
+                              lambda_r=0.0, M=300.0, f_min=10.0358,
+                              f_max=33.3211)
+        prob = EquilibriumProblem(params, LIN, CustomerResponse(0.891), NPS)
+        sol = solve_equilibrium(prob, SearchSpec(n_time=12))
+        assert sol.policy.cycle_length == pytest.approx(0.2430409, abs=1e-6)
+        assert sol.profit == pytest.approx(3082.727035, abs=1e-5)
+
+    def test_overflowing_response(self):
+        # Weights may sum to 1 + 1e-9.  Unless the weighted theta is divided
+        # by that sum it can exceed 1, and theta ** c2 then overflows and
+        # hides the best cycle, (0, 0, tau, f_min).
+        spec = SignalSpec(SignalKind.WEIGHTED, ((SignalKind.MDT, 0.5000000005),
+                                                (SignalKind.NPS, 0.5)))
+        prob = problem(2.0, 1e13, spec=spec)
+        assert _objective(prob)(0.0, 2.0) == 1230.0
+        sol = solve_equilibrium(prob, SearchSpec(n_time=12))
+        assert (sol.policy.t1, sol.policy.t2, sol.policy.t3, sol.fee) == \
+            (0.0, 0.0, 2.0, 10.0)
+        assert sol.profit == pytest.approx(1230.0, rel=1e-12)
+
+
+def recipe_problem(draw):
+    """Draw ``draw`` of a seeded MDT/NPS recipe (numpy seed 7): losing
+    markets, no regular demand and all three fee models included."""
+    rng = np.random.default_rng(7)
+    fee_models = (LIN, LOG, FeeModel(FeeFamily.LINEAR, 0, -0.5, 5))
+    for _ in range(draw + 1):
+        fee_model = fee_models[rng.integers(3)]
+        spec = (MDT, NPS)[rng.integers(2)]
+        h, r, K, tau = (float(rng.uniform(lo, hi)) for lo, hi in (
+            (0.5, 8.0), (4.0, 48.0), (100.0, 4000.0), (0.5, 7.0)))
+        lambda_r = float(rng.choice([0.0, rng.uniform(1.0, 100.0)]))
+        f_min, f_max, c2 = (float(rng.uniform(lo, hi)) for lo, hi in (
+            (5.0, 20.0), (20.0, 100.0), (0.0, 4.0)))
+    params = MarketParams(r=r, K=K, h=h, tau=tau, lambda_r=lambda_r, M=30.0,
+                          f_min=f_min, f_max=f_max)
+    return EquilibriumProblem(params, fee_model, CustomerResponse(c2), spec)
 
 
 def fee_values(prob, fees, T):
@@ -710,44 +802,80 @@ class TestLinearFamilyScaling:
         assert sol.profit == pytest.approx(10.0 * base.profit, rel=1e-5)
 
 
-def reference_grid(prob, search):
-    """The objective on every (t1, T) lattice pair with t1 < T, T-major,
-    as (t1, s, T, F*(T), profit) with s = T - t1."""
-    axis = np.linspace(0.0, search_cap(prob), search.n_time)
-    B, A = np.meshgrid(axis[1:], axis, indexing="ij")
-    pair = A < B
-    t1, T = A[pair], B[pair]
-    s = T - t1
-    fee_of = best_fee(prob)
-    F = np.array([fee_of(length) for length in T.tolist()], dtype=float)
-    neg_profit = _objective(prob)
-    prof = -np.array(list(map(neg_profit, t1.tolist(), s.tolist())))
-    return t1, s, T, F, prof
+def lattice_best(prob, search):
+    """The first lattice row T whose P(T) is the largest, and that P."""
+    best_at = _slice_search(prob)
+    points = [(best_at(T), T) for T in lattice(prob, search) if T > 0]
+    profits = [(point[0], -k, T) for k, (point, T) in enumerate(points)
+               if point is not None]
+    if not profits:
+        return None
+    top, _, T = max(profits)
+    return T, top
 
 
-def reference_seeds(prob, search):
-    """The first top_n points of the finite grid in (profit, F, T, t1)
-    order, by Python's stable sort, so full ties keep grid order."""
-    t1, s, T, F, prof = reference_grid(prob, search)
-    finite = np.flatnonzero(np.isfinite(prof)).tolist()
-    order = sorted(finite, key=lambda k: (-prof[k], F[k], T[k], t1[k]))
-    return [(float(t1[k]), float(s[k])) for k in order[:search.top_n]]
+def assert_refines_the_lattice_best(prob, search):
+    """The bounded scan refines the whole lattice's best row, so its
+    solution is at least that row's P(T)."""
+    best = lattice_best(prob, search)
+    with pytest.MonkeyPatch.context() as mp:
+        seeds = record_seeds(mp)
+        if best is None:
+            with pytest.raises(InfeasibleProblem):
+                solve_equilibrium(prob, search)
+            return
+        sol = solve_equilibrium(prob, search)
+    T, top = best
+    assert T in [x for _, x, _ in seeds]
+    assert sol.profit >= top - 1e-12 * max(1.0, abs(top))
 
 
-def assert_reference_points(prob, search):
-    """Every point the grid returns is a finite point of the reference
-    lattice, with its bits in all five columns, and no point comes more
-    often than the lattice holds it (an axis that underflows repeats
-    values)."""
-    want = Counter(column.tobytes()
-                   for column in np.stack(reference_grid(prob, search)).T)
-    got = np.stack(equilibrium._candidate_grid(prob, search))
-    assert np.isfinite(got[-1]).all()
-    assert Counter(column.tobytes() for column in got.T) <= want
+def record_seeds(monkeypatch) -> list[tuple[float, float, float]]:
+    """Patch ``minimize`` so that each refinement appends its (a, x, b)."""
+    seeds = []
+    minimize = equilibrium.minimize
+
+    def recording(best_at, a, x, b, fx, tau):
+        seeds.append((a, x, b))
+        return minimize(best_at, a, x, b, fx, tau)
+
+    monkeypatch.setattr(equilibrium, "minimize", recording)
+    return seeds
+
+
+def record_rows(monkeypatch) -> list[float]:
+    """Leave the lattice rows unrefined, and append each row T solved."""
+    solved = []
+    slice_search = equilibrium._slice_search
+
+    def recording(prob):
+        best_at = slice_search(prob)
+
+        def recorded(T):
+            solved.append(T)
+            return best_at(T)
+
+        return recorded
+
+    monkeypatch.setattr(equilibrium, "_slice_search", recording)
+    monkeypatch.setattr(equilibrium, "minimize",
+                        lambda best_at, a, x, b, fx, tau:
+                        equilibrium.Refinement(fx, 0, True))
+    return solved
+
+
+def lattice(prob, search):
+    """The T rows of the lattice: ``np.linspace(0, cap, n_time)[1:]``."""
+    return np.linspace(0.0, search_cap(prob), search.n_time)[1:].tolist()
+
+
+UNDERFLOWING = problem(5e-324, 1, K=5e-324, r=5e-324, f_min=0.0, f_max=0.0,
+                       lambda_r=0.0)
 
 
 class TestStreamedSeedSelection:
-    """Seed selection picks exactly the seeds of a full sort of the grid."""
+    """The bounded row scan refines the seed the whole lattice's best row
+    gives: every row it skips has a bound below the best P(T) found."""
 
     @pytest.mark.parametrize("table, row", [("T3", 5), ("T4", 0), ("T5", 9),
                                             ("T6", 3)])
@@ -755,9 +883,7 @@ class TestStreamedSeedSelection:
         config = ExperimentConfig()
         setup = _table_setup(TableId[table])
         prob = build_problem(config, setup, *setup.rows[row])
-        assert _seeds(prob, config.search) == \
-            reference_seeds(prob, config.search)
-        assert_reference_points(prob, config.search)
+        assert_refines_the_lattice_best(prob, config.search)
 
     def test_seeded_random_problems(self):
         rng = np.random.default_rng(11)
@@ -771,65 +897,74 @@ class TestStreamedSeedSelection:
                            r=float(rng.uniform(4.0, 48.0)),
                            fee_model=(LIN, LOG)[rng.integers(2)],
                            spec=specs[rng.integers(3)])
-            search = SearchSpec(n_time=int(rng.integers(3, 14)),
-                                top_n=int(rng.integers(1, 12)))
-            assert _seeds(prob, search) == reference_seeds(prob, search)
+            assert_refines_the_lattice_best(
+                prob, SearchSpec(n_time=int(rng.integers(3, 14))))
 
     def test_grid_step_that_underflows(self):
         # cap / 39 is 0 at a cap of 1.5e-323: np.linspace then takes
-        # i / 39 * cap, and so does the grid.
-        prob = problem(5e-324, 1, K=5e-324, r=5e-324, f_min=0.0, f_max=0.0,
-                       lambda_r=0.0)
-        assert search_cap(prob) / 39 == 0
-        assert_reference_points(prob, SearchSpec())
-        assert _seeds(prob, SearchSpec()) == reference_seeds(prob, SearchSpec())
+        # i / 39 * cap, and so does the lattice.
+        assert search_cap(UNDERFLOWING) / 39 == 0
+        assert_refines_the_lattice_best(UNDERFLOWING, SearchSpec())
+        sol = solve_equilibrium(UNDERFLOWING)
+        assert sol.policy.cycle_length == search_cap(UNDERFLOWING)
 
-    def test_repeated_seeds_are_polished_once(self, monkeypatch):
-        # On the underflowing grid all eight seeds are one point.
-        prob = problem(5e-324, 1, K=5e-324, r=5e-324, f_min=0.0, f_max=0.0,
-                       lambda_r=0.0)
-        seeds = _seeds(prob, SearchSpec())
-        assert seeds == [(0.0, search_cap(prob))] * 8
-        polished = []
-        minimize = equilibrium.minimize
-
-        def counting(fun, x0, bounds, **options):
-            polished.append(x0)
-            return minimize(fun, x0, bounds, **options)
-
-        monkeypatch.setattr(equilibrium, "minimize", counting)
-        solve_equilibrium(prob)
-        assert polished == seeds[:1]
+    def test_repeated_seeds_are_refined_once(self, monkeypatch):
+        # On the underflowing axis many rows share one T; a run of equal
+        # profits is one lattice maximum, refined once.
+        seeds = record_seeds(monkeypatch)
+        solve_equilibrium(UNDERFLOWING)
+        cap = search_cap(UNDERFLOWING)
+        assert lattice(UNDERFLOWING, SearchSpec()).count(cap) > 1
+        assert [x for _, x, _ in seeds] == [cap]
 
     def test_pinned_fee(self):
         prob = problem(5.0, 1, f_min=40.0, f_max=40.0)
-        search = SearchSpec(n_time=20)
-        assert _seeds(prob, search) == reference_seeds(prob, search)
+        assert_refines_the_lattice_best(prob, SearchSpec(n_time=20))
+        assert solve_equilibrium(prob, SearchSpec(n_time=20)).fee == 40.0
 
-    def test_grid_with_fewer_distinct_seeds_than_asked(self):
-        # The two-point axis makes a one-point grid, (t1, T) = (0, cap).
+    def test_pinned_fee_scores_every_cycle_at_that_fee(self, monkeypatch):
+        # With f_min = f_max the fee is no coordinate of the search: every
+        # cycle length the solve visits takes the pinned fee.
+        fees = []
+        fee_terms = equilibrium._fee_terms
+
+        def recording(prob):
+            terms = fee_terms(prob)
+
+            def recorded(T):
+                fees.append(terms(T)[0])
+                return terms(T)
+
+            return recorded
+
+        monkeypatch.setattr(equilibrium, "_fee_terms", recording)
+        sol = solve_equilibrium(problem(5.0, 1, f_min=40.0, f_max=40.0),
+                                SearchSpec(n_time=20))
+        assert len(fees) > 20 and set(fees) == {40.0}
+        assert (sol.fee, sol.branch.value) == (40.0, "numeric-boundary")
+
+    def test_two_point_axis_has_one_seed(self, monkeypatch):
+        # The two-point axis has one row, T = cap, refined on [0, cap].
         prob = problem(2.0, 1)
-        search = SearchSpec(n_time=2, top_n=8)
-        got = _seeds(prob, search)
-        assert got == reference_seeds(prob, search)
-        assert got == [(0.0, search_cap(prob))]
+        seeds = record_seeds(monkeypatch)
+        solve_equilibrium(prob, SearchSpec(n_time=2))
+        cap = search_cap(prob)
+        assert seeds == [(0.0, cap, cap)]
 
     def test_ties_at_the_head_edge(self):
         # With no regular demand and the fee pinned where the linear
         # family's member count is zero, the profit is -K/T for every t1:
-        # the best points all tie, at T = cap, and the smallest t1 win.
+        # every t1 ties at T = cap, and the smallest, 0, wins.
         prob = problem(3.0, 1, f_min=100.0, f_max=100.0, lambda_r=0.0)
-        search = SearchSpec(n_time=12, top_n=3)
-        got = _seeds(prob, search)
-        assert got == reference_seeds(prob, search)
-        t1, _, T, _, prof = reference_grid(prob, search)
-        cap = search_cap(prob)
-        assert np.count_nonzero(prof == prof.max()) == search.n_time - 1
-        assert [seed[0] for seed in got] == t1[T == cap][:3].tolist()
+        sol = solve_equilibrium(prob, SearchSpec(n_time=12))
+        assert sol.policy.t1 == 0.0
+        assert sol.policy.cycle_length == search_cap(prob)
+        assert sol.profit == -prob.params.K / search_cap(prob)
+        assert_refines_the_lattice_best(prob, SearchSpec(n_time=12))
 
 
 #: No demand at all (lambda_r = 0, N = 0): the profit -K/T is best on the
-#: grid's last T value, T = cap.
+#: lattice's last T value, T = cap.
 NO_DEMAND = problem(6.058552205701222, 1, lambda_r=0.0,
                     fee_model=FeeModel(FeeFamily.LOGARITHMIC, 0, 101, 5))
 
@@ -841,17 +976,23 @@ TABLE_ROW_PROBLEMS = [
 
 
 class TestGridInsideTheBox:
-    """Every grid point is a cycle the objective accepts, at its profit."""
+    """Every lattice row's best cycle is inside the box, at the
+    objective's profit, and below the row's bound."""
 
     @pytest.mark.parametrize("prob", [
         *TABLE_ROW_PROBLEMS, pytest.param(NO_DEMAND, id="no-demand")])
     def test_grid_points_are_finite_under_the_objective(self, prob):
-        # All 780 lattice pairs are in the box: the objective's profit is
-        # finite on each.  The grid returns some of them, at those bits.
-        t1, _, _, _, prof = reference_grid(prob, SearchSpec())
-        assert len(t1) == 40 * 39 // 2
-        assert np.isfinite(prof).all()
-        assert_reference_points(prob, SearchSpec())
+        best_at = _slice_search(prob)
+        objective = _objective(prob)
+        bound = equilibrium._row_bound(prob)
+        rows = lattice(prob, SearchSpec())
+        assert len(rows) == 39
+        for T in rows:
+            profit, t1, s = best_at(T)
+            assert math.isfinite(profit)
+            assert 0.0 <= t1 and 0.0 < s <= T and t1 == T - s
+            assert profit == objective(t1, s)
+            assert profit <= bound(T, T)
 
 
 @st.composite
@@ -873,9 +1014,7 @@ def grid_problems(draw):
                    r=draw(st.floats(0.5, 60.0)),
                    lambda_r=draw(st.just(0.0) | st.floats(0.5, 120.0)),
                    f_min=f_min, f_max=f_max, fee_model=fee_model, spec=spec)
-    search = SearchSpec(n_time=draw(st.integers(2, 40)),
-                        top_n=draw(st.integers(1, 12)))
-    return prob, search
+    return prob, SearchSpec(n_time=draw(st.integers(2, 40)))
 
 
 def count_evaluations(monkeypatch) -> list[float]:
@@ -884,11 +1023,11 @@ def count_evaluations(monkeypatch) -> list[float]:
     objective = equilibrium._objective
 
     def counting(prob):
-        neg_profit = objective(prob)
+        profit = objective(prob)
 
         def counted(t1, s):
             evaluated.append(t1)
-            return neg_profit(t1, s)
+            return profit(t1, s)
 
         return counted
 
@@ -897,7 +1036,8 @@ def count_evaluations(monkeypatch) -> list[float]:
 
 
 class TestGridRowBound:
-    """Each T row's bound holds, and the bounded scan keeps every seed."""
+    """Each T row's bound holds, and the bounded scan keeps the lattice's
+    best row."""
 
     @settings(max_examples=150, deadline=None)
     @given(grid_problems())
@@ -907,90 +1047,153 @@ class TestGridRowBound:
     @example((NO_DEMAND, SearchSpec()))
     def test_random_markets(self, case):
         prob, search = case
-        _, _, T, _, prof = reference_grid(prob, search)
+        best_at = _slice_search(prob)
         bound = equilibrium._row_bound(prob)
-        fee_terms = equilibrium._fee_terms(prob)
-        for length in set(T.tolist()):
-            row = prof[(T == length) & np.isfinite(prof)]
-            assert (row <= bound(length, *fee_terms(length)[1:])).all()
-        if np.isfinite(prof).any():
-            assert _seeds(prob, search) == reference_seeds(prob, search)
-        else:
-            with pytest.raises(InfeasibleProblem):
-                _seeds(prob, search)
+        rows = [T for T in lattice(prob, search) if T > 0]
+        for lo, T in zip([0.0] + rows, rows):
+            point = best_at(T)
+            if point is not None:
+                assert point[0] <= bound(T, T)
+                # The cell's bound covers both of its ends.
+                assert point[0] <= bound(lo, T)
+                if lo > 0 and best_at(lo) is not None:
+                    assert best_at(lo)[0] <= bound(lo, T)
+        assert_refines_the_lattice_best(prob, search)
 
     def test_table_rows_evaluate_few_points(self, monkeypatch):
-        # The objective evaluations of the 44 table rows' grids, out of
-        # 44 x 780 = 34,320 lattice points.  A looser bound scans more.
-        evaluated = count_evaluations(monkeypatch)
+        # The lattice rows the 44 table rows' scans solve, out of 44 x 39
+        # = 1,716.  A looser bound solves more.
+        solved = record_rows(monkeypatch)
         for param in TABLE_ROW_PROBLEMS:
-            equilibrium._candidate_grid(param.values[0], SearchSpec())
+            solve_equilibrium(param.values[0])
         assert len(TABLE_ROW_PROBLEMS) == 44
-        assert len(evaluated) == 2034
+        assert len(solved) == ROWS_SOLVED
 
     def test_nan_bound_is_scanned_and_keeps_the_order(self, monkeypatch):
         # A NaN bound ranks first, and the other rows keep their order.
-        prob, search = TABLE_ROW_PROBLEMS[0].values[0], SearchSpec()
-        rows = list(dict.fromkeys(equilibrium._candidate_grid(prob, search)[2]))
+        prob = TABLE_ROW_PROBLEMS[0].values[0]
+        cap = search_cap(prob)
+        with monkeypatch.context() as mp:
+            solved = record_rows(mp)
+            want = solve_equilibrium(prob)
+            rows = list(solved)
         row_bound = equilibrium._row_bound
 
         def nan_at_the_cap(prob):
             bound = row_bound(prob)
-            cap = search_cap(prob)
-            return lambda T, c1, fee_rate: (math.nan if T == cap
-                                            else bound(T, c1, fee_rate))
+            return lambda lo, hi: math.nan if hi == cap else bound(lo, hi)
 
         monkeypatch.setattr(equilibrium, "_row_bound", nan_at_the_cap)
-        got = list(dict.fromkeys(equilibrium._candidate_grid(prob, search)[2]))
-        cap = search_cap(prob)
+        solved = record_rows(monkeypatch)
+        got = solve_equilibrium(prob)
         assert rows[0] != cap  # without the NaN, another row comes first
-        assert got[0] == cap
-        assert [T for T in got if T != cap] == [T for T in rows if T != cap]
-        assert _seeds(prob, search) == reference_seeds(prob, search)
+        assert solved[0] == cap
+        assert [T for T in solved if T != cap] == [T for T in rows if T != cap]
+        assert got == want
 
     def test_overflowing_fixed_cost_scans_every_row(self, monkeypatch):
         # K / T overflows on every row, so each bound is -inf + inf = NaN:
-        # all 780 points are scanned, and none is finite.
+        # all 39 rows are solved, and none has a finite profit.
         prob = problem(1e-310, 1, K=1.0, r=1e-310, f_min=0.0, f_max=0.0,
                        lambda_r=0.0)
-        fee_terms = equilibrium._fee_terms(prob)
         T = search_cap(prob) / 39
-        assert math.isnan(equilibrium._row_bound(prob)(T, *fee_terms(T)[1:]))
-        evaluated = count_evaluations(monkeypatch)
-        assert equilibrium._candidate_grid(prob, SearchSpec())[-1] == []
-        assert len(evaluated) == 780
+        assert math.isnan(equilibrium._row_bound(prob)(T, T))
+        solved = record_rows(monkeypatch)
         with pytest.raises(InfeasibleProblem):
-            _seeds(prob, SearchSpec())
+            solve_equilibrium(prob)
+        assert len(solved) == 39
+
+
+#: Lattice rows the 44 T3-T6 rows' scans solve at the default search.
+ROWS_SOLVED = 209
+
+
+@pytest.fixture(scope="module")
+def table_solutions():
+    """The 44 T3-T6 rows' solutions and each table's objective evaluations."""
+    config = ExperimentConfig()
+    solutions, nfev = [], {}
+    with pytest.MonkeyPatch.context() as mp:
+        evaluated = count_evaluations(mp)
+        for table in ("T3", "T4", "T5", "T6"):
+            setup = _table_setup(TableId[table])
+            for row in setup.rows:
+                solutions.append(solve_equilibrium(
+                    build_problem(config, setup, *row), config.search))
+            nfev[table] = len(evaluated)
+            evaluated.clear()
+    return solutions, nfev
+
+
+#: sha256 of the 44 T3-T6 solutions' (t1, t2, t3, F, lambda_p, profit) as
+#: ``float.hex``, one row per line.  The CSVs round to 2 decimals; this
+#: pins every bit, so a change that moves one has to say so.
+SOLUTIONS_SHA256 = (
+    "751eebb16fde095efcef28325dcab597e35998b3d8e0e9420661011548820720")
+
+#: The 44 T3-T6 profits of the grid-seeded Nelder-Mead search this solver
+#: replaced, as ``float.hex``, in table and row order.
+POLISHED_PROFITS = (
+    '0x1.4cee60ad8d054p+10', '0x1.4cee60ad9712dp+10', '0x1.50aaaaaaaaaabp+10',
+    '0x1.50aaaaaaaaaabp+10', '0x1.3380000000000p+10', '0x1.3380000000000p+10',
+    '0x1.33fa3b4109550p+8', '0x1.d2dfab52681a0p+5', '0x1.984571a1aa7a4p+7',
+    '0x1.9d5922668e8e8p+6', '0x1.0b5bb3416e7fcp+11', '0x1.0b5bb3416e7fdp+11',
+    '0x1.f8b5788ef478ep+10', '0x1.f8b5788ef478ep+10', '0x1.b19aa302759fep+10',
+    '0x1.b19aa302759fep+10', '0x1.59f045de8aac4p+9', '0x1.27bd193553fe6p+8',
+    '0x1.2051c85d1a13ep+9', '0x1.e71168e3eeb21p+7', '0x1.1596d6cf5265ap+12',
+    '0x1.3a8864af6da85p+14', '0x1.e36dd5d0e5983p+11', '0x1.2ce6dd929c66dp+14',
+    '0x1.13fc023a8953ap+12', '0x1.3a88000000000p+14', '0x1.df7c65fe2e5eep+11',
+    '0x1.2c78000000001p+14', '0x1.13fc023a8953ap+12', '0x1.3a88000000000p+14',
+    '0x1.df7c65fe2e5ecp+11', '0x1.2c78000000001p+14', '0x1.1671967b91cccp+12',
+    '0x1.3b5050ffdebc8p+14', '0x1.e50c3385752e7p+11', '0x1.2da8e1f1d73f6p+14',
+    '0x1.14dcdf31aa5c2p+12', '0x1.3b501ac0f453ap+14', '0x1.e127bfaef5cddp+11',
+    '0x1.2d3d3732c2dedp+14', '0x1.14dcdf31aa5c2p+12', '0x1.3b501ac0f453ap+14',
+    '0x1.e127bfaef5cdcp+11', '0x1.2d3d3732c2dedp+14',
+)
+
+
+class TestTableSolutions:
+    def test_never_below_the_polished_profits(self, table_solutions):
+        solutions, _ = table_solutions
+        assert len(solutions) == len(POLISHED_PROFITS) == 44
+        for sol, text in zip(solutions, POLISHED_PROFITS):
+            floor = float.fromhex(text)
+            assert sol.profit >= floor - 1e-9 * max(1.0, abs(floor))
+
+    def test_evaluation_counts_are_pinned(self, table_solutions):
+        _, nfev = table_solutions
+        assert nfev == {"T3": 1814, "T4": 1864, "T5": 2011, "T6": 2011}
+
+    def test_solutions_are_pinned_to_the_bit(self, table_solutions):
+        solutions, _ = table_solutions
+        lines = (" ".join(float.hex(v) for v in (
+            sol.policy.t1, sol.policy.t2, sol.policy.t3, sol.fee,
+            sol.lambda_p, sol.profit)) for sol in solutions)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == SOLUTIONS_SHA256
 
 
 class TestSearchBudget:
     def test_default_and_finer_grids_fit(self):
         SearchSpec()
         SearchSpec(n_time=128)
-        assert 128 * 127 // 2 <= MAX_GRID_POINTS < 129 * 128 // 2
+        assert MAX_GRID_POINTS == 128 - 1
 
     def test_oversized_grid_rejected_before_allocation(self):
         for n_time in (129, 400):
             with pytest.raises(InvalidParams, match="budget"):
                 SearchSpec(n_time=n_time)
 
-    def test_grid_and_seed_count_must_be_positive(self):
-        for kwargs in ({"n_time": 1}, {"top_n": 0}):
-            field = next(iter(kwargs))
-            with pytest.raises(InvalidParams, match=f"^{field} must be"):
-                SearchSpec(**kwargs)
+    def test_grid_count_must_be_positive(self):
+        with pytest.raises(InvalidParams, match="^n_time must be"):
+            SearchSpec(n_time=1)
 
-    @pytest.mark.parametrize("field", ["n_time", "top_n"])
+    @pytest.mark.parametrize("field", ["n_time"])
     @pytest.mark.parametrize("value", [10.5, 2.0, float("nan"), float("inf"),
                                        True, "8", None, np.int64(8)])
     def test_counts_must_be_integers(self, field, value):
-        # A float, even a whole one, would reach the grid axis's range()
-        # or the seed slice and fail there with a TypeError; a NumPy
-        # integer would fail in the manifest's json.dumps.
+        # A float, even a whole one, would reach the lattice axis's range()
+        # and fail there with a TypeError; a NumPy integer would fail in
+        # the manifest's json.dumps.
         with pytest.raises(InvalidParams, match=f"^{field} must be an integer"):
             SearchSpec(**{field: value})
-
-    def test_seed_count_capped(self):
-        SearchSpec(top_n=MAX_SEEDS)
-        with pytest.raises(InvalidParams, match="budget"):
-            SearchSpec(top_n=MAX_SEEDS + 1)

@@ -43,13 +43,13 @@ def t6_rows(config):
 TABLE_SHA256 = {
     "T4.csv": "4d5ee39567863b09974ab8620d1d5007e61cc4d86184b5cae9e74942b13d1438",
     "T4_manifest.json":
-        "426e02c1aab54196379f8ac10ec227340bddf451e22d38eaaa4e9b3f767b5fcd",
+        "1a72e970cc38eeae8a82ad4404db1f69bd0be12b9b3f09018e23a48679c134ab",
     "T5.csv": "9f5c72eb64ffb64b1f371c23030697e0bb7c4eb0ba929eeea873c233245d4ac2",
     "T5_manifest.json":
-        "cef0596875c308fdd2c9fba4be5cffb4e9f4555ee31590038d0399f5b323f3a0",
+        "2d5e2528babd58f2d0f2db03c5c016ff64fbf66eb1d11bdaae60523438d00fb3",
     "T6.csv": "2becab320713913e84bf3b64492f34870d18070030f526cf6f5c7b4de74291f7",
     "T6_manifest.json":
-        "b9d0d5c3c2f02dcd080b63b245a25d801102dc9508e4bf19304cfa749245dde8",
+        "07cac5f26bbf57dd6aed8a1b6ed1cf77cf8987a11d597d35abfa39b60d8d6487",
 }
 
 
@@ -195,6 +195,19 @@ class TestPersist:
             manifest = json.load(fh)
         assert manifest["config"]["signal_kind"] == "NPS"
 
+    def test_manifest_records_the_settings_the_rows_read(self, config,
+                                                         t4_rows, t5_rows,
+                                                         tmp_path):
+        # The coefficients of the one fee family each table runs, and the
+        # search that solved its rows.
+        for name, rows, coeffs in (("T4", t4_rows, "log_coeffs"),
+                                   ("T5", t5_rows, "linear_coeffs")):
+            _, man_path = persist(rows, str(tmp_path), name, config)
+            with open(man_path) as fh:
+                settings = json.load(fh)["config"]
+            assert {k for k in settings if k.endswith("_coeffs")} == {coeffs}
+            assert settings["search"] == {"n_time": 40}
+
     def test_empty_results_give_header_only_csv(self, config, tmp_path):
         csv_path, man_path = persist([], str(tmp_path), "empty", config)
         with open(csv_path) as fh:
@@ -213,6 +226,11 @@ class TestPersist:
         with open(man_path) as fh:
             manifest = json.load(fh)
         assert manifest["classification"]["kind"] == "cycle-2"
+        # A trace solves no equilibrium and runs the linear family only.
+        assert "search" not in manifest["config"]
+        assert "log_coeffs" not in manifest["config"]
+        assert manifest["config"]["linear_coeffs"] == [100.0, 1.0]
+        assert manifest["config"]["signal_kind"] == "MDT"
 
 
 class TestLifetimeMembership:

@@ -504,6 +504,33 @@ class TestRowBound:
         scale = p.r * lam + p.h * lam + p.K / 2.0
         assert (bound[reach] - maxima[reach] <= 2e-9 * scale).all()
 
+    def test_zero_rate_rows_are_pruned(self, monkeypatch):
+        # At lambda_p = 0 the bound is the finite supremum over T, so the
+        # scan skips rows there too and keeps the exhaustive scan's argmax
+        # and tie to the bit.  Where every cycle loses money (K 4000, tau
+        # 7; K 2e4) each row's supremum, 0, is above the best profit and no
+        # row is skipped; where K is covered, the first row decides.
+        evaluated = []
+        largest_t3 = myopic._largest_t3
+
+        def counting(t1, T, t3_cap, t_max):
+            evaluated.append(np.size(t1))
+            return largest_t3(t1, T, t3_cap, t_max)
+
+        monkeypatch.setattr(myopic, "_largest_t3", counting)
+        cases = [(params(tau=7.0, K=4000.0), GridSpec(step=0.01, t_max=20.0),
+                  2001),
+                 (params(K=2e4), GridSpec(step=0.05, t_max=30.0), 601),
+                 (params(tau=5.0), GridSpec(step=0.01, t_max=10.0), 1),
+                 (params(K=500.0, tau=1.0), GridSpec(step=0.005), 1)]
+        for p, grid, scanned in cases:
+            evaluated.clear()
+            assert_same(p, 0.0, grid)
+            # The last call takes the winner's (t2, t3), not a row.
+            assert len(evaluated) - 1 == scanned
+        assert myopic._oracle_axes(cases[2][0], 0.0, cases[2][1])[0].size \
+            == 1001
+
     def test_most_rows_are_skipped(self, monkeypatch):
         # Every row the scan evaluates passes its t1 to _largest_t3 for
         # the feasibility mask; count those rows.
@@ -544,11 +571,14 @@ class TestAxisBudget:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_unpruned_scan_holds_one_row_at_a_time(self):
-        # At lambda_p = 0 every row bound is inf, so the whole 4001 x 9400
-        # rectangle (300 MB as one array) is scanned; scanning it row by
-        # row keeps the scan's memory to a few T axes.
+    def test_unpruned_scan_holds_one_row_at_a_time(self, monkeypatch):
+        # With every row bound inf, the whole 4001 x 9400 rectangle (300 MB
+        # as one array) is scanned; scanning it row by row keeps the scan's
+        # memory to a few T axes.
         p, grid = params(tau=7.0, K=4000.0), GridSpec(step=0.005, t_max=20.0)
+        monkeypatch.setattr(myopic, "_row_bounds",
+                            lambda params, lam, t1, *args: np.full(t1.shape,
+                                                                   np.inf))
         tracemalloc.start()
         try:
             grid_search_policy(p, 0.0, grid)
