@@ -17,11 +17,15 @@ fee ``F``.
 
 Each model formula is written once, here: theta (:func:`signal_value`),
 N(F) (:meth:`FeeModel.members`) and the profit rate
-(:func:`cycle_profit`).  The first and the last use arithmetic operators
-only, so the same code runs on Python floats and on NumPy arrays.  No
-caller in the package passes arrays any more: the equilibrium search
-and the scalar API all run on floats.  The tests still run both
-formulas on arrays, for dense scans, and hold them to the floats' bits.
+(:func:`cycle_profit`).  theta is one formula for every signal kind: a
+:class:`SignalSpec` carries its MDT and NPS weights as data
+(``shares``), taken once at construction, and the equilibrium search
+reads them there too.  theta and the profit rate use arithmetic
+operators only, so the same code runs on Python floats and on NumPy
+arrays.  No caller in the package passes arrays any more: the
+equilibrium search and the scalar API all run on floats.  The tests
+still run both formulas on arrays, for dense scans, and hold them to the
+floats' bits.
 
 Everything in this module is a pure function of immutable values; all
 quantities are double precision.
@@ -159,31 +163,51 @@ class ShipmentPolicy:
         return self.t1 + self.t2 + self.t3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalSpec:
     """Which service signal premium customers react to.
 
     ``weights`` is only consulted for the WEIGHTED kind: pairs of
-    (component kind, weight) with nonnegative weights summing to one.
+    (component kind, weight) with nonnegative weights summing to one; a
+    kind named twice sums its weights.  ``shares`` is derived from them
+    at construction: (MDT weight, NPS weight, divisor), the divisor being
+    the two weights' sum when it is above 1 and 1 otherwise.  The MDT kind
+    has the shares (1, 0, 1) and the NPS kind (0, 1, 1).
     """
 
     kind: SignalKind
     weights: tuple[tuple[SignalKind, float], ...] = field(default=())
+    shares: tuple[float, float, float] = field(init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is SignalKind.WEIGHTED:
             if not self.weights:
                 raise InvalidParams("weighted signal needs at least one component")
-            if any(k is SignalKind.WEIGHTED for k, _ in self.weights):
-                raise InvalidParams("weighted components must be elementary signals")
-            if any(w < 0 for _, w in self.weights):
-                raise InvalidParams("signal weights must be nonnegative")
-            if abs(sum(w for _, w in self.weights) - 1.0) > EPS_NUM:
+            mdt = nps = 0.0
+            for kind, w in self.weights:
+                if kind is SignalKind.WEIGHTED:
+                    raise InvalidParams(
+                        "weighted components must be elementary signals")
+                if not w >= 0:  # NaN fails too
+                    raise InvalidParams("signal weights must be nonnegative")
+                if kind is SignalKind.MDT:
+                    mdt += w
+                else:
+                    nps += w
+            total = mdt + nps
+            if abs(total - 1.0) > EPS_NUM:
                 raise InvalidParams("signal weights must sum to 1")
+            shares = (mdt, nps, max(total, 1.0))
         elif self.weights:
             raise InvalidParams("weights are only meaningful for the weighted kind")
+        else:
+            shares = _MDT_SHARES if self.kind is SignalKind.MDT else _NPS_SHARES
+        object.__setattr__(self, "shares", shares)
 
 
+_MDT_SHARES = (1.0, 0.0, 1.0)
+_NPS_SHARES = (0.0, 1.0, 1.0)
 MDT = SignalSpec(SignalKind.MDT)
 NPS = SignalSpec(SignalKind.NPS)
 
@@ -208,66 +232,24 @@ def potential_market(fee_model: FeeModel, fee: float) -> float:
     return fee_model.members(fee) * fee_model.delta
 
 
-def _mdt_signal(spec: SignalSpec, t2, t3, T, tau):
-    return t3 / tau
-
-
-def _nps_signal(spec: SignalSpec, t2, t3, T, tau):
-    return (t2 + t3) / T
-
-
-def _weighted_signal(spec: SignalSpec, t2, t3, T, tau):
-    theta = total = 0.0
-    for kind, weight in spec.weights:
-        theta = theta + weight * _SIGNALS[kind](spec, t2, t3, T, tau)
-        total = total + weight
-    # Weights may sum to 1 + EPS_NUM.  Dividing by a sum above 1 keeps
-    # theta <= 1, since both sums add their terms in the same order.
-    return theta / total if total > 1.0 else theta
-
-
-_SIGNALS = {SignalKind.MDT: _mdt_signal, SignalKind.NPS: _nps_signal,
-            SignalKind.WEIGHTED: _weighted_signal}
-
-
-def signal_formula(spec: SignalSpec):
-    """The function ``(spec, t2, t3, T, tau) -> theta`` of ``spec``'s kind.
-
-    :func:`signal_value` dispatches to it on every call; a caller that
-    evaluates one signal many times binds it once instead.
-    """
-    return _SIGNALS[spec.kind]
-
-
 def signal_value(spec: SignalSpec, t2, t3, T, tau):
     """Signal theta of a cycle of length T with Phase-2/3 lengths t2, t3.
 
-    MDT is t3 / tau and NPS (t2 + t3) / T; a weighted signal combines
-    them.  Only ``+ - * /`` are used, so Python floats and arrays alike
-    are accepted, and an array gives, element by element, the bits its
-    floats give.  No clamping: theta lies in [0, 1] because the callers
-    keep t3 <= tau (MDT) and T = t1 + t2 + t3 with nonnegative phases.
+    MDT is t3 / tau and NPS (t2 + t3) / T.  theta is the MDT share times
+    the one plus the NPS share times the other, over the divisor of
+    ``spec.shares``.  Weights may sum to 1 + EPS_NUM; the divisor is then
+    their rounded sum, which no rounded sum of terms at most their weights
+    exceeds, so theta stays <= 1.  A zero share's term is left out.
+    Only ``+ - * /`` are used, so Python floats and arrays alike are
+    accepted, and an array gives, element by element, the bits its floats
+    give.  No clamping: theta lies in [0, 1] because the callers keep
+    t3 <= tau (MDT) and T = t1 + t2 + t3 with nonnegative phases.
     """
-    return _SIGNALS[spec.kind](spec, t2, t3, T, tau)
-
-
-def signal_of(spec: SignalSpec):
-    """:func:`signal` of one ``spec``: a function ``(policy, tau) -> theta``.
-
-    Whether the MDT precondition applies and which formula runs are
-    decided here, once; a caller that emits many signals of one spec
-    binds the result.
-    """
-    formula = signal_formula(spec)
-    checks_mdt = (spec.kind is SignalKind.MDT
-                  or any(kind is SignalKind.MDT for kind, _ in spec.weights))
-
-    def theta(policy: ShipmentPolicy, tau: float) -> float:
-        if checks_mdt and policy.t3 > tau * (1.0 + 1e-12):
-            raise InvalidPolicy(f"t3={policy.t3} exceeds declared tau={tau}")
-        return formula(spec, policy.t2, policy.t3, policy.cycle_length, tau)
-
-    return theta
+    mdt, nps, divisor = spec.shares
+    theta = mdt * (t3 / tau) if mdt else 0.0
+    if nps:
+        theta = theta + nps * ((t2 + t3) / T)
+    return theta / divisor
 
 
 def signal(spec: SignalSpec, policy: ShipmentPolicy, tau: float) -> float:
@@ -275,10 +257,13 @@ def signal(spec: SignalSpec, policy: ShipmentPolicy, tau: float) -> float:
 
     MDT compares the realized worst regular delivery time against the
     declared one (t3 / tau); NPS is the fraction of the cycle in which
-    regular customers do not receive fast service ((t2 + t3) / T).  The
-    MDT precondition t3 <= tau is enforced here up to float slack.
+    regular customers do not receive fast service ((t2 + t3) / T).  When
+    the MDT share is positive, the precondition t3 <= tau is enforced
+    here up to float slack.
     """
-    return signal_of(spec)(policy, tau)
+    if spec.shares[0] > 0 and policy.t3 > tau * (1.0 + 1e-12):
+        raise InvalidPolicy(f"t3={policy.t3} exceeds declared tau={tau}")
+    return signal_value(spec, policy.t2, policy.t3, policy.cycle_length, tau)
 
 
 def response(c1: float, c2: float, theta: float) -> float:
@@ -287,7 +272,7 @@ def response(c1: float, c2: float, theta: float) -> float:
     :func:`respond` at a potential market ``c1`` that the caller has
     already taken; 0**0 is 1.
     """
-    if theta < -EPS_NUM or theta > 1.0 + EPS_NUM:
+    if not -EPS_NUM <= theta <= 1.0 + EPS_NUM:  # NaN fails too
         raise DomainError(f"signal value {theta} outside [0, 1]")
     theta = min(max(theta, 0.0), 1.0)
     return c1 * theta ** c2

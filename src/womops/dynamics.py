@@ -8,10 +8,11 @@ rate the resulting service, and premium demand responds:
     lambda_{k+1} = R(signal(policy_k))
 
 Whatever stays fixed during a run is taken once per run: the potential
-market c1(F), the bounds of the admissible range [0, c1], the fee
-revenue per order F/(delta M) and the signal formula.  Each round then
-costs one closed-form solve (which compares its candidates as floats and
-builds a policy for the winner only), one signal and one response.
+market c1(F), the bounds of the admissible range [0, c1] and the fee
+revenue per order F/(delta M); the signal's weights come with its spec.
+Each round then costs one closed-form solve (which compares its
+candidates as floats and builds a policy for the winner only), one
+signal and one response.
 
 Under the maximum-delivery-time signal the long-run behavior is fully
 characterized analytically (see :func:`predict_long_run`): the premium
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from .domain import (CustomerResponse, FeeModel, MarketParams, ShipmentPolicy,
                      SignalKind, SignalSpec, checked_profit, fee_per_order,
-                     potential_market, response, signal_of)
+                     potential_market, response, signal)
 from .errors import InvalidParams, UnsupportedSignal
 from .myopic import solve_policy
 
@@ -87,20 +88,20 @@ def _feedback(params: MarketParams, fee_model: FeeModel,
               resp: CustomerResponse, spec: SignalSpec, fee: float):
     """``(c1, advance)``: the potential market and one round as a function.
 
-    Everything that stays fixed during a run is taken here, once: c1(F),
-    the bounds of the admissible range [0, c1] and the signal of
-    ``spec``.  ``advance(lambda_p)`` then solves for ``lambda_p``, emits
-    the signal and responds, returning ``(policy, next lambda_p)``.
+    Everything that stays fixed during a run is taken here, once: c1(F)
+    and the bounds of the admissible range [0, c1].  ``advance(lambda_p)``
+    then solves for ``lambda_p``, emits the signal and responds,
+    returning ``(policy, next lambda_p)``.
     """
     c1 = potential_market(fee_model, fee)
     low, high, cap = -1e-12, c1 * (1 + 1e-12) + 1e-12, max(c1, 0.0)
-    theta_of, tau, c2 = signal_of(spec), params.tau, resp.c2
+    tau, c2 = params.tau, resp.c2
 
     def advance(lambda_p: float) -> tuple[ShipmentPolicy, float]:
         if lambda_p < low or lambda_p > high:
             raise InvalidParams(f"lambda_p={lambda_p} outside [0, c1(F)={c1}]")
         policy = solve_policy(params, min(max(lambda_p, 0.0), cap)).policy
-        return policy, response(c1, c2, theta_of(policy, tau))
+        return policy, response(c1, c2, signal(spec, policy, tau))
 
     return c1, advance
 

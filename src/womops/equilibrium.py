@@ -3,22 +3,22 @@
 Here the e-tailer knows how service signals drive premium demand and
 picks (t1, t3, T, F) so that the demand the policy *creates* is the
 demand it was built for: the stationarity constraint lambda_p =
-R(signal) is substituted into the objective.  Two of the four unknowns
+R(signal) is substituted into the profit.  Two of the four unknowns
 have closed forms given the others.  For a fixed policy the best fee
 depends on the cycle length alone (:func:`best_fee`).  For a fixed t1
 and T, t3 enters the profit only through the signal, which is affine in
 t3, and the regular revenue r lambda_r t3 / T, so the best t3 depends on
 T and the slack s = T - t1 alone (:func:`_phase3`).  Both are profiled
-out, and the problem reduces to a box-constrained search over (t1, s)
-with one scalar objective (:func:`_objective`).
+out, which leaves P(T), the best profit of a cycle of length T, to be
+maximized over T.
 
 The landscape is neither convex nor concave, but at a fixed cycle length
 T it is solved exactly.  The fee is F*(T), and with t3 profiled out the
 profit as a function of the signal level is a power of it plus a concave,
 piecewise quadratic term, for the MDT, NPS and weighted signals alike.
 Its maximum P(T) is the best of the pieces' ends and of the roots of its
-derivative (:func:`_slice_search`).  The outer search is one-dimensional:
-P is taken on a deterministic lattice of T rows from 0 to the search cap,
+derivative, each scored where it is found (:func:`_slice_search`).  P
+is taken on a deterministic lattice of T rows from 0 to the search cap,
 whose size :data:`MAX_GRID_POINTS` caps, and a closed-form bound on P
 (:func:`_row_bound`) leaves most rows unsolved.  Each lattice local
 maximum of P is then refined by golden section (:func:`minimize`).  For the
@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .domain import (CustomerResponse, FeeFamily, FeeModel, MarketParams,
                      ShipmentPolicy, SignalKind, SignalSpec, cycle_profit,
                      potential_market, profit_rate_with_fees, respond, signal,
-                     signal_formula)
+                     signal_value)
 from .dynamics import LongRunKind, simulate
 from .errors import (InfeasibleProblem, InvalidParams, RegimeViolation,
                      UnsupportedSignal)
@@ -239,19 +239,18 @@ def _phase3(problem: EquilibriumProblem):
     margin Q = c1 (r + fee_rate - hT/2), :func:`cycle_profit` depends on
     t3 in (0, U], U = min(tau, s), only through theta^c2 Q + r lambda_r
     t3 / T, and theta = beta + alpha t3 is affine in t3, alpha the MDT
-    weight over tau.  So t3 = U when Q >= 0, alpha = 0 or c2 = 0.
-    Otherwise, with c2 <= 1 that term is convex in t3 and the better end
-    wins: U, on a tie too, or t3 -> 0+, taken as :data:`_T3_FLOOR`.  With
-    c2 > 1 it is concave and t3 is the root of c2 alpha theta^(c2-1) Q +
-    r lambda_r / T = 0, clipped to [_T3_FLOOR, U].  This is the one copy
-    of the rule; the search reaches it through :func:`_objective`.
+    weight of ``SignalSpec.shares`` over its divisor and tau.  So t3 = U
+    when Q >= 0, alpha = 0 or c2 = 0.  Otherwise, with c2 <= 1 that term
+    is convex in t3 and the better end wins: U, on a tie too, or t3 -> 0+,
+    taken as :data:`_T3_FLOOR`.  With c2 > 1 it is concave and t3 is the
+    root of c2 alpha theta^(c2-1) Q + r lambda_r / T = 0, clipped to
+    [_T3_FLOOR, U].  This is the one copy of the rule; :func:`_slice_search`
+    scores its candidates with it.
     """
     p, c2 = problem.params, problem.resp.c2
     spec, tau = problem.signal_spec, p.tau
-    theta_of = signal_formula(spec)
-    # With t2 + t3 = 0 the NPS part is 0, and with t3 = tau = 1 the MDT
-    # part is 1, so the formula gives the MDT weight.
-    alpha = theta_of(spec, -1.0, 1.0, 1.0, 1.0) / tau
+    mdt, _, divisor = spec.shares
+    alpha = mdt / divisor / tau
     r, h, rl = p.r, p.h, p.r * p.lambda_r
 
     if not (alpha > 0 and c2 > 0):
@@ -262,8 +261,8 @@ def _phase3(problem: EquilibriumProblem):
         Q = c1 * (r + fee_rate - h * T / 2.0)
         if Q >= 0:
             return U
-        theta_u = theta_of(spec, s - U, U, T, tau)
-        beta = theta_of(spec, s, 0.0, T, tau)
+        theta_u = signal_value(spec, s - U, U, T, tau)
+        beta = signal_value(spec, s, 0.0, T, tau)
         if c2 <= 1:
             low = theta_u ** c2 * Q + rl * U / T < beta ** c2 * Q
             return _T3_FLOOR if low else U
@@ -279,43 +278,6 @@ def _phase3(problem: EquilibriumProblem):
         return t3 if t3 > _T3_FLOOR else _T3_FLOOR
 
     return t3_of
-
-
-def _objective(problem: EquilibriumProblem):
-    """Scalar objective ``(t1, s) -> profit`` of one problem.
-
-    The fee-inclusive profit rate with lambda_p = R(theta) substituted,
-    the cycle T = t1 + s, the fee at F*(T) (:func:`best_fee`) and t3 at
-    its best for (T, s) (:func:`_phase3`); ``-inf`` outside the box (a
-    negative phase or no slack for Phase 3).  A cycle whose t1 + s rounds
-    past the search cap takes the profit at the cap with the same t1, so
-    the box's last row keeps its cycle length.  The fee, c1(F) and
-    F/(delta M) come from :func:`_fee_terms` once per evaluation; it holds
-    them for the two fee bounds.  Built once per problem, with the
-    signal's formula and the constants bound as locals.
-    """
-    p = problem.params
-    cap = search_cap(problem)
-    spec, tau = problem.signal_spec, p.tau
-    theta_of = signal_formula(spec)
-    fee_terms = _fee_terms(problem)
-    t3_of = _phase3(problem)
-    c2 = problem.resp.c2
-
-    def profit(t1: float, s: float) -> float:
-        T = t1 + s
-        if T > cap:
-            # Past the wall T = cap, the point at the wall.
-            s = cap - t1
-            T = t1 + s
-        if t1 < 0 or s <= 0:
-            return -math.inf
-        _, c1, fee_rate = fee_terms(T)
-        t3 = t3_of(T, s, c1, fee_rate)
-        lam = c1 * theta_of(spec, s - t3, t3, T, tau) ** c2
-        return cycle_profit(p, lam, fee_rate, t1, t3, T)
-
-    return profit
 
 
 def _row_bound(problem: EquilibriumProblem):
@@ -370,8 +332,9 @@ def _slice_search(problem: EquilibriumProblem):
 
     At a fixed T the fee terms are F*(T)'s (:func:`_fee_terms`), so the
     premium margin Q = c1 (r + F/(delta M) - hT/2) is fixed, and the
-    signal is theta = alpha t3 + beta s, alpha the MDT weight over tau and
-    beta the NPS weight over T.  On the slice theta = v the regular part
+    signal is theta = alpha t3 + beta s, alpha and beta the MDT and NPS
+    weights of ``SignalSpec.shares`` over its divisor, and over tau and T
+    respectively.  On the slice theta = v the regular part
     r lambda_r (T - s + t3) - h lambda_r (T - s)^2/2, with t3 = (v - beta
     s)/alpha, is a concave quadratic in s with its peak at s* = T - (r/h)
     (1 + beta/alpha), and the slice holds s in [lo, hi], lo = max(v/(alpha
@@ -385,21 +348,20 @@ def _slice_search(problem: EquilibriumProblem):
     f' is monotone, and bisection places each root where f' falls through
     zero.  The candidates are those roots and the pieces' ends, whose s is
     always T, tau, s* or the t3 -> 0+ floor :data:`_T3_FLOOR`.  Each is
-    scored by :func:`_objective`, which takes the best t3 for its s, so a
-    candidate scores at least its slice's profit.  The best profit wins,
-    an exact tie going to the larger s (the shorter t1); NaN and -inf are
-    no cycle, and None comes back when no candidate has a profit.
+    scored here, by :func:`cycle_profit` at T's fee terms, with the best
+    t3 for its s (:func:`_phase3`) and lambda_p = R(theta), so a candidate
+    scores at least its slice's profit.  The best profit wins, an exact
+    tie going to the larger s (the shorter t1); NaN and -inf are no cycle,
+    and None comes back when no candidate has a profit.
     """
     p, c2 = problem.params, problem.resp.c2
     spec, tau = problem.signal_spec, p.tau
-    theta_of = signal_formula(spec)
-    # The probes of _phase3: the MDT weight, then the NPS weight.
-    alpha = theta_of(spec, -1.0, 1.0, 1.0, 1.0) / tau
-    nps = theta_of(spec, 1.0, 0.0, 1.0, 1.0)
+    mdt, nps, divisor = spec.shares
+    alpha, nps = mdt / divisor / tau, nps / divisor
     r, h = p.r, p.h
     rl, hl, r_h = r * p.lambda_r, h * p.lambda_r, r / h
     fee_terms = _fee_terms(problem)
-    objective = _objective(problem)
+    t3_of = _phase3(problem)
     curved = c2 not in (0.0, 1.0, 2.0)  # f'' has a root of its own
 
     def falling_roots(T: float, Q: float, beta: float, star: float):
@@ -487,7 +449,9 @@ def _slice_search(problem: EquilibriumProblem):
         best = None
         for s in sorted(candidates, reverse=True):
             t1 = T - s
-            profit = objective(t1, s)
+            t3 = t3_of(T, s, c1, fee_rate)
+            lam = c1 * signal_value(spec, s - t3, t3, T, tau) ** c2
+            profit = cycle_profit(p, lam, fee_rate, t1, t3, T)
             # NaN and -inf are no cycle; +inf (overflow) wins, and makes the
             # solve fail.
             if profit > -math.inf and (best is None or profit > best[0]):

@@ -383,13 +383,32 @@ class TestReproduce:
                          f"{TRACES['T7']['lambda_p'][3]:.2f} (tol 0.02)"]
 
 
+def source_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = Path(womops.__file__).resolve().parent.parent
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
+def test_cli_import_loads_the_standard_library_only():
+    # Start-up cost: importing the CLI loads womops and standard-library
+    # modules, and nothing else.
+    script = """
+import sys
+before = set(sys.modules)
+import womops.cli
+print(sorted({m.split(".")[0] for m in set(sys.modules) - before}
+             - set(sys.stdlib_module_names) - {"womops"}))
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=source_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_commands_leave_numpy_out(tmp_path):
     # NumPy serves the test oracles only: importing the CLI and running
     # each command's default solve never loads it.
-    src = Path(womops.__file__).resolve().parent.parent
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     script = """
 import contextlib, io, sys
 import womops.cli as cli
@@ -402,7 +421,8 @@ for argv in (["solve-m1", "--lambda-p", "450"], ["solve-m2"],
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=source_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "[]"
     for name in ("T3", "T4", "T7"):
         assert (tmp_path / f"{name}.csv").exists()

@@ -12,6 +12,7 @@ from womops import (EPS_NUM, MDT, NPS, CustomerResponse, DomainError,
                     MarketParams, ShipmentPolicy, SignalKind, SignalSpec,
                     cycle_profit, potential_market, profit_rate,
                     profit_rate_with_fees, respond, signal, signal_value)
+from womops.domain import response
 
 LIN = FeeModel(FeeFamily.LINEAR, 100, 1, 5)
 LOG = FeeModel(FeeFamily.LOGARITHMIC, 20, 101, 5)
@@ -113,6 +114,12 @@ class TestRespond:
         with pytest.raises(DomainError):
             respond(CustomerResponse(1), LIN, 10, 1.5)
 
+    def test_nan_theta_rejected(self):
+        with pytest.raises(DomainError, match="outside"):
+            response(450.0, 1.0, math.nan)
+        with pytest.raises(DomainError, match="outside"):
+            respond(CustomerResponse(1), LIN, 10, math.nan)
+
     @given(st.floats(0.01, 0.99), st.floats(0, 5), st.floats(0, 5))
     def test_nonincreasing_in_sensitivity(self, theta, c2a, c2b):
         lo, hi = sorted((c2a, c2b))
@@ -190,6 +197,93 @@ def random_cycles(seed: int, n: int = 2000):
     t3[3::11], t1[3::11] = 0.0, 1.5
     t2[1::13] = 0.0
     return t1, t2, t3, t1 + t2 + t3, tau
+
+
+def per_kind_theta(spec, t2, t3, T, tau):
+    """theta as one formula per signal kind gives it: a weighted signal
+    adds each component's term in the spec's order and divides by the
+    weights' sum when that is above 1."""
+    formulas = {SignalKind.MDT: lambda: t3 / tau,
+                SignalKind.NPS: lambda: (t2 + t3) / T}
+    if spec.kind is not SignalKind.WEIGHTED:
+        return formulas[spec.kind]()
+    theta = total = 0.0
+    for kind, weight in spec.weights:
+        theta = theta + weight * formulas[kind]()
+        total = total + weight
+    return theta / total if total > 1.0 else theta
+
+
+def random_weighted_specs(seed: int, n: int = 200):
+    """Weighted specs naming each kind at most once, in either order, with
+    weight sums up to EPS_NUM from 1 on either side."""
+    rng = np.random.default_rng(seed)
+    specs = [SignalSpec(SignalKind.WEIGHTED, ((SignalKind.MDT, 1.0),)),
+             SignalSpec(SignalKind.WEIGHTED, ((SignalKind.NPS, 1.0),))]
+    for _ in range(n):
+        w = float(rng.uniform(0.0, 1.0))
+        rest = (1.0 - w) * (1.0 + float(rng.uniform(-0.9, 0.9)) * EPS_NUM)
+        pairs = ((SignalKind.MDT, w), (SignalKind.NPS, rest))
+        specs.append(SignalSpec(SignalKind.WEIGHTED,
+                                pairs[::-1] if rng.random() < 0.5 else pairs))
+    return specs
+
+
+class TestSignalWeights:
+    """A spec's shares give theta as the per-kind formulas did."""
+
+    def test_shares_give_the_per_kind_bits(self):
+        t1, t2, t3, T, tau = random_cycles(8)
+        specs = SPECS + tuple(random_weighted_specs(9))
+        assert any(spec.shares[2] > 1.0 for spec in specs)
+        for spec in specs:
+            want = per_kind_theta(spec, t2, t3, T, tau)
+            assert signal_value(spec, t2, t3, T, tau).tobytes() == \
+                want.tobytes()
+            for i in range(0, T.size, 97):
+                args = (float(t2[i]), float(t3[i]), float(T[i]),
+                        float(tau[i]))
+                assert float.hex(signal_value(spec, *args)) == \
+                    float.hex(per_kind_theta(spec, *args))
+
+    def test_elementary_kinds_share_constant_weights(self):
+        assert MDT.shares == (1.0, 0.0, 1.0)
+        assert NPS.shares == (0.0, 1.0, 1.0)
+        assert SignalSpec(SignalKind.MDT).shares is MDT.shares
+        assert SignalSpec(SignalKind.NPS).shares is NPS.shares
+
+    def test_shares_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            SignalSpec(SignalKind.MDT, (), (0.5, 0.5, 1.0))
+        assert "shares" not in repr(MDT)
+        assert not hasattr(MDT, "__dict__")
+
+    def test_zero_mdt_weight_skips_the_delivery_time_check(self):
+        # Only a positive MDT weight makes t3 <= tau a precondition.
+        spec = SignalSpec(SignalKind.WEIGHTED,
+                          ((SignalKind.MDT, 0.0), (SignalKind.NPS, 1.0)))
+        pol = ShipmentPolicy(1.0, 0.0, 3.0)
+        assert signal(spec, pol, 2.0) == signal(NPS, pol, 2.0) == 0.75
+        with pytest.raises(InvalidPolicy):
+            signal(SignalSpec(SignalKind.WEIGHTED, ((SignalKind.MDT, 1e-12),
+                                                    (SignalKind.NPS, 1.0))),
+                   pol, 2.0)
+
+    def test_a_kind_named_twice_sums_its_weights(self):
+        spec = SignalSpec(SignalKind.WEIGHTED, (
+            (SignalKind.MDT, 0.25), (SignalKind.NPS, 0.5),
+            (SignalKind.MDT, 0.25)))
+        assert spec.shares == (0.5, 0.5, 1.0)
+        assert signal_value(spec, 1.0, 1.0, 4.0, 2.0) == \
+            0.5 * (1.0 / 2.0) + 0.5 * (2.0 / 4.0)
+        # Above a unit sum, a full cycle's theta is 1, not 1 + 1 ulp.
+        rng = np.random.default_rng(10)
+        for _ in range(500):
+            a, b, c = rng.uniform(0.0, 1.0, 3) / 3.0
+            spec = SignalSpec(SignalKind.WEIGHTED, (
+                (SignalKind.MDT, a), (SignalKind.NPS, b),
+                (SignalKind.MDT, c), (SignalKind.NPS, 1.0 + 5e-10 - a - b - c)))
+            assert signal_value(spec, 0.0, 2.0, 2.0, 2.0) <= 1.0
 
 
 class TestSharedFormulas:
@@ -278,7 +372,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("weights, message", [
         (((SignalKind.WEIGHTED, 1.0),), "elementary"),
-        (((SignalKind.MDT, 1.5), (SignalKind.NPS, -0.5)), "nonnegative")])
+        (((SignalKind.MDT, 1.5), (SignalKind.NPS, -0.5)), "nonnegative"),
+        (((SignalKind.MDT, math.nan), (SignalKind.NPS, 1.0)), "nonnegative")])
     def test_weighted_signal_components(self, weights, message):
         with pytest.raises(InvalidParams, match=message):
             SignalSpec(SignalKind.WEIGHTED, weights)

@@ -20,8 +20,7 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
 from womops import dynamics, equilibrium
 from womops.domain import cycle_profit, signal_value
 from womops.equilibrium import (MAX_GRID_POINTS, SearchSpec, _T3_FLOOR,
-                                _objective, _phase3, _slice_search,
-                                search_cap)
+                                _phase3, _slice_search, search_cap)
 from womops.errors import InfeasibleProblem, InvalidParams
 from womops.experiments import (ExperimentConfig, TableId, _table_setup,
                                 build_problem)
@@ -44,6 +43,20 @@ def substituted_profit(prob, t1, t2, t3, F):
     lam = (c1[where].reshape(F.shape)
            * signal_value(prob.signal_spec, t2, t3, T, p.tau) ** prob.resp.c2)
     return cycle_profit(p, lam, F / (fm.delta * p.M), t1, t3, T)
+
+
+def profiled_profit(prob, T, s):
+    """Profit of the cycle of length T with slack s = T - t1, at the best
+    fee F*(T) and the best t3 for (T, s): the score of one candidate of
+    ``_slice_search``, from ``best_fee``, ``_phase3`` and the domain
+    formulas."""
+    p, fm = prob.params, prob.fee_model
+    fee = best_fee(prob)(T)
+    c1, fee_rate = fm.members(fee) * fm.delta, fee / (fm.delta * p.M)
+    t3 = _phase3(prob)(T, s, c1, fee_rate)
+    lam = c1 * signal_value(prob.signal_spec, s - t3, t3, T,
+                            p.tau) ** prob.resp.c2
+    return cycle_profit(p, lam, fee_rate, T - s, t3, T)
 
 
 def problem(tau, c2, K=2000.0, r=8.0, fee_model=LIN, spec=MDT, M=30.0,
@@ -198,8 +211,9 @@ class TestSolve:
             lam = respond(prob.resp, LIN, fee, theta)
             want = profit_rate_with_fees(prob.params, LIN, pol, fee, lam)
             assert pol_profit == pytest.approx(want, rel=1e-12, abs=1e-9)
-            # The objective takes the fee at F*(T) and t3 at its best for
-            # (T, s): the profit of that policy, and no less than this one.
+            # The profiled profit takes the fee at F*(T) and t3 at its best
+            # for (T, s): the profit of that policy, and no less than this
+            # one.
             s = t2 + t3
             T = t1 + s
             fee = best_fee(prob)(T)
@@ -209,7 +223,7 @@ class TestSolve:
             lam = respond(prob.resp, LIN, fee,
                           signal(MDT, best_pol, prob.params.tau))
             want = profit_rate_with_fees(prob.params, LIN, best_pol, fee, lam)
-            got = _objective(prob)(t1, s)
+            got = profiled_profit(prob, T, s)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
             lam = respond(prob.resp, LIN, fee, theta)
             assert got >= profit_rate_with_fees(prob.params, LIN, pol, fee,
@@ -258,7 +272,7 @@ class TestSolve:
                               lambda_r=0.0, M=30.0, f_min=5.0316,
                               f_max=76.5484)
         prob = EquilibriumProblem(params, LIN, CustomerResponse(0.049), NPS)
-        want = _objective(prob)(search_cap(prob), _T3_FLOOR)
+        want = profiled_profit(prob, search_cap(prob), _T3_FLOOR)
         assert want == pytest.approx(-148.28, abs=0.005)
         assert solve_equilibrium(prob).profit >= want - 1e-9 * abs(want)
 
@@ -268,7 +282,7 @@ class TestSolve:
         # grid-seeded polish stopped at -249.75 (T 5.18, t3 2.67).
         prob = recipe_problem(1125)
         T = 6.592840460137546
-        want = _objective(prob)(T, _T3_FLOOR)
+        want = profiled_profit(prob, T, _T3_FLOOR)
         assert want == pytest.approx(-229.99, abs=0.005)
         sol = solve_equilibrium(prob)
         assert sol.profit >= want - 1e-9 * abs(want)
@@ -293,7 +307,7 @@ class TestSolve:
         spec = SignalSpec(SignalKind.WEIGHTED, ((SignalKind.MDT, 0.5000000005),
                                                 (SignalKind.NPS, 0.5)))
         prob = problem(2.0, 1e13, spec=spec)
-        assert _objective(prob)(0.0, 2.0) == 1230.0
+        assert profiled_profit(prob, 2.0, 2.0) == 1230.0
         sol = solve_equilibrium(prob, SearchSpec(n_time=12))
         assert (sol.policy.t1, sol.policy.t2, sol.policy.t3, sol.fee) == \
             (0.0, 0.0, 2.0, 10.0)
@@ -843,8 +857,8 @@ def record_seeds(monkeypatch) -> list[tuple[float, float, float]]:
     return seeds
 
 
-def record_rows(monkeypatch) -> list[float]:
-    """Leave the lattice rows unrefined, and append each row T solved."""
+def record_solves(monkeypatch) -> list[float]:
+    """Patch ``_slice_search`` so that each P(T) evaluation appends its T."""
     solved = []
     slice_search = equilibrium._slice_search
 
@@ -858,6 +872,12 @@ def record_rows(monkeypatch) -> list[float]:
         return recorded
 
     monkeypatch.setattr(equilibrium, "_slice_search", recording)
+    return solved
+
+
+def record_rows(monkeypatch) -> list[float]:
+    """Leave the lattice rows unrefined, and append each row T solved."""
+    solved = record_solves(monkeypatch)
     monkeypatch.setattr(equilibrium, "minimize",
                         lambda best_at, a, x, b, fx, tau:
                         equilibrium.Refinement(fx, 0, True))
@@ -976,14 +996,13 @@ TABLE_ROW_PROBLEMS = [
 
 
 class TestGridInsideTheBox:
-    """Every lattice row's best cycle is inside the box, at the
-    objective's profit, and below the row's bound."""
+    """Every lattice row's best cycle is inside the box, at its profiled
+    profit, and below the row's bound."""
 
     @pytest.mark.parametrize("prob", [
         *TABLE_ROW_PROBLEMS, pytest.param(NO_DEMAND, id="no-demand")])
     def test_grid_points_are_finite_under_the_objective(self, prob):
         best_at = _slice_search(prob)
-        objective = _objective(prob)
         bound = equilibrium._row_bound(prob)
         rows = lattice(prob, SearchSpec())
         assert len(rows) == 39
@@ -991,7 +1010,7 @@ class TestGridInsideTheBox:
             profit, t1, s = best_at(T)
             assert math.isfinite(profit)
             assert 0.0 <= t1 and 0.0 < s <= T and t1 == T - s
-            assert profit == objective(t1, s)
+            assert profit == profiled_profit(prob, T, s)
             assert profit <= bound(T, T)
 
 
@@ -1015,24 +1034,6 @@ def grid_problems(draw):
                    lambda_r=draw(st.just(0.0) | st.floats(0.5, 120.0)),
                    f_min=f_min, f_max=f_max, fee_model=fee_model, spec=spec)
     return prob, SearchSpec(n_time=draw(st.integers(2, 40)))
-
-
-def count_evaluations(monkeypatch) -> list[float]:
-    """Patch ``_objective`` so that each evaluation appends its t1."""
-    evaluated = []
-    objective = equilibrium._objective
-
-    def counting(prob):
-        profit = objective(prob)
-
-        def counted(t1, s):
-            evaluated.append(t1)
-            return profit(t1, s)
-
-        return counted
-
-    monkeypatch.setattr(equilibrium, "_objective", counting)
-    return evaluated
 
 
 class TestGridRowBound:
@@ -1110,11 +1111,11 @@ ROWS_SOLVED = 209
 
 @pytest.fixture(scope="module")
 def table_solutions():
-    """The 44 T3-T6 rows' solutions and each table's objective evaluations."""
+    """The 44 T3-T6 rows' solutions and each table's P(T) evaluations."""
     config = ExperimentConfig()
     solutions, nfev = [], {}
     with pytest.MonkeyPatch.context() as mp:
-        evaluated = count_evaluations(mp)
+        evaluated = record_solves(mp)
         for table in ("T3", "T4", "T5", "T6"):
             setup = _table_setup(TableId[table])
             for row in setup.rows:
@@ -1162,7 +1163,7 @@ class TestTableSolutions:
 
     def test_evaluation_counts_are_pinned(self, table_solutions):
         _, nfev = table_solutions
-        assert nfev == {"T3": 1814, "T4": 1864, "T5": 2011, "T6": 2011}
+        assert nfev == {"T3": 596, "T4": 668, "T5": 636, "T6": 636}
 
     def test_solutions_are_pinned_to_the_bit(self, table_solutions):
         solutions, _ = table_solutions
