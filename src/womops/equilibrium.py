@@ -21,7 +21,8 @@ derivative, each scored where it is found (:func:`_slice_search`).  P
 is taken on a deterministic lattice of T rows from 0 to the search cap,
 whose size :data:`MAX_GRID_POINTS` caps, and a closed-form bound on P
 (:func:`_row_bound`) leaves most rows unsolved.  Each lattice local
-maximum of P is then refined by golden section (:func:`minimize`).  For the
+maximum of P is then refined by Brent's method (:func:`minimize`), which
+closes on the kink of P at T = tau in two probes.  For the
 linear-fee, unit-sensitivity, delivery-time-signal regime with t3 < tau
 the optimum also has closed forms (:func:`closed_form_t3`), used as
 independent cross-checks of the numeric path.
@@ -57,8 +58,11 @@ _ROW_BOUND_MARGIN = 1e-9
 #: keeps a Phase 3 and its signal is the t3 = 0 limit to within rounding.
 _T3_FLOOR = 5e-324
 _BISECTIONS = 100     # cap on the halvings that place one root of f'
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden section's step, 0.382
-_T_TOL = 1e-10        # golden section stops at this width relative to T
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section step, 0.382
+_T_TOL = 1e-10        # Brent's method stops at this width relative to T
+#: Brent's least step relative to T, just under half of :data:`_T_TOL`:
+#: the two probes this far either side of a point close a bracket on it.
+_STEP = 0.49 * _T_TOL
 
 #: Budget on the T lattice: its n_time - 1 rows (T > 0 on one axis from
 #: 0 to the search cap), one exact inner solve each.  The row bound
@@ -462,9 +466,9 @@ def _slice_search(problem: EquilibriumProblem):
 
 
 class Refinement(NamedTuple):
-    """One golden-section refinement: its best point ``x``, a ``(profit,
-    t1, s)`` of :func:`_slice_search`, the P(T) evaluations it made, and
-    whether its bracket closed to :data:`_T_TOL` of T (not only to float
+    """One Brent refinement: its best point ``x``, a ``(profit, t1, s)``
+    of :func:`_slice_search`, the P(T) evaluations it made, and whether
+    its bracket closed to :data:`_T_TOL` of T (not only to float
     resolution)."""
 
     x: tuple[float, float, float]
@@ -474,14 +478,20 @@ class Refinement(NamedTuple):
 
 def minimize(best_at, a: float, x: float, b: float, fx,
              tau: float) -> Refinement:
-    """The best point of P(T) on [a, b] that golden section finds from x.
+    """The best point of P(T) on [a, b] that Brent's method finds from x.
 
-    ``fx`` is ``best_at(x)``.  Each step probes the longer side of x at
-    the golden ratio, and x moves only to a strictly better probe, so the
-    result is never below fx.  The bracket closes to :data:`_T_TOL` of T.
-    T = tau, where t3 = min(tau, s) stops growing, is probed first when it
-    lies inside: P may peak on that kink, which the steps reach only in
-    the limit.
+    ``fx`` is ``best_at(x)``.  Each step is the peak of the parabola
+    through the three best points so far, or, when that peak leaves the
+    bracket or does not shrink it fast enough, a golden-section step on
+    the longer side of x (R. P. Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5).  No step is shorter than
+    :data:`_STEP` of T.  x moves only to a strictly better probe, so the
+    result is never below fx, and a probe without a cycle (None) is no
+    better.  The bracket closes to :data:`_T_TOL` of T.  T = tau, where
+    t3 = min(tau, s) stops growing, is probed first when it lies inside:
+    P may peak on that kink, which the steps reach only in the limit.
+    While x is tau, tau (1 - _STEP) and then tau (1 + _STEP) are probed;
+    if neither is better, they close the bracket on tau.
     """
     nfev = 0
     if a < tau < b and tau != x:
@@ -489,22 +499,62 @@ def minimize(best_at, a: float, x: float, b: float, fx,
         nfev += 1
         if ft is not None and ft[0] > fx[0]:
             x, fx = tau, ft
-    while b - a > _T_TOL * x:
-        u = x - _GOLDEN * (x - a) if x - a > b - x else x + _GOLDEN * (b - x)
-        if not a < u < b or u == x:
-            break
+    px = fx[0]
+    w = v = x              # the second and third best points, with their P
+    pw = pv = px
+    d = e = 0.0            # the last step and the one before it
+
+    def probe(u: float) -> None:
+        nonlocal a, b, x, fx, px, w, pw, v, pv, nfev
         fu = best_at(u)
         nfev += 1
-        if fu is not None and fu[0] > fx[0]:
+        pu = fu[0] if fu is not None else -math.inf
+        if pu > px:
             if u < x:
                 b = x
             else:
                 a = x
-            x, fx = u, fu
-        elif u < x:
+            v, pv, w, pw = w, pw, x, px
+            x, fx, px = u, fu, pu
+            return
+        if u < x:
             a = u
         else:
             b = u
+        if pu >= pw or w == x:
+            v, pv, w, pw = w, pw, u, pu
+        elif pu >= pv or v == x or v == w:
+            v, pv = u, pu
+
+    for u in (tau * (1.0 - _STEP), tau * (1.0 + _STEP)):
+        if x == tau and a < u < b:
+            probe(u)
+    while b - a > _T_TOL * x:
+        least = _STEP * x
+        parabolic = False
+        if abs(e) > least:
+            # The parabola through (x, px), (w, pw) and (v, pv) peaks at
+            # x + p / q; a NaN from an infinite P fails every test below.
+            r = (x - w) * (px - pv)
+            q = (x - v) * (px - pw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            last, e = e, d
+            if q * (a - x) < p < q * (b - x) and abs(p) < abs(0.5 * q * last):
+                parabolic = True
+                d = p / q
+                if x + d - a < 2.0 * least or b - x - d < 2.0 * least:
+                    d = least if a + b >= 2.0 * x else -least
+        if not parabolic:
+            e = a - x if x - a > b - x else b - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= least else math.copysign(least, d))
+        if not a < u < b or u == x:
+            break
+        probe(u)
     return Refinement(fx, nfev, not b - a > _T_TOL * x)
 
 
@@ -573,15 +623,18 @@ def solve_equilibrium(problem: EquilibriumProblem,
     ``n_time``-point axis from 0 to the search cap, in descending
     :func:`_row_bound` order, until a row's bound falls below the best
     P found (:func:`_candidate_grid`).  Each lattice local maximum of P
-    (:func:`_select_seeds`) is refined by golden section on its two
+    (:func:`_select_seeds`) is refined by Brent's method on its two
     neighbouring cells (:func:`minimize`).  So is the first cell, (0,
     T_1], which has no lattice point on its left, unless its bound is
-    below the best profit refined.  The best refined point wins, ties
-    (within 1e-6 in profit) going to the smaller fee, then the shorter
-    cycle, then the shorter t1.  Degenerate optima with lambda_p = 0
-    (premium service priced out at F = f_max) are legitimate outputs.  A
-    profit that overflows raises :class:`InfeasibleProblem`, as does a box
-    with no cycle of finite profit.
+    below the best profit refined.  A refinement whose bracket holds
+    T = tau, where P may have a kink, probes it first; while tau is the
+    best point, a probe just to either side of it can close the bracket
+    on it.  The best refined point
+    wins, ties (within 1e-6 in profit) going to the smaller fee, then the
+    shorter cycle, then the shorter t1.  Degenerate optima with lambda_p
+    = 0 (premium service priced out at F = f_max) are legitimate outputs.
+    A profit that overflows raises :class:`InfeasibleProblem`, as does a
+    box with no cycle of finite profit.
     """
     p = problem.params
     cap = search_cap(problem)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import sys
 
@@ -19,8 +20,9 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     solve_equilibrium)
 from womops import dynamics, equilibrium
 from womops.domain import cycle_profit, signal_value
-from womops.equilibrium import (MAX_GRID_POINTS, SearchSpec, _T3_FLOOR,
-                                _phase3, _slice_search, search_cap)
+from womops.equilibrium import (MAX_GRID_POINTS, Refinement, SearchSpec,
+                                _GOLDEN, _STEP, _T3_FLOOR, _T_TOL, _phase3,
+                                _slice_search, minimize, search_cap)
 from womops.errors import InfeasibleProblem, InvalidParams
 from womops.experiments import (ExperimentConfig, TableId, _table_setup,
                                 build_problem)
@@ -300,6 +302,21 @@ class TestSolve:
         assert sol.policy.cycle_length == pytest.approx(0.2430409, abs=1e-6)
         assert sol.profit == pytest.approx(3082.727035, abs=1e-5)
 
+    @pytest.mark.parametrize("n_time", [20, 40])
+    def test_short_cycle_beside_a_lesser_peak(self, n_time):
+        # The first cell of the 12-point lattice, (0, 1.24], holds this
+        # peak, T = t3 = 0.280, and a lesser one near T = 1.0; refined from
+        # T_1 on that lattice the solve climbs to the lesser (-557.71).
+        # The 20- and 40-point lattices bracket the peak itself.
+        params = MarketParams(r=2.5464, K=427.49, h=8.5445, tau=4.5393,
+                              lambda_r=85.21, M=300.0, f_min=22.3045,
+                              f_max=22.3045)
+        prob = EquilibriumProblem(params, FeeModel(FeeFamily.LINEAR, 300, 2, 5),
+                                  CustomerResponse(1.5646), NPS)
+        sol = solve_equilibrium(prob, SearchSpec(n_time=n_time))
+        assert sol.policy.cycle_length == pytest.approx(0.27993, abs=1e-5)
+        assert sol.profit == pytest.approx(433.3231, abs=1e-4)
+
     def test_overflowing_response(self):
         # Weights may sum to 1 + 1e-9.  Unless the weighted theta is divided
         # by that sum it can exceed 1, and theta ** c2 then overflows and
@@ -314,12 +331,12 @@ class TestSolve:
         assert sol.profit == pytest.approx(1230.0, rel=1e-12)
 
 
-def recipe_problem(draw):
-    """Draw ``draw`` of a seeded MDT/NPS recipe (numpy seed 7): losing
-    markets, no regular demand and all three fee models included."""
+def recipe_problems():
+    """The draws of a seeded MDT/NPS recipe (numpy seed 7), in order:
+    losing markets, no regular demand and all three fee models included."""
     rng = np.random.default_rng(7)
     fee_models = (LIN, LOG, FeeModel(FeeFamily.LINEAR, 0, -0.5, 5))
-    for _ in range(draw + 1):
+    while True:
         fee_model = fee_models[rng.integers(3)]
         spec = (MDT, NPS)[rng.integers(2)]
         h, r, K, tau = (float(rng.uniform(lo, hi)) for lo, hi in (
@@ -327,9 +344,14 @@ def recipe_problem(draw):
         lambda_r = float(rng.choice([0.0, rng.uniform(1.0, 100.0)]))
         f_min, f_max, c2 = (float(rng.uniform(lo, hi)) for lo, hi in (
             (5.0, 20.0), (20.0, 100.0), (0.0, 4.0)))
-    params = MarketParams(r=r, K=K, h=h, tau=tau, lambda_r=lambda_r, M=30.0,
-                          f_min=f_min, f_max=f_max)
-    return EquilibriumProblem(params, fee_model, CustomerResponse(c2), spec)
+        params = MarketParams(r=r, K=K, h=h, tau=tau, lambda_r=lambda_r,
+                              M=30.0, f_min=f_min, f_max=f_max)
+        yield EquilibriumProblem(params, fee_model, CustomerResponse(c2), spec)
+
+
+def recipe_problem(draw):
+    """Draw ``draw`` of :func:`recipe_problems`."""
+    return next(itertools.islice(recipe_problems(), draw, None))
 
 
 def fee_values(prob, fees, T):
@@ -1130,7 +1152,7 @@ def table_solutions():
 #: ``float.hex``, one row per line.  The CSVs round to 2 decimals; this
 #: pins every bit, so a change that moves one has to say so.
 SOLUTIONS_SHA256 = (
-    "751eebb16fde095efcef28325dcab597e35998b3d8e0e9420661011548820720")
+    "2416be2f7f61373b2705e7510be173333ee69ae865b0e1474afdbfee94a6039e")
 
 #: The 44 T3-T6 profits of the grid-seeded Nelder-Mead search this solver
 #: replaced, as ``float.hex``, in table and row order.
@@ -1163,7 +1185,7 @@ class TestTableSolutions:
 
     def test_evaluation_counts_are_pinned(self, table_solutions):
         _, nfev = table_solutions
-        assert nfev == {"T3": 596, "T4": 668, "T5": 636, "T6": 636}
+        assert nfev == {"T3": 190, "T4": 287, "T5": 298, "T6": 300}
 
     def test_solutions_are_pinned_to_the_bit(self, table_solutions):
         solutions, _ = table_solutions
@@ -1173,6 +1195,169 @@ class TestTableSolutions:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == SOLUTIONS_SHA256
 
+
+
+def peaked(f):
+    """A ``best_at`` whose P(T) is f(T), at t1 = 0 and s = T."""
+    return lambda T: (f(T), 0.0, T)
+
+
+class TestMinimize:
+    """Brent's method on one bracket, against shapes of P(T) whose peak is
+    known."""
+
+    PEAK = 2.3
+    SHAPES = {"quadratic": lambda d: -d * d,
+              "quartic": lambda d: -d ** 4 - d * d,
+              "skewed": lambda d: -d * d * (1.5 + d)}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("a, x, b", [(1.0, 2.0, 3.0), (1.0, 2.9, 3.0),
+                                         (2.0, 2.6, 3.1), (1.5, 1.6, 4.0)])
+    def test_smooth_peak_in_few_probes(self, shape, a, x, b):
+        # Golden section takes 47 to 49 probes on these brackets.
+        best_at = peaked(lambda T: self.SHAPES[shape](T - self.PEAK))
+        res = minimize(best_at, a, x, b, best_at(x), tau=10.0)
+        assert res.success
+        assert abs(res.x[2] - self.PEAK) <= _T_TOL * res.x[2]
+        assert res.nfev <= 20
+
+    @pytest.mark.parametrize("x", [2.0, 2.7])
+    def test_kink_at_tau_closes_in_two_probes(self, x):
+        tau = 2.7
+        probes = []
+
+        def best_at(T):
+            probes.append(T)
+            return (-abs(T - tau), 0.0, T)
+
+        fx = best_at(x)
+        probes.clear()
+        res = minimize(best_at, 1.0, x, 4.0, fx, tau)
+        assert res.x[2] == tau and res.success
+        assert probes[-2:] == [tau * (1.0 - _STEP), tau * (1.0 + _STEP)]
+        assert res.nfev == len(probes) <= 3
+
+    def test_peak_beside_tau_is_still_found(self):
+        # T = tau beats x, but tau (1 + _STEP) beats tau: the search goes on.
+        best_at = peaked(lambda T: -(T - 3.0) ** 2)
+        res = minimize(best_at, 1.0, 2.0, 4.0, best_at(2.0), tau=2.7)
+        assert abs(res.x[2] - 3.0) <= _T_TOL * 3.0 and res.success
+
+    def test_first_cell_from_its_right_end(self):
+        # The first cell is refined as minimize(0, T_1, T_1): x is b.
+        rising = peaked(lambda T: T)
+        res = minimize(rising, 0.0, 1.24, 1.24, rising(1.24), tau=4.5)
+        assert res.x[2] == 1.24 and res.success
+        inside = peaked(lambda T: -(T - 0.3) ** 2)
+        res = minimize(inside, 0.0, 1.24, 1.24, inside(1.24), tau=4.5)
+        assert abs(res.x[2] - 0.3) <= _T_TOL * 0.3 and res.success
+
+    def test_no_cycle_never_wins(self):
+        # P rises to the right, but no cycle is longer than 2.2.
+        def capped(T):
+            return None if T > 2.2 else (T, 0.0, T)
+
+        res = minimize(capped, 1.0, 2.0, 3.0, capped(2.0), tau=2.5)
+        assert res.x is not None and 2.0 <= res.x[2] <= 2.2
+        assert res.success
+
+        def alone(T):
+            return (1.0, 0.0, T) if T == 2.0 else None
+
+        res = minimize(alone, 1.0, 2.0, 3.0, alone(2.0), tau=2.5)
+        assert res.x == (1.0, 0.0, 2.0) and res.success
+
+    def test_a_tie_keeps_x(self):
+        # x moves only to a strictly better probe: on a plateau it stays.
+        flat = peaked(lambda T: 1.0)
+        res = minimize(flat, 1.0, 2.0, 3.0, flat(2.0), tau=2.5)
+        assert res.x == (1.0, 0.0, 2.0) and res.success
+
+    def test_never_below_the_start(self):
+        # Jagged P with gaps without a cycle: whatever the bracket holds,
+        # the result is a probed point inside it and no worse than x.
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            knots = rng.normal(size=9).tolist()
+            holes = rng.uniform(0.0, 4.0, size=2).tolist()
+
+            def best_at(T):
+                if min(holes) < T < max(holes) and T > 2.5:
+                    return None
+                return (float(np.interp(T, np.linspace(0.0, 4.0, 9), knots)),
+                        0.0, T)
+
+            a, x, b = sorted(rng.uniform(0.0, 4.0, size=3).tolist())
+            fx = best_at(x)
+            if fx is None:
+                continue
+            res = minimize(best_at, a, x, b, fx,
+                           tau=float(rng.uniform(0.0, 4.0)))
+            assert res.x[0] >= fx[0]
+            assert a <= res.x[2] <= b and res.x == best_at(res.x[2])
+
+    def test_float_resolution_stops_first(self):
+        # At T = 1e-320, _T_TOL of T underflows to 0: the bracket closes
+        # to adjacent floats and never to the tolerance.
+        rising = peaked(lambda T: T)
+        res = minimize(rising, 0.0, 1e-320, 1e-320, rising(1e-320), tau=1.0)
+        assert res.x[2] == 1e-320
+        assert not res.success
+
+
+def golden_section(best_at, a, x, b, fx, tau):
+    """The golden-section refinement that Brent's method replaced."""
+    nfev = 0
+    if a < tau < b and tau != x:
+        ft = best_at(tau)
+        nfev += 1
+        if ft is not None and ft[0] > fx[0]:
+            x, fx = tau, ft
+    while b - a > _T_TOL * x:
+        u = x - _GOLDEN * (x - a) if x - a > b - x else x + _GOLDEN * (b - x)
+        if not a < u < b or u == x:
+            break
+        fu = best_at(u)
+        nfev += 1
+        if fu is not None and fu[0] > fx[0]:
+            if u < x:
+                b = x
+            else:
+                a = x
+            x, fx = u, fu
+        elif u < x:
+            a = u
+        else:
+            b = u
+    return Refinement(fx, nfev, not b - a > _T_TOL * x)
+
+
+def solved_profit(prob, search):
+    """The solver's profit, or None when the box has no cycle."""
+    try:
+        return solve_equilibrium(prob, search).profit
+    except InfeasibleProblem:
+        return None
+
+
+class TestAgainstGoldenSection:
+    def test_never_below_golden_section(self, monkeypatch):
+        # MDT and NPS recipe draws and weighted draws, at three lattices.
+        rng = np.random.default_rng(7)
+        pool = [*itertools.islice(recipe_problems(), 140),
+                *(random_weighted_problem(rng) for _ in range(60))]
+        for draw, prob in enumerate(pool):
+            for n_time in (12, 20, 40):
+                search = SearchSpec(n_time=n_time)
+                got = solved_profit(prob, search)
+                with monkeypatch.context() as mp:
+                    mp.setattr(equilibrium, "minimize", golden_section)
+                    want = solved_profit(prob, search)
+                assert (got is None) == (want is None), (draw, n_time)
+                if want is not None:
+                    assert got >= want - 1e-9 * max(1.0, abs(want)), \
+                        (draw, n_time)
 
 class TestSearchBudget:
     def test_default_and_finer_grids_fit(self):
