@@ -43,6 +43,15 @@ from .errors import DomainError, InvalidParams, InvalidPolicy
 EPS_NUM = 1e-9
 
 
+def _require_finite(values, *names: str) -> None:
+    """Raise InvalidParams naming the first field of ``values`` in
+    ``names`` that is infinite or NaN."""
+    for name in names:
+        value = getattr(values, name)
+        if not abs(value) < math.inf:  # NaN fails too
+            raise InvalidParams(f"{name} must be finite, got {value!r}")
+
+
 class FeeFamily(enum.Enum):
     """Functional family of the membership count N(F)."""
 
@@ -90,6 +99,8 @@ class MarketParams:
             raise InvalidParams("M must be > 0")
         if not (0 <= self.f_min <= self.f_max):
             raise InvalidParams("fee bounds must satisfy 0 <= f_min <= f_max")
+        _require_finite(self, "r", "K", "h", "tau", "lambda_r", "M", "f_min",
+                        "f_max")
 
     @property
     def demand_threshold(self) -> float:
@@ -116,6 +127,7 @@ class FeeModel:
         # a ln(b - F) with a < 0 is negative wherever it is defined.
         if self.family is FeeFamily.LOGARITHMIC and not (self.a >= 0):
             raise InvalidParams("a must be >= 0 for the logarithmic family")
+        _require_finite(self, "a", "b", "delta")
 
     def in_domain(self, fee: float) -> bool:
         """True when N(fee) is defined and nonnegative (see :meth:`members`)."""
@@ -225,6 +237,7 @@ class CustomerResponse:
     def __post_init__(self) -> None:
         if not (self.c2 >= 0):
             raise InvalidParams("c2 must be >= 0")
+        _require_finite(self, "c2")
 
 
 def potential_market(fee_model: FeeModel, fee: float) -> float:
@@ -310,7 +323,7 @@ def checked_profit(params: MarketParams, policy: ShipmentPolicy,
     ``fee_rate`` is the fee revenue per premium order (see
     :func:`fee_per_order`); 0 leaves the fee out.
     """
-    if lambda_p < 0:
+    if not lambda_p >= 0:  # NaN fails too
         raise InvalidParams("lambda_p must be >= 0")
     return cycle_profit(params, lambda_p, fee_rate, policy.t1, policy.t3,
                         policy.cycle_length)

@@ -98,7 +98,7 @@ def _feedback(params: MarketParams, fee_model: FeeModel,
     tau, c2 = params.tau, resp.c2
 
     def advance(lambda_p: float) -> tuple[ShipmentPolicy, float]:
-        if lambda_p < low or lambda_p > high:
+        if not low <= lambda_p <= high:  # NaN fails too
             raise InvalidParams(f"lambda_p={lambda_p} outside [0, c1(F)={c1}]")
         policy = solve_policy(params, min(max(lambda_p, 0.0), cap)).policy
         return policy, response(c1, c2, signal(spec, policy, tau))
@@ -166,7 +166,7 @@ def simulate(params: MarketParams, fee_model: FeeModel, resp: CustomerResponse,
     """
     if not 0 <= max_iters <= MAX_SIM_ITERS:
         raise InvalidParams(f"max_iters must be in [0, {MAX_SIM_ITERS}]")
-    if tol < 0:
+    if not tol >= 0:  # NaN fails too
         raise InvalidParams("tol must be >= 0")
     c1, advance = _feedback(params, fee_model, resp, spec, fee)
     rate = fee_per_order(params, fee_model, fee)

@@ -5,21 +5,23 @@ picks (t1, t3, T, F) so that the demand the policy *creates* is the
 demand it was built for: the stationarity constraint lambda_p =
 R(signal) is substituted into the profit.  Two of the four unknowns
 have closed forms given the others.  For a fixed policy the best fee
-depends on the cycle length alone (:func:`best_fee`).  For a fixed t1
-and T, t3 enters the profit only through the signal, which is affine in
-t3, and the regular revenue r lambda_r t3 / T, so the best t3 depends on
-T and the slack s = T - t1 alone (:func:`_phase3`).  Both are profiled
-out, which leaves P(T), the best profit of a cycle of length T, to be
-maximized over T.
+depends on the cycle length alone (:func:`best_fee`, which hands out
+c1(F) and F/(delta M) with it).  For a fixed t1 and T, t3 enters the
+profit only through the signal, which is affine in t3, and the regular
+revenue r lambda_r t3 / T, so the best t3 depends on T, the slack s =
+T - t1 and the premium margin Q at F*(T) alone (:func:`_phase3`).  Both
+are profiled out, which leaves P(T), the best profit of a cycle of
+length T, to be maximized over T.
 
 The landscape is neither convex nor concave, but at a fixed cycle length
 T it is solved exactly.  The fee is F*(T), and with t3 profiled out the
 profit as a function of the signal level is a power of it plus a concave,
 piecewise quadratic term, for the MDT, NPS and weighted signals alike.
 Its maximum P(T) is the best of the pieces' ends and of the roots of its
-derivative, each scored where it is found (:func:`_slice_search`).  P
-is taken on a deterministic lattice of T rows from 0 to the search cap,
-whose size :data:`MAX_GRID_POINTS` caps, and a closed-form bound on P
+derivative, each scored where it is found (:func:`_slice_search`), which
+returns the cycle it scored: t1, s, t3 and the fee.  P is taken on a
+deterministic lattice of T rows from 0 to the search cap, whose size
+:data:`MAX_GRID_POINTS` caps, and a closed-form bound on P
 (:func:`_row_bound`) leaves most rows unsolved.  Each lattice local
 maximum of P is then refined by Brent's method (:func:`minimize`), which
 closes on the kink of P at T = tau in two probes.  For the
@@ -135,11 +137,13 @@ def search_cap(problem: EquilibriumProblem) -> float:
 
 
 def best_fee(problem: EquilibriumProblem):
-    """The profit-maximizing fee as a function ``T -> F*(T)`` on floats.
+    """The profit-maximizing fee and its terms, ``T -> (F, c1, fee_rate)``.
 
-    For a fixed policy the profit is theta^c2 N(F) delta (r - hT/2 +
-    F/(delta M)) plus terms free of F, and theta > 0 whenever t3 > 0, so
-    the best fee in [f_min, f_max] depends on the cycle length T alone.
+    F = F*(T) is the best fee of a cycle of length T, c1 = c1(F)
+    (:func:`potential_market`) and fee_rate = F/(delta M).  For a fixed
+    policy the profit is theta^c2 N(F) delta (r - hT/2 + F/(delta M))
+    plus terms free of F, and theta > 0 whenever t3 > 0, so the best fee
+    in [f_min, f_max] depends on the cycle length T alone.
     A pinned fee is f_min.  The linear family with b > 0 is a concave
     quadratic in F: F* = clip((a - b delta M r)/(2b) + delta M h T/4).
     With b <= 0 it is linear or convex, so the better end of the box wins,
@@ -155,28 +159,36 @@ def best_fee(problem: EquilibriumProblem):
     error cannot cross, so the exit returns the bound the root would clip
     to.  A threshold that overflows to inf exits for no finite A: A = inf
     takes f_min, and every finite A beyond A <= 1 takes the Newton root.
+    Most cycle lengths the solver visits take a fee bound, so each bound's
+    triple is taken once per problem and handed out by the branch that
+    picks it; only an interior fee takes N(F) and the division per call.
     """
     p, fm = problem.params, problem.fee_model
     lo, hi = p.f_min, p.f_max
     b = fm.b
     delta_M = fm.delta * p.M
 
+    def terms(fee: float) -> tuple[float, float, float]:
+        return fee, potential_market(fm, fee), fee / delta_M
+
+    at_lo, at_hi = terms(lo), terms(hi)
+
     if hi <= lo or fm.family is FeeFamily.LOGARITHMIC and fm.a == 0:
-        return lambda T: lo
+        return lambda T: at_lo
     if fm.family is FeeFamily.LINEAR and b > 0:
         base = (fm.a - b * delta_M * p.r) / (2.0 * b)
         slope = delta_M * p.h / 4.0
 
-        def clipped(T: float) -> float:
+        def clipped(T: float) -> tuple[float, float, float]:
             fee = base + slope * T
-            return lo if fee < lo else hi if fee > hi else fee
+            return at_lo if fee < lo else at_hi if fee > hi else terms(fee)
 
         return clipped
     if fm.family is FeeFamily.LINEAR:
         def value(fee: float, T: float) -> float:
             return fm.members(fee) * (p.r - p.h * T / 2.0 + fee / delta_M)
 
-        return lambda T: hi if value(hi, T) > value(lo, T) else lo
+        return lambda T: at_hi if value(hi, T) > value(lo, T) else at_lo
 
     def g(u: float) -> float:
         return u * (math.log(u) + 1.0)
@@ -185,12 +197,12 @@ def best_fee(problem: EquilibriumProblem):
     to_hi = max(1.0, to_hi) if to_hi < math.inf else 1.0
     to_lo = g(b - lo) * (1.0 + _BOUND_EXIT_MARGIN)
 
-    def fee_of(T: float) -> float:
+    def fee_of(T: float) -> tuple[float, float, float]:
         A = delta_M * (p.r - p.h * T / 2.0) + b
         if not A > to_hi:
-            return hi
+            return at_hi
         if A >= to_lo:
-            return lo
+            return at_lo
         # u (ln u + 1) is convex and increasing: Newton from above descends
         # onto the root.  The step is split so that u + A cannot overflow.
         u = A
@@ -201,68 +213,38 @@ def best_fee(problem: EquilibriumProblem):
                 break
             u = nxt
         fee = b - u
-        return lo if fee < lo else hi if fee > hi else fee
+        return at_lo if fee < lo else at_hi if fee > hi else terms(fee)
 
     return fee_of
 
 
-def _fee_terms(problem: EquilibriumProblem):
-    """``T -> (F, c1, fee_rate)``: the best fee, c1(F) and F/(delta M).
-
-    F is :func:`best_fee`'s.  Most cycle lengths the solver visits take a
-    fee bound, so the triple at each bound is taken once per problem and
-    handed out whenever F*(T) equals that bound; only an interior fee
-    takes N(F) and the division per call.
-    """
-    p, fm = problem.params, problem.fee_model
-    lo, hi = p.f_min, p.f_max
-    fee_of = best_fee(problem)
-    members, delta, delta_M = fm.members, fm.delta, fm.delta * p.M
-
-    def terms(fee: float) -> tuple[float, float, float]:
-        return fee, members(fee) * delta, fee / delta_M
-
-    at_lo, at_hi = terms(lo), terms(hi)
-
-    def fee_terms(T: float) -> tuple[float, float, float]:
-        fee = fee_of(T)
-        if fee == lo:
-            return at_lo
-        if fee == hi:
-            return at_hi
-        return terms(fee)
-
-    return fee_terms
-
-
 def _phase3(problem: EquilibriumProblem):
-    """The best Phase-3 length ``(T, s, c1, fee_rate) -> t3`` on floats.
+    """The best Phase-3 length ``(T, s, Q) -> t3`` on floats.
 
-    T is the cycle length, s = T - t1 the slack, and c1 = c1(F) and
-    fee_rate = F/(delta M) belong to the cycle's fee.  With the premium
-    margin Q = c1 (r + fee_rate - hT/2), :func:`cycle_profit` depends on
-    t3 in (0, U], U = min(tau, s), only through theta^c2 Q + r lambda_r
-    t3 / T, and theta = beta + alpha t3 is affine in t3, alpha the MDT
-    weight of ``SignalSpec.shares`` over its divisor and tau.  So t3 = U
-    when Q >= 0, alpha = 0 or c2 = 0.  Otherwise, with c2 <= 1 that term
-    is convex in t3 and the better end wins: U, on a tie too, or t3 -> 0+,
-    taken as :data:`_T3_FLOOR`.  With c2 > 1 it is concave and t3 is the
-    root of c2 alpha theta^(c2-1) Q + r lambda_r / T = 0, clipped to
-    [_T3_FLOOR, U].  This is the one copy of the rule; :func:`_slice_search`
-    scores its candidates with it.
+    T is the cycle length, s = T - t1 the slack, and Q = c1 (r + F/(delta
+    M) - hT/2) the premium margin at the cycle's fee F, c1 = c1(F), which
+    the caller has formed.  :func:`cycle_profit` depends on t3 in (0, U],
+    U = min(tau, s), only through theta^c2 Q + r lambda_r t3 / T, and
+    theta = beta + alpha t3 is affine in t3, alpha the MDT weight of
+    ``SignalSpec.shares`` over its divisor and tau.  So t3 = U when Q >=
+    0, alpha = 0 or c2 = 0.  Otherwise, with c2 <= 1 that term is convex
+    in t3 and the better end wins: U, on a tie too, or t3 -> 0+, taken as
+    :data:`_T3_FLOOR`.  With c2 > 1 it is concave and t3 is the root of
+    c2 alpha theta^(c2-1) Q + r lambda_r / T = 0, clipped to [_T3_FLOOR,
+    U].  This is the one copy of the rule; :func:`_slice_search` scores
+    its candidates with it.
     """
     p, c2 = problem.params, problem.resp.c2
     spec, tau = problem.signal_spec, p.tau
     mdt, _, divisor = spec.shares
     alpha = mdt / divisor / tau
-    r, h, rl = p.r, p.h, p.r * p.lambda_r
+    rl = p.r * p.lambda_r
 
     if not (alpha > 0 and c2 > 0):
-        return lambda T, s, c1, fee_rate: s if s < tau else tau
+        return lambda T, s, Q: s if s < tau else tau
 
-    def t3_of(T: float, s: float, c1: float, fee_rate: float) -> float:
+    def t3_of(T: float, s: float, Q: float) -> float:
         U = s if s < tau else tau
-        Q = c1 * (r + fee_rate - h * T / 2.0)
         if Q >= 0:
             return U
         theta_u = signal_value(spec, s - U, U, T, tau)
@@ -288,7 +270,7 @@ def _row_bound(problem: EquilibriumProblem):
     """``(lo, hi) -> bound`` on P(T) for every T in [lo, hi], 0 <= lo <= hi.
 
     With c1 = c1(F) and fee_rate = F/(delta M) at F = F*(lo)
-    (:func:`_fee_terms`), the bound is the largest over T in [lo, hi] of
+    (:func:`best_fee`), the bound is the largest over T in [lo, hi] of
 
         c1 max(0, r + fee_rate - h lo/2)
             + (lambda_r min(rT, r^2/(2h) + r tau) - K) / T.
@@ -308,7 +290,7 @@ def _row_bound(problem: EquilibriumProblem):
     r, h, K, lam_r = p.r, p.h, p.K, p.lambda_r
     peak = r * r / (2.0 * h) + r * p.tau
     turn = r / (2.0 * h) + p.tau
-    fee_terms = _fee_terms(problem)
+    fee_of = best_fee(problem)
 
     def at(T: float, lo: float, c1: float, fee_rate: float) -> float:
         regular = lam_r * min(r * T, peak)
@@ -319,7 +301,7 @@ def _row_bound(problem: EquilibriumProblem):
                 + sys.float_info.min)
 
     def bound(lo: float, hi: float) -> float:
-        _, c1, fee_rate = fee_terms(lo)
+        _, c1, fee_rate = fee_of(lo)
         value = at(hi, lo, c1, fee_rate)
         inner = lo if turn < lo else turn
         if inner < hi:
@@ -332,9 +314,9 @@ def _row_bound(problem: EquilibriumProblem):
 
 
 def _slice_search(problem: EquilibriumProblem):
-    """``T -> (profit, t1, s)``: the best cycle of length T, or None.
+    """``T -> (profit, t1, s, t3, F)``: the best cycle of length T, or None.
 
-    At a fixed T the fee terms are F*(T)'s (:func:`_fee_terms`), so the
+    At a fixed T the fee terms are F*(T)'s (:func:`best_fee`), so the
     premium margin Q = c1 (r + F/(delta M) - hT/2) is fixed, and the
     signal is theta = alpha t3 + beta s, alpha and beta the MDT and NPS
     weights of ``SignalSpec.shares`` over its divisor, and over tau and T
@@ -353,10 +335,11 @@ def _slice_search(problem: EquilibriumProblem):
     zero.  The candidates are those roots and the pieces' ends, whose s is
     always T, tau, s* or the t3 -> 0+ floor :data:`_T3_FLOOR`.  Each is
     scored here, by :func:`cycle_profit` at T's fee terms, with the best
-    t3 for its s (:func:`_phase3`) and lambda_p = R(theta), so a candidate
-    scores at least its slice's profit.  The best profit wins, an exact
-    tie going to the larger s (the shorter t1); NaN and -inf are no cycle,
-    and None comes back when no candidate has a profit.
+    t3 for its s and Q (:func:`_phase3`) and lambda_p = R(theta), so a
+    candidate scores at least its slice's profit.  The best profit wins,
+    an exact tie going to the larger s (the shorter t1), and comes back
+    with the t3 and fee F it was scored at; NaN and -inf are no cycle, and
+    None comes back when no candidate has a profit.
     """
     p, c2 = problem.params, problem.resp.c2
     spec, tau = problem.signal_spec, p.tau
@@ -364,7 +347,7 @@ def _slice_search(problem: EquilibriumProblem):
     alpha, nps = mdt / divisor / tau, nps / divisor
     r, h = p.r, p.h
     rl, hl, r_h = r * p.lambda_r, h * p.lambda_r, r / h
-    fee_terms = _fee_terms(problem)
+    fee_of = best_fee(problem)
     t3_of = _phase3(problem)
     curved = c2 not in (0.0, 1.0, 2.0)  # f'' has a root of its own
 
@@ -438,7 +421,7 @@ def _slice_search(problem: EquilibriumProblem):
         return found
 
     def best_at(T: float):
-        _, c1, fee_rate = fee_terms(T)
+        fee, c1, fee_rate = fee_of(T)
         Q = c1 * (r + fee_rate - h * T / 2.0)
         beta = nps / T
         star = T - r_h * (1.0 + beta / alpha) if alpha > 0 else -math.inf
@@ -453,25 +436,25 @@ def _slice_search(problem: EquilibriumProblem):
         best = None
         for s in sorted(candidates, reverse=True):
             t1 = T - s
-            t3 = t3_of(T, s, c1, fee_rate)
+            t3 = t3_of(T, s, Q)
             lam = c1 * signal_value(spec, s - t3, t3, T, tau) ** c2
             profit = cycle_profit(p, lam, fee_rate, t1, t3, T)
             # NaN and -inf are no cycle; +inf (overflow) wins, and makes the
             # solve fail.
             if profit > -math.inf and (best is None or profit > best[0]):
-                best = (profit, t1, s)
+                best = (profit, t1, s, t3, fee)
         return best
 
     return best_at
 
 
 class Refinement(NamedTuple):
-    """One Brent refinement: its best point ``x``, a ``(profit, t1, s)``
-    of :func:`_slice_search`, the P(T) evaluations it made, and whether
-    its bracket closed to :data:`_T_TOL` of T (not only to float
+    """One Brent refinement: its best point ``x``, a ``(profit, t1, s, t3,
+    F)`` of :func:`_slice_search`, the P(T) evaluations it made, and
+    whether its bracket closed to :data:`_T_TOL` of T (not only to float
     resolution)."""
 
-    x: tuple[float, float, float]
+    x: tuple[float, float, float, float, float]
     nfev: int
     success: bool
 
@@ -629,9 +612,11 @@ def solve_equilibrium(problem: EquilibriumProblem,
     below the best profit refined.  A refinement whose bracket holds
     T = tau, where P may have a kink, probes it first; while tau is the
     best point, a probe just to either side of it can close the bracket
-    on it.  The best refined point
-    wins, ties (within 1e-6 in profit) going to the smaller fee, then the
-    shorter cycle, then the shorter t1.  Degenerate optima with lambda_p
+    on it.  The best refined point wins, ties (within 1e-6 in profit) going
+    to the smaller fee, then the shorter cycle, then the shorter t1, and
+    the solution is the cycle and fee that point was scored at, checked
+    through :func:`signal`, :func:`respond` and
+    :func:`profit_rate_with_fees`.  Degenerate optima with lambda_p
     = 0 (premium service priced out at F = f_max) are legitimate outputs.
     A profit that overflows raises :class:`InfeasibleProblem`, as does a
     box with no cycle of finite profit.
@@ -643,20 +628,19 @@ def solve_equilibrium(problem: EquilibriumProblem,
     if not cap < math.inf:
         raise InfeasibleProblem("no feasible cycle in the search box")
     best_at = _slice_search(problem)
-    fee_terms = _fee_terms(problem)
     row_bound = _row_bound(problem)
     axis, scanned = _candidate_grid(best_at, row_bound, cap, search.n_time)
 
     best_key: tuple[float, float, float, float] | None = None
-    best_x: tuple[float, float] | None = None
+    best_x: tuple[float, float, float, float, float] | None = None
 
     def refine(a: float, x: float, b: float, fx) -> None:
         nonlocal best_key, best_x
-        pi, t1, s = minimize(best_at, a, x, b, fx, p.tau).x
-        T = t1 + s
-        key = (pi, fee_terms(T)[0], T, t1)
+        point = minimize(best_at, a, x, b, fx, p.tau).x
+        pi, t1, s, _, fee = point
+        key = (pi, fee, t1 + s, t1)
         if _better(key, best_key):
-            best_key, best_x = key, (t1, s)
+            best_key, best_x = key, point
 
     seeds = _select_seeds(scanned)
     for j in seeds:
@@ -677,11 +661,7 @@ def solve_equilibrium(problem: EquilibriumProblem,
 
     # Integer bounds reach the winner as candidates; the solution holds
     # floats whatever the types of the market's fields.
-    t1, s = map(float, best_x)
-    T = t1 + s
-    fee, c1, fee_rate = fee_terms(T)
-    fee = float(fee)
-    t3 = float(_phase3(problem)(T, s, c1, fee_rate))
+    t1, s, t3, fee = map(float, best_x[1:])
     policy = ShipmentPolicy(t1, s - t3, t3)
     theta = signal(problem.signal_spec, policy, p.tau)
     lam = respond(problem.resp, problem.fee_model, fee, theta)
@@ -790,7 +770,7 @@ def closed_form_t3(problem: EquilibriumProblem, regime: FeeRegime,
         t3 = float(z.real) / scale
         if not (0.0 < t3 < p.tau):
             continue
-        fee_star = fee_of(t3)
+        fee_star = fee_of(t3)[0]
         if not (p.f_min < fee_star < p.f_max):
             continue
         if not is_local_max(t3, fee_star):

@@ -104,7 +104,7 @@ def candidate(case: PolicyCase, params: MarketParams,
     radicand in case IV) is a value, not an error; it just means the case's
     region does not contain these demand rates.
     """
-    if lambda_p < 0:
+    if not lambda_p >= 0:  # NaN fails too
         raise InvalidParams("lambda_p must be >= 0")
     phases = _phases(case, params, lambda_p)
     return None if phases is None else ShipmentPolicy(*phases)
@@ -145,7 +145,7 @@ def solve_policy(params: MarketParams, lambda_p: float) -> PolicySolution:
     t3 < tau implies t1 = 0; moreover t3 < tau exactly when
     lambda_p > 2K/(h tau^2).
     """
-    if lambda_p < 0:
+    if not lambda_p >= 0:  # NaN fails too
         raise InvalidParams("lambda_p must be >= 0")
     if lambda_p == 0 and params.lambda_r == 0:
         raise InvalidParams("at least one demand rate must be positive")
@@ -306,7 +306,7 @@ def grid_search_policy(params: MarketParams, lambda_p: float,
 
     if grid.step <= 0:
         raise InvalidGrid("step must be > 0")
-    if lambda_p < 0:
+    if not lambda_p >= 0:  # NaN fails too
         raise InvalidParams("lambda_p must be >= 0")
     if lambda_p == 0 and params.lambda_r == 0:
         raise InvalidParams("at least one demand rate must be positive")

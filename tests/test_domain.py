@@ -382,6 +382,30 @@ class TestValidation:
         with pytest.raises(InvalidParams, match="lambda_p"):
             profit_rate(PARAMS, ShipmentPolicy(0, 0, 1), -1.0)
 
+    @pytest.mark.parametrize("profit", [
+        lambda lam: profit_rate(PARAMS, ShipmentPolicy(0, 0, 1), lam),
+        lambda lam: profit_rate_with_fees(PARAMS, LIN, ShipmentPolicy(0, 0, 1),
+                                          10, lam)],
+        ids=["profit_rate", "profit_rate_with_fees"])
+    def test_nan_demand_has_no_profit_rate(self, profit):
+        with pytest.raises(InvalidParams, match="lambda_p"):
+            profit(math.nan)
+
+    VALID = {MarketParams: dict(r=8, K=2000, h=4, tau=2, lambda_r=50, M=30,
+                                f_min=10, f_max=100),
+             FeeModel: dict(family=FeeFamily.LINEAR, a=100, b=1, delta=5),
+             CustomerResponse: dict(c2=1)}
+
+    @pytest.mark.parametrize("cls, field", [
+        (cls, field) for cls, valid in VALID.items() for field in valid
+        if field != "family"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_fields_rejected(self, cls, field, value):
+        # -inf fails a sign check first where the field has one; either
+        # way the message names the field.
+        with pytest.raises(InvalidParams, match=rf"\b{field}\b"):
+            cls(**{**self.VALID[cls], field: value})
+
     def test_negative_sensitivity_rejected(self):
         with pytest.raises(InvalidParams):
             CustomerResponse(-0.1)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,18 @@ class TestStep:
     def test_seed_above_potential_rejected(self):
         with pytest.raises(InvalidParams):
             step(params(), LIN, CustomerResponse(1), MDT, 10, 451.0)
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda: step(params(), LIN, CustomerResponse(1), MDT, 10, math.nan),
+         "lambda_p"),
+        (lambda: simulate(params(), LIN, CustomerResponse(1), MDT, 10,
+                          seed_lambda_p=math.nan), "lambda_p"),
+        (lambda: simulate(params(), LIN, CustomerResponse(1), MDT, 10,
+                          tol=math.nan), "tol")],
+        ids=["step-seed", "simulate-seed", "simulate-tol"])
+    def test_nan_rejected(self, run, message):
+        with pytest.raises(InvalidParams, match=message):
+            run()
 
 
 class TestSimulate:

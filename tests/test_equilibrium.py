@@ -19,7 +19,7 @@ from womops import (MDT, NPS, CustomerResponse, FeeFamily, FeeModel,
                     profit_rate_with_fees, recoverability, respond, signal,
                     solve_equilibrium)
 from womops import dynamics, equilibrium
-from womops.domain import cycle_profit, signal_value
+from womops.domain import cycle_profit, potential_market, signal_value
 from womops.equilibrium import (MAX_GRID_POINTS, Refinement, SearchSpec,
                                 _GOLDEN, _STEP, _T3_FLOOR, _T_TOL, _phase3,
                                 _slice_search, minimize, search_cap)
@@ -52,10 +52,9 @@ def profiled_profit(prob, T, s):
     fee F*(T) and the best t3 for (T, s): the score of one candidate of
     ``_slice_search``, from ``best_fee``, ``_phase3`` and the domain
     formulas."""
-    p, fm = prob.params, prob.fee_model
-    fee = best_fee(prob)(T)
-    c1, fee_rate = fm.members(fee) * fm.delta, fee / (fm.delta * p.M)
-    t3 = _phase3(prob)(T, s, c1, fee_rate)
+    p = prob.params
+    _, c1, fee_rate = best_fee(prob)(T)
+    t3 = _phase3(prob)(T, s, c1 * (p.r + fee_rate - p.h * T / 2.0))
     lam = c1 * signal_value(prob.signal_spec, s - t3, t3, T,
                             p.tau) ** prob.resp.c2
     return cycle_profit(p, lam, fee_rate, T - s, t3, T)
@@ -218,9 +217,9 @@ class TestSolve:
             # one.
             s = t2 + t3
             T = t1 + s
-            fee = best_fee(prob)(T)
-            best_t3 = _phase3(prob)(T, s, LIN.members(fee) * LIN.delta,
-                                    fee / (LIN.delta * prob.params.M))
+            fee, c1, fee_rate = best_fee(prob)(T)
+            best_t3 = _phase3(prob)(T, s, c1 * (prob.params.r + fee_rate
+                                                - prob.params.h * T / 2.0))
             best_pol = ShipmentPolicy(t1, s - best_t3, best_t3)
             lam = respond(prob.resp, LIN, fee,
                           signal(MDT, best_pol, prob.params.tau))
@@ -386,7 +385,7 @@ class TestBestFee:
         fee_of = best_fee(prob)
         fees = np.linspace(f_min, f_max, 10 ** 5)
         for T in np.linspace(1e-3, search_cap(prob), 41).tolist():
-            fee = fee_of(T)
+            fee = fee_of(T)[0]
             assert f_min <= fee <= f_max
             scan = fee_values(prob, fees, T)
             best = float(fee_values(prob, np.array([fee]), T)[0])
@@ -494,14 +493,34 @@ class TestBestFee:
                         sides[end].add(A > threshold)
                     Ts.append(T)
             for T in Ts:
-                assert fee_of(T) == newton_fee(prob, T), (prob, T)
+                assert fee_of(T)[0] == newton_fee(prob, T), (prob, T)
         assert sides == {"lo": {False, True}, "hi": {False, True}}
+
+    @pytest.mark.parametrize("fee_model", FAMILIES,
+                             ids=lambda fm: f"{fm.family.value}-{fm.a}-{fm.b}")
+    @pytest.mark.parametrize("f_min, f_max", [(10.0, 100.0), (40.0, 40.0)])
+    def test_fee_terms_are_those_of_the_fee(self, fee_model, f_min, f_max):
+        # Each branch hands out (F, c1(F), F/(delta M)), the bounds' triples
+        # taken once per problem, with the bits the formulas give.
+        prob = problem(2.0, 1, fee_model=fee_model, f_min=f_min, f_max=f_max)
+        fee_of = best_fee(prob)
+        delta_M = fee_model.delta * prob.params.M
+        Ts = np.linspace(0.0, search_cap(prob), 41).tolist() + [1e6]
+        fees = set()
+        for T in Ts:
+            fee, c1, fee_rate = fee_of(T)
+            want = (fee, potential_market(fee_model, fee), fee / delta_M)
+            assert [float.hex(x) for x in (fee, c1, fee_rate)] == \
+                [float.hex(x) for x in want], T
+            fees.add(fee)
+        assert fees & {f_min, f_max}
 
     @pytest.mark.parametrize("r, M", [(1e300, 30.0), (1e306, 1e6)])
     def test_huge_logarithmic_root_is_f_min(self, r, M):
         # A = 1.5e302 runs the Newton iteration on a huge root; A = 5e312
         # overflows to inf.  Either way F* is f_min, never NaN.
-        assert best_fee(problem(2.0, 1, r=r, M=M, fee_model=LOG))(1.0) == 10.0
+        assert best_fee(problem(2.0, 1, r=r, M=M,
+                                fee_model=LOG))(1.0)[0] == 10.0
 
 
 class TestClosedForms:
@@ -530,7 +549,7 @@ class TestClosedForms:
         # M = 3 moves the joint stationary point inside the fee box.
         prob = problem(5.0, 1, M=3.0)
         t3 = closed_form_t3(prob, FeeRegime.INTERIOR)
-        fee = best_fee(prob)(t3)
+        fee = best_fee(prob)(t3)[0]
         assert t3 == pytest.approx(3.41655, abs=1e-4)
         assert fee == pytest.approx(41.2482, abs=1e-3)
         sol = solve_equilibrium(prob)
@@ -726,13 +745,11 @@ class TestPhase3:
                              ids=[case[0] for case in CASES])
     def test_beats_a_dense_scan(self, kwargs, t1, T, end):
         prob = problem(**{"f_max": 60.0, **kwargs})
-        p, fm = prob.params, prob.fee_model
-        fee = best_fee(prob)(T)
-        c1 = fm.members(fee) * fm.delta
-        fee_rate = fee / (fm.delta * p.M)
+        p = prob.params
+        fee, c1, fee_rate = best_fee(prob)(T)
         s = T - t1
         U = min(p.tau, s)
-        t3 = _phase3(prob)(T, s, c1, fee_rate)
+        t3 = _phase3(prob)(T, s, c1 * (p.r + fee_rate - p.h * T / 2.0))
         kind = ("U" if t3 == U else "floor" if t3 == _T3_FLOOR
                 else "interior" if 0.0 < t3 < U else "outside")
         assert kind == end
@@ -769,7 +786,7 @@ def best_scanned_profit(prob, n=48):
     cap = search_cap(prob)
     axis = np.linspace(0.0, cap, n)
     fee_of = best_fee(prob)
-    fees = np.array([fee_of(x) for x in axis.tolist()], dtype=float)
+    fees = np.array([fee_of(x)[0] for x in axis.tolist()], dtype=float)
     t1, T, t3 = np.meshgrid(axis, axis, np.linspace(0.0, prob.params.tau, n)[1:],
                             indexing="ij")
     F = np.broadcast_to(fees[None, :, None], T.shape)
@@ -879,8 +896,9 @@ def record_seeds(monkeypatch) -> list[tuple[float, float, float]]:
     return seeds
 
 
-def record_solves(monkeypatch) -> list[float]:
-    """Patch ``_slice_search`` so that each P(T) evaluation appends its T."""
+def record_solves(monkeypatch, points=None) -> list[float]:
+    """Patch ``_slice_search`` so that each P(T) evaluation appends its T,
+    and its point to ``points`` when that list is given."""
     solved = []
     slice_search = equilibrium._slice_search
 
@@ -889,7 +907,10 @@ def record_solves(monkeypatch) -> list[float]:
 
         def recorded(T):
             solved.append(T)
-            return best_at(T)
+            point = best_at(T)
+            if points is not None:
+                points.append(point)
+            return point
 
         return recorded
 
@@ -966,22 +987,12 @@ class TestStreamedSeedSelection:
 
     def test_pinned_fee_scores_every_cycle_at_that_fee(self, monkeypatch):
         # With f_min = f_max the fee is no coordinate of the search: every
-        # cycle length the solve visits takes the pinned fee.
-        fees = []
-        fee_terms = equilibrium._fee_terms
-
-        def recording(prob):
-            terms = fee_terms(prob)
-
-            def recorded(T):
-                fees.append(terms(T)[0])
-                return terms(T)
-
-            return recorded
-
-        monkeypatch.setattr(equilibrium, "_fee_terms", recording)
+        # cycle length the solve visits is scored at the pinned fee.
+        points = []
+        record_solves(monkeypatch, points)
         sol = solve_equilibrium(problem(5.0, 1, f_min=40.0, f_max=40.0),
                                 SearchSpec(n_time=20))
+        fees = [point[4] for point in points if point is not None]
         assert len(fees) > 20 and set(fees) == {40.0}
         assert (sol.fee, sol.branch.value) == (40.0, "numeric-boundary")
 
@@ -1019,21 +1030,28 @@ TABLE_ROW_PROBLEMS = [
 
 class TestGridInsideTheBox:
     """Every lattice row's best cycle is inside the box, at its profiled
-    profit, and below the row's bound."""
+    profit, and below the row's bound, and its t3 and fee are those of
+    ``_phase3`` and ``best_fee`` to the bit."""
 
     @pytest.mark.parametrize("prob", [
         *TABLE_ROW_PROBLEMS, pytest.param(NO_DEMAND, id="no-demand")])
     def test_grid_points_are_finite_under_the_objective(self, prob):
+        p = prob.params
         best_at = _slice_search(prob)
         bound = equilibrium._row_bound(prob)
+        fee_of, t3_of = best_fee(prob), _phase3(prob)
         rows = lattice(prob, SearchSpec())
         assert len(rows) == 39
         for T in rows:
-            profit, t1, s = best_at(T)
+            profit, t1, s, t3, fee = best_at(T)
             assert math.isfinite(profit)
             assert 0.0 <= t1 and 0.0 < s <= T and t1 == T - s
             assert profit == profiled_profit(prob, T, s)
             assert profit <= bound(T, T)
+            F, c1, fee_rate = fee_of(T)
+            want = t3_of(T, s, c1 * (p.r + fee_rate - p.h * T / 2.0))
+            assert [float.hex(x) for x in (t3, fee)] == \
+                [float.hex(x) for x in (want, F)]
 
 
 @st.composite

@@ -55,6 +55,15 @@ class TestCandidates:
         with pytest.raises(InvalidParams, match="lambda_p"):
             grid_search_policy(params(), -1.0, GridSpec(step=0.01))
 
+    @pytest.mark.parametrize("solve", [
+        lambda lam: candidate(PolicyCase.I, params(), lam),
+        lambda lam: solve_policy(params(), lam),
+        lambda lam: grid_search_policy(params(), lam, GridSpec(step=0.01))],
+        ids=["candidate", "solve_policy", "grid_search_policy"])
+    def test_nan_demand_rejected(self, solve):
+        with pytest.raises(InvalidParams, match="lambda_p"):
+            solve(math.nan)
+
     def test_zero_demand_divides_by_zero_cases(self):
         with pytest.raises(InvalidParams):
             candidate(PolicyCase.II, params(), 0.0)
